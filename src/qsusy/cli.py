@@ -164,7 +164,23 @@ def _add_common(sub: argparse.ArgumentParser, *, beta: bool = True) -> None:
 _NEGATIVE_VALUE = re.compile(r"^-\d+(?:[/.]\d+)?(?:,-?\d+(?:[/.]\d+)?)*$")
 
 
-def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+
+    It holds no per-call state, so every call can share it. It is kept as a
+    constant, not as a cache that could be cleared: a dropped parser is a
+    cycle of several hundred objects that waits for the garbage collector.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsusy",
         description="exact q-deformed oscillator intertwining toolkit",
@@ -221,7 +237,12 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     p.add_argument("--xs", type=_rational_list_arg, default=None,
                    help='comma-separated sample points (default "-1,-1/2,0,1/2,1")')
     _add_common(p)
+    return parser
 
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
+    """Parse and check one call's flags; the environment is read on every call."""
+    parser = _parser()
     args = parser.parse_args(argv)
 
     config = RunConfig(command=args.command)
@@ -376,6 +397,11 @@ def _verify_cells(config: RunConfig) -> list[tuple]:
                 cells.append((suite, qq, None))
         else:
             cells.append((suite, None, None))
+    # a pin that no cell carries would be silently ignored
+    ignored = [flag for k, (flag, value) in enumerate((("--q", q), ("--beta", beta)), 1)
+               if value is not None and all(cell[k] is None for cell in cells)]
+    if ignored:
+        raise ValueError(f"verify {config.suite} does not take {' or '.join(ignored)}")
     return cells
 
 

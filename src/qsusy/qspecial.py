@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qcore import Deformation, Rational, i_power, q_factorial
-from .series import PowerSeries, constant_series, make_series
+from .series import PowerSeries, constant_series, linear_combination, make_series
 
 __all__ = [
     "VacuumSpec",
@@ -65,14 +65,18 @@ def q_exp(u: PowerSeries, d: Deformation) -> PowerSeries:
     the result is the truncated classical exponential, and the output is
     invariant under q -> 1/q because every [n]_q! is.
     """
-    if u.order >= 0 and u.coeffs[0]:
+    if u.order >= 0 and (u.num_re[0] or (u.num_im is not None and u.num_im[0])):
         raise ValueError("q_exp needs a series with zero constant term")
-    out = constant_series(1, max(u.order, 0))
-    power = out
+    return linear_combination(_q_exp_terms(u, d))
+
+
+def _q_exp_terms(u: PowerSeries, d: Deformation):
+    """(1/[n]_q!, u**n) for n = 0..order, one power alive at a time."""
+    power = constant_series(1, max(u.order, 0))
+    yield 1, power
     for n in range(1, u.order + 1):
         power = power * u
-        out = out + power * (1 / q_factorial(n, d))
-    return out
+        yield 1 / q_factorial(n, d), power
 
 
 def _x_squared(scale: Rational, order: int) -> PowerSeries:
@@ -96,9 +100,9 @@ def beta_q(v: VacuumSpec) -> PowerSeries:
     constant 2 beta.
     """
     q = v.d.q
-    up = q_exp(_x_squared(q * v.beta, v.order), v.d)
-    down = q_exp(_x_squared(v.beta / q, v.order), v.d)
-    numerator = up * q + down * (1 / q)
+    # one q_exp at a time: at high order each holds long numerators
+    numerator = q_exp(_x_squared(q * v.beta, v.order), v.d) * q
+    numerator = numerator + q_exp(_x_squared(v.beta / q, v.order), v.d) * (1 / q)
     return (numerator / q_gauss(v)) * v.beta
 
 

@@ -46,10 +46,13 @@ def series_to_dict(a: PowerSeries) -> dict[str, Any]:
 def series_from_dict(data: Any) -> PowerSeries:
     if not isinstance(data, dict) or "order" not in data or "coeffs" not in data:
         raise ValueError("series document needs 'order' and 'coeffs' fields")
-    order = data["order"]
-    if not isinstance(order, int) or order < 0:
+    order, pairs = data["order"], data["coeffs"]
+    # a JSON true is a Python int too, so it has to be refused by name
+    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
         raise ValueError(f"bad series order: {order!r}")
-    coeffs = tuple(gauss_from_pair(p) for p in data["coeffs"])
+    if not isinstance(pairs, list):
+        raise ValueError(f"series 'coeffs' must be a list of [re, im] pairs, got {pairs!r}")
+    coeffs = tuple(gauss_from_pair(p) for p in pairs)
     if len(coeffs) != order + 1:
         raise ValueError(
             f"series of order {order} needs {order + 1} coefficients, got {len(coeffs)}"

@@ -11,18 +11,29 @@ always names the highest coefficient that is exact:
   polynomial's lowest nonzero degree,
 * equality compares coefficients up to the common valid order, exactly.
 
+Storage follows FLINT's ``fmpq_poly`` layout: c_n = (num_re[n] + i num_im[n]) /
+den with integer numerators and one positive common denominator. ``num_im`` is
+None when every imaginary part is zero, and every result is brought back to
+this canonical form (gcd of den and all numerators equal to 1) by a single
+multi-argument gcd, so the kernels run on plain integers. ``GaussRational``
+is the scalar type at the boundary: ``coeffs`` and ``coeff`` build it on
+demand.
+
 There is no epsilon anywhere in this module; the float entry point is the
 single evaluator ``evaluate_float`` used at the grid/plotting boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice, repeat
+from math import gcd, lcm
+from operator import add as _add, eq as _eq, mul as _mul, sub as _sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .qcore import (
     GAUSS_I,
+    GAUSS_ONE,
     GAUSS_ZERO,
     Deformation,
     GaussRational,
@@ -38,6 +49,7 @@ __all__ = [
     "zero_series",
     "constant_series",
     "monomial",
+    "linear_combination",
     "add",
     "sub",
     "mul",
@@ -51,25 +63,189 @@ __all__ = [
 ]
 
 CoeffLike = Union[GaussRational, Fraction, int]
+# The stored numerators are tuples, but the kernels read them through islice
+# and slice only lists: CPython 3.11 never reuses a freed 20-item tuple, so
+# each one would sit on the tuple free list (up to 2000 of them) until a full
+# garbage collection.
+IntVector = Sequence[int]
+
+_FRACTION_ZERO = Fraction(0)
 
 
 class NonInvertibleSeriesError(ValueError):
     """Raised when dividing by a series whose constant term is zero."""
 
 
-def _coerce_coeffs(coeffs: Iterable[CoeffLike]) -> tuple[GaussRational, ...]:
+def _coerce_coeffs(coeffs: Iterable[CoeffLike]) -> list[GaussRational]:
     out = []
     for c in coeffs:
         g = to_gauss(c)
         if g is NotImplemented:
             raise TypeError(f"cannot use {c!r} as a series coefficient")
         out.append(g)
-    return tuple(out)
+    return out
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+def _canonical(
+    order: int, re: IntVector, im: Optional[IntVector], den: int
+) -> "PowerSeries":
+    """The series (re + i im) / den, den > 0, reduced by one gcd over everything."""
+    if im is not None and not any(im):
+        im = None
+    g = gcd(den, *re) if im is None else gcd(den, *re, *im)
+    if g != 1:
+        den //= g
+        re = _divided(re, g)
+        if im is not None:
+            im = _divided(im, g)
+    return _make(order, re, im, den)
+
+
+def _divided(values: IntVector, g: int) -> list[int]:
+    # in place, so the unreduced and reduced numerators are never all alive
+    values = list(values)
+    for k, x in enumerate(values):
+        values[k] = x // g
+    return values
+
+
+def _make(
+    order: int, re: IntVector, im: Optional[IntVector], den: int
+) -> "PowerSeries":
+    """Wrap numerators that are already canonical."""
+    out = object.__new__(PowerSeries)
+    _set(out, "order", order)
+    _set(out, "num_re", tuple(re))
+    _set(out, "num_im", None if im is None else tuple(im))
+    _set(out, "den", den)
+    return out
+
+
+_set = object.__setattr__
+
+
+def _from_fractions(
+    order: int, res: Sequence[Fraction], ims: Optional[Sequence[Fraction]]
+) -> "PowerSeries":
+    """Put reduced rational parts over the lcm of their denominators.
+
+    No gcd pass is needed: a prime dividing that lcm to its full power divides
+    some part's denominator exactly that often, and that part's scaled
+    numerator is then not divisible by it.
+    """
+    dens = [x.denominator for x in res]
+    if ims is not None:
+        dens += [x.denominator for x in ims]
+    den = lcm(*dens)
+    im = None if ims is None else [x.numerator * (den // x.denominator) for x in ims]
+    return _make(
+        order,
+        [x.numerator * (den // x.denominator) for x in res],
+        im if im is not None and any(im) else None,
+        den,
+    )
+
+
+def _scalar_parts(c: GaussRational) -> tuple[int, int, int]:
+    """c = (re + i im) / den with integers and den > 0."""
+    den = lcm(c.re.denominator, c.im.denominator)
+    return (
+        c.re.numerator * (den // c.re.denominator),
+        c.im.numerator * (den // c.im.denominator),
+        den,
+    )
+
+
+def _weigh(
+    re: IntVector,
+    im: Optional[IntVector],
+    wre: Iterable[int],
+    wim: Optional[Iterable[int]],
+) -> tuple[list[int], Optional[list[int]]]:
+    """Termwise complex product (re + i im) * (wre + i wim); None means all zero.
+
+    The weights may be longer than the numerators, or endless ``repeat``s.
+    Each input is read once when ``wim`` is None; otherwise re, im and the
+    weights must be sequences or ``repeat``s, as they are read twice.
+    """
+    if wim is None:
+        return (
+            list(map(_mul, re, wre)),
+            None if im is None else list(map(_mul, im, wre)),
+        )
+    if im is None:
+        return list(map(_mul, re, wre)), list(map(_mul, re, wim))
+    return (
+        list(map(_sub, map(_mul, re, wre), map(_mul, im, wim))),
+        list(map(_add, map(_mul, re, wim), map(_mul, im, wre))),
+    )
+
+
+def _convolve(a: IntVector, b: IntVector, n: int) -> list[int]:
+    """Coefficients 0..n of the product of integer vectors a and b.
+
+    The operand with more zeros goes on the left, and its zeros are skipped.
+    A sparse left operand (a monomial probe, a short polynomial) adds whole
+    rows of the schoolbook product, one per nonzero entry. A dense one takes
+    one dot product per output coefficient instead: each output integer is
+    then built once, where adding rows would rebuild every output per row
+    and hold two copies of the longest numerators at once.
+    """
+    a, b = list(islice(a, n + 1)), list(islice(b, n + 1))
+    if a.count(0) < b.count(0):
+        a, b = b, a
+    nonzero = [bool(x) for x in a]
+    if 4 * sum(nonzero) <= n + 1:
+        out = [0] * (n + 1)
+        for i, x in enumerate(a):
+            if x:
+                row = b[: n + 1 - i]
+                end = i + len(row)
+                out[i:end] = map(_add, out[i:end], map(_mul, repeat(x), row))
+        return out
+    b += [0] * (n + 1 - len(b))
+    rb = b[::-1]
+    return [
+        sum(map(_mul, compress(a[: k + 1], nonzero[: k + 1]), compress(rb[n - k :], nonzero[: k + 1])))
+        for k in range(n + 1)
+    ]
+
+
+def _product(
+    are: IntVector,
+    aim: Optional[IntVector],
+    bre: IntVector,
+    bim: Optional[IntVector],
+    n: int,
+) -> tuple[list[int], Optional[list[int]]]:
+    """Complex convolution of (are + i aim) and (bre + i bim) up to degree n."""
+    re = _convolve(are, bre, n)
+    if aim is None and bim is None:
+        return re, None
+    if aim is None:
+        return re, _convolve(are, bim, n)
+    if bim is None:
+        return re, _convolve(aim, bre, n)
+    re = list(map(_sub, re, _convolve(aim, bim, n)))
+    im = list(map(_add, _convolve(are, bim, n), _convolve(aim, bre, n)))
+    return re, im
+
+
+def _same(a: IntVector, b: IntVector, m: int, da: int, db: int) -> bool:
+    """a / da == b / db in the first m terms."""
+    a, b = islice(a, m), islice(b, m)
+    if da == db:
+        return all(map(_eq, a, b))
+    return all(map(_eq, map(_mul, a, repeat(db)), map(_mul, b, repeat(da))))
+
+
 class PowerSeries:
-    """Sum of c_n x**n for n = 0..order, with exact GaussRational c_n.
+    """Sum of c_n x**n for n = 0..order, with exact Gaussian-rational c_n.
+
+    The coefficients are stored as integer numerators over one common
+    denominator (see the module docstring); ``PowerSeries(coeffs, order)``
+    builds that form from GaussRational, Fraction or int coefficients, and
+    ``coeffs`` gives them back. Instances are immutable.
 
     ``order`` may be -1 for the degenerate series with no retained
     coefficients (the result of differentiating a bare constant); such a
@@ -77,45 +253,79 @@ class PowerSeries:
     order they expect alongside coefficient assertions.
     """
 
-    coeffs: tuple[GaussRational, ...]
-    order: int
+    __slots__ = ("order", "num_re", "num_im", "den")
 
-    def __post_init__(self) -> None:
-        if self.order < -1:
-            raise ValueError(f"series order must be >= -1, got {self.order}")
-        if len(self.coeffs) != self.order + 1:
+    order: int
+    num_re: tuple[int, ...]
+    num_im: Optional[tuple[int, ...]]
+    den: int
+
+    def __init__(self, coeffs: Iterable[CoeffLike], order: int) -> None:
+        if order < -1:
+            raise ValueError(f"series order must be >= -1, got {order}")
+        values = _coerce_coeffs(coeffs)
+        if len(values) != order + 1:
             raise ValueError(
-                f"series of order {self.order} needs {self.order + 1} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"series of order {order} needs {order + 1} coefficients, "
+                f"got {len(values)}"
             )
+        built = _from_fractions(
+            order, [c.re for c in values], [c.im for c in values]
+        )
+        for name in self.__slots__:
+            _set(self, name, getattr(built, name))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"PowerSeries is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     # -- accessors ---------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[GaussRational, ...]:
+        """The coefficients as GaussRationals, built on each access."""
+        den, im = self.den, self.num_im
+        if im is None:
+            return tuple(
+                GaussRational._raw(Fraction(x, den), _FRACTION_ZERO)
+                for x in self.num_re
+            )
+        return tuple(
+            GaussRational._raw(Fraction(x, den), Fraction(y, den))
+            for x, y in zip(self.num_re, im)
+        )
 
     def coeff(self, n: int) -> GaussRational:
         """Coefficient of x**n; only retained indices are addressable."""
         if n < 0 or n > self.order:
             raise IndexError(f"coefficient {n} is beyond the retained order {self.order}")
-        return self.coeffs[n]
+        im = self.num_im
+        return GaussRational._raw(
+            Fraction(self.num_re[n], self.den),
+            _FRACTION_ZERO if im is None else Fraction(im[n], self.den),
+        )
+
+    def _nonzero_at(self, n: int) -> bool:
+        return bool(self.num_re[n]) or (self.num_im is not None and bool(self.num_im[n]))
 
     @property
     def is_zero(self) -> bool:
         """True when every retained coefficient is zero."""
-        return all(not c for c in self.coeffs)
+        return self.num_im is None and not any(self.num_re)
 
     def first_nonzero_index(self) -> Optional[int]:
-        for n, c in enumerate(self.coeffs):
-            if c:
+        for n in range(self.order + 1):
+            if self._nonzero_at(n):
                 return n
         return None
 
     def max_abs_coeff(self) -> Rational:
         """Largest coefficient magnitude max(|re|, |im|), exactly."""
-        out = Fraction(0)
-        for c in self.coeffs:
-            m = c.max_abs()
-            if m > out:
-                out = m
-        return out
+        top = max(map(abs, self.num_re), default=0)
+        if self.num_im is not None:
+            top = max(top, max(map(abs, self.num_im)))
+        return Fraction(top, self.den)
 
     def truncated(self, order: int) -> "PowerSeries":
         """Forget coefficients above ``order`` (which must not exceed self.order)."""
@@ -123,7 +333,13 @@ class PowerSeries:
             raise ValueError(
                 f"cannot extend a truncated series from order {self.order} to {order}"
             )
-        return PowerSeries(self.coeffs[: order + 1], order)
+        im = self.num_im
+        return _canonical(
+            order,
+            list(islice(self.num_re, order + 1)),
+            None if im is None else list(islice(im, order + 1)),
+            self.den,
+        )
 
     # -- equality ----------------------------------------------------------
 
@@ -131,50 +347,76 @@ class PowerSeries:
         """Exact coefficient equality up to the common valid order."""
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        m = min(self.order, other.order) + 1
+        da, db = self.den, other.den
+        if not _same(self.num_re, other.num_re, m, da, db):
+            return False
+        ai, bi = self.num_im, other.num_im
+        if ai is None:
+            return bi is None or not any(islice(bi, m))
+        if bi is None:
+            return not any(islice(ai, m))
+        return _same(ai, bi, m, da, db)
 
     __hash__ = None  # equality is order-relative, so hashing would mislead
 
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-c for c in self.coeffs), self.order)
+        im = self.num_im
+        return _make(
+            self.order,
+            [-x for x in self.num_re],
+            None if im is None else [-x for x in im],
+            self.den,
+        )
+
+    def _combine(self, other: "PowerSeries", op) -> "PowerSeries":
+        """self op other (op is + or -) over the lcm of the two denominators."""
+        m = min(self.order, other.order) + 1
+        da, db = self.den, other.den
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+
+        def part(a: Optional[IntVector], b: Optional[IntVector]) -> list[int]:
+            a = repeat(0) if a is None else islice(a, m) if sa == 1 else map(_mul, islice(a, m), repeat(sa))
+            b = repeat(0) if b is None else islice(b, m) if sb == 1 else map(_mul, islice(b, m), repeat(sb))
+            return list(map(op, a, b))
+
+        re = part(self.num_re, other.num_re)
+        ai, bi = self.num_im, other.num_im
+        im = None if ai is None and bi is None else part(ai, bi)
+        return _canonical(m - 1, re, im, den)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), n
-        )
+        return self._combine(other, _add)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), n
+        return self._combine(other, _sub)
+
+    def _scaled(self, c: GaussRational) -> "PowerSeries":
+        """Every coefficient times the scalar c: one integer product each."""
+        cre, cim, cden = _scalar_parts(c)
+        re, im = _weigh(
+            self.num_re, self.num_im, repeat(cre), repeat(cim) if cim else None
         )
+        return _canonical(self.order, re, im, self.den * cden)
 
     def __mul__(self, other: object) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
             if n < 0:
-                return PowerSeries((), -1)
-            out = [GAUSS_ZERO] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return PowerSeries(tuple(out), n)
+                return _make(-1, (), None, 1)
+            re, im = _product(self.num_re, self.num_im, other.num_re, other.num_im, n)
+            return _canonical(n, re, im, self.den * other.den)
         scalar = to_gauss(other)
         if scalar is NotImplemented:
             return NotImplemented
-        return PowerSeries(tuple(c * scalar for c in self.coeffs), self.order)
+        return self._scaled(scalar)
 
     __rmul__ = __mul__
 
@@ -184,7 +426,7 @@ class PowerSeries:
         scalar = to_gauss(other)
         if scalar is NotImplemented:
             return NotImplemented
-        return PowerSeries(tuple(c / scalar for c in self.coeffs), self.order)
+        return self._scaled(GAUSS_ONE / scalar)
 
     # -- calculus and substitutions -----------------------------------------
 
@@ -196,35 +438,43 @@ class PowerSeries:
         lowest nonzero degree. Multiplying by x (poly [0, 1]) therefore
         raises the order by one instead of truncating.
         """
-        p = _coerce_coeffs(poly)
-        val = next((k for k, c in enumerate(p) if c), None)
+        cs = _coerce_coeffs(poly)
+        p = _from_fractions(len(cs) - 1, [c.re for c in cs], [c.im for c in cs])
+        val = next((k for k in range(len(cs)) if p._nonzero_at(k)), None)
         if val is None:
             # the zero polynomial: the product is identically zero
             return zero_series(max(self.order, 0))
         n = self.order + val
         if n < 0:
-            return PowerSeries((), -1)
-        out = [GAUSS_ZERO] * (n + 1)
-        for k in range(val, len(p)):
-            c = p[k]
-            if not c:
-                continue
-            for j, a in enumerate(self.coeffs):
-                if k + j <= n and a:
-                    out[k + j] = out[k + j] + c * a
-        return PowerSeries(tuple(out), n)
+            return _make(-1, (), None, 1)
+        re, im = _product(p.num_re, p.num_im, self.num_re, self.num_im, n)
+        return _canonical(n, re, im, self.den * p.den)
 
     def scale_arg(self, lam: CoeffLike) -> "PowerSeries":
-        """Substitute x -> lam*x, i.e. c_n -> lam**n c_n, exactly."""
+        """Substitute x -> lam*x, i.e. c_n -> lam**n c_n, exactly.
+
+        With lam = (a + ib) / r over integers, term n is multiplied by
+        (a + ib)**n r**(N - n) and the denominator by r**N.
+        """
         lam = to_gauss(lam)
         if lam is NotImplemented:
             raise TypeError("scale factor must be an exact scalar")
-        out = []
-        power = to_gauss(1)
-        for c in self.coeffs:
-            out.append(c * power)
-            power = power * lam
-        return PowerSeries(tuple(out), self.order)
+        a, b, r = _scalar_parts(lam)
+        top = self.order
+        rpow = [1] * (top + 1)
+        for n in range(top - 1, -1, -1):
+            rpow[n] = rpow[n + 1] * r
+        wre, wim = [], [] if b else None
+        x, y = 1, 0
+        for n in range(top + 1):
+            wre.append(x * rpow[n])
+            if b:
+                wim.append(y * rpow[n])
+                x, y = x * a - y * b, x * b + y * a
+            else:
+                x *= a
+        re, im = _weigh(self.num_re, self.num_im, wre, wim)
+        return _canonical(top, re, im, self.den * (rpow[0] if top >= 0 else 1))
 
     def i_rotate(self) -> "PowerSeries":
         """Substitute x -> ix (c_n -> i**n c_n); four applications are the identity."""
@@ -235,13 +485,19 @@ class PowerSeries:
 
         At q = 1 this is the classical derivative. The output order drops by
         one; differentiating a bare constant leaves no retained coefficients.
+        All [n]_q are put over the lcm of their denominators.
         """
-        out = tuple(
-            c * q_number(n, d)
-            for n, c in enumerate(self.coeffs)
-            if n >= 1
+        qn = [q_number(n, d) for n in range(1, self.order + 1)]
+        den = lcm(*(f.denominator for f in qn))
+        weights = [f.numerator * (den // f.denominator) for f in qn]
+        im = self.num_im
+        re, im = _weigh(
+            islice(self.num_re, 1, None),
+            None if im is None else islice(im, 1, None),
+            weights,
+            None,
         )
-        return PowerSeries(out, self.order - 1)
+        return _canonical(self.order - 1, re, im, self.den * den)
 
     def evaluate(self, x0: CoeffLike) -> GaussRational:
         """Horner evaluation of the retained polynomial part at an exact point."""
@@ -254,13 +510,18 @@ class PowerSeries:
         return acc
 
     def evaluate_float(self, x0: float) -> float:
-        """Float Horner evaluation; requires purely real coefficients."""
+        """Float Horner evaluation; requires purely real coefficients.
+
+        Each coefficient is the correctly rounded quotient num / den, the
+        same float its reduced Fraction gives.
+        """
+        if self.num_im is not None:
+            raise ValueError("series has imaginary coefficients; no float value")
         acc = 0.0
         x0 = float(x0)
-        for c in reversed(self.coeffs):
-            if c.im != 0:
-                raise ValueError("series has imaginary coefficients; no float value")
-            acc = acc * x0 + float(c.re)
+        den = self.den
+        for c in reversed(self.num_re):
+            acc = acc * x0 + c / den
         return acc
 
     def __str__(self) -> str:
@@ -286,8 +547,7 @@ def make_series(coeffs: Sequence[CoeffLike], order: int) -> PowerSeries:
         raise ValueError(
             f"{len(cs)} coefficients do not fit in a series of order {order}"
         )
-    cs = cs + (GAUSS_ZERO,) * (order + 1 - len(cs))
-    return PowerSeries(cs, order)
+    return PowerSeries(cs + [GAUSS_ZERO] * (order + 1 - len(cs)), order)
 
 
 def zero_series(order: int) -> PowerSeries:
@@ -303,6 +563,29 @@ def monomial(n: int, order: int, coeff: CoeffLike = 1) -> PowerSeries:
     if n < 0 or n > order:
         raise ValueError(f"monomial degree {n} must lie in 0..{order}")
     return make_series([0] * n + [coeff], order)
+
+
+def linear_combination(terms: Iterable[tuple[Rational, PowerSeries]]) -> PowerSeries:
+    """Sum of w * s over (rational weight, series) pairs, converted back once.
+
+    The terms are consumed one at a time, and only their nonzero entries are
+    added, as reduced rationals. A sum of sparse terms, such as the powers of
+    a monomial in ``q_exp``, so costs one rational product per nonzero entry,
+    and no numerator is padded to the lcm of every term's denominator, which
+    can be far longer than the reduced sum's. The order is the smallest among
+    the terms.
+    """
+    acc: list[GaussRational] = []
+    for i, (w, s) in enumerate(terms):
+        if i == 0:
+            acc = [GAUSS_ZERO] * (s.order + 1)
+        del acc[s.order + 1 :]
+        scale = Fraction(w) / s.den
+        ims = repeat(0) if s.num_im is None else s.num_im
+        for k, x, y in zip(range(len(acc)), s.num_re, ims):
+            if x or y:
+                acc[k] += GaussRational._raw(x * scale, y * scale)
+    return _from_fractions(len(acc) - 1, [c.re for c in acc], [c.im for c in acc])
 
 
 # -- operation aliases (functional spelling of the methods above) ------------
@@ -325,23 +608,33 @@ def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
     The divisor's constant term must be invertible; a zero constant term
     (a function vanishing at the origin) raises NonInvertibleSeriesError.
+    The recurrence runs on reduced rationals (GaussRationals when either
+    side is complex), whose sizes stay those of the answer, and the result
+    is put back over one denominator once.
     """
-    if b.order < 0 or not b.coeffs[0]:
+    if b.order < 0 or not b._nonzero_at(0):
         raise NonInvertibleSeriesError(
             "non-invertible divisor: constant term is zero"
         )
     n = min(a.order, b.order)
     if n < 0:
-        return PowerSeries((), -1)
-    b0 = b.coeffs[0]
-    out: list[GaussRational] = []
-    for k in range(n + 1):
-        acc = a.coeffs[k]
+        return _make(-1, (), None, 1)
+    real = a.num_im is None and b.num_im is None
+    if real:
+        av = (Fraction(x, a.den) for x in islice(a.num_re, n + 1))
+        bv = [Fraction(x, b.den) for x in islice(b.num_re, n + 1)]
+    else:
+        av, bv = a.coeffs[: n + 1], b.coeffs[: n + 1]
+    b0 = bv[0]
+    out = []
+    for k, acc in enumerate(av):
         for j in range(1, k + 1):
-            if b.coeffs[j]:
-                acc = acc - b.coeffs[j] * out[k - j]
+            if bv[j]:
+                acc = acc - bv[j] * out[k - j]
         out.append(acc / b0)
-    return PowerSeries(tuple(out), n)
+    if real:
+        return _from_fractions(n, out, None)
+    return _from_fractions(n, [c.re for c in out], [c.im for c in out])
 
 
 def mul_poly(a: PowerSeries, poly: Sequence[CoeffLike]) -> PowerSeries:

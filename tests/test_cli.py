@@ -86,6 +86,17 @@ class TestParsing:
         monkeypatch.setenv("QSUSY_ORDER", "12")
         assert parse_args(["beta", "--order", "8"]).order == 8
 
+    def test_parser_is_built_once(self):
+        from qsusy.cli import _parser
+
+        parser = _parser()
+        first = parse_args(["hermite", "--n", "2", "--q", "3/2"])
+        second = parse_args(["beta", "--q", "5/4", "--delta"])
+        assert _parser() is parser
+        # nothing of one call leaks into the next through the shared parser
+        assert (first.command, first.n_or_p, first.delta) == ("hermite", 2, False)
+        assert (second.command, second.q, second.delta) == ("beta", F(5, 4), True)
+
 
 class TestSeriesCommands:
     def test_hermite_json_matches_library(self, capsys):
@@ -159,6 +170,19 @@ class TestApply:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"order": True, "coeffs": [["1", "0"], ["0", "0"]]},
+        {"order": 1, "coeffs": 5},
+        {"order": 1, "coeffs": [5, 6]},
+    ])
+    def test_malformed_input_is_usage_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "apply", "--op", "h0", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qsusy: error:")
+
 
 class TestVerify:
     def test_kernel_pass(self, capsys):
@@ -197,6 +221,26 @@ class TestVerify:
     def test_leibniz_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "leibniz", "--q", "2")
         assert code == 0
+
+    @pytest.mark.parametrize("argv, flags", [
+        (("limits", "--q", "2", "--beta", "1/3"), "--q or --beta"),
+        (("classical", "--q", "2"), "--q"),
+        (("classical", "--beta", "-1/2"), "--beta"),
+        (("leibniz", "--q", "2", "--beta", "1/3"), "--beta"),
+    ])
+    def test_ignored_pins_rejected(self, capsys, argv, flags):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"verify {argv[0]} does not take {flags}" in err
+
+    def test_all_keeps_its_pins(self):
+        from qsusy.cli import _verify_cells
+
+        cells = _verify_cells(parse_args(["verify", "all", "--q", "2", "--beta", "1/3"]))
+        assert ("kernel", F(2), F(1, 3)) in cells
+        assert ("leibniz", F(2), None) in cells
+        assert ("limits", None, None) in cells
 
     def test_all_suites_fan_out(self, capsys):
         # exercises the threaded cell scheduling; sorting keeps bytes stable

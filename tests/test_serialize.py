@@ -49,6 +49,14 @@ class TestJson:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             series_from_dict({"order": "x", "coeffs": []})
+        # a bool is an int to Python, but not a series order
+        with pytest.raises(ValueError, match="order"):
+            series_from_dict({"order": True, "coeffs": [["1", "0"], ["0", "0"]]})
+
+    @pytest.mark.parametrize("coeffs", [5, "1/2", None, {"0": ["1", "0"]}, [5, 6], [["1", "0"], ["1"]]])
+    def test_rejects_coeffs_that_are_not_pairs(self, coeffs):
+        with pytest.raises(ValueError):
+            series_from_dict({"order": 1, "coeffs": coeffs})
 
     @given(coeffs=st.lists(coefficients, min_size=1, max_size=9))
     def test_round_trip(self, coeffs):

@@ -1,0 +1,283 @@
+"""The integer-numerator series kernel against a naive per-coefficient reference.
+
+Every operation of ``PowerSeries`` is recomputed here coefficient by
+coefficient on GaussRationals, the way the arithmetic is written on paper,
+and the results must agree exactly, order included. Each result must also be
+in the canonical form: a positive common denominator, no factor shared by it
+and every numerator, and no imaginary vector when every imaginary part is 0.
+"""
+
+from fractions import Fraction as F
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsusy.qcore import GAUSS_I, GAUSS_ZERO, Deformation, GaussRational
+from qsusy.series import NonInvertibleSeriesError, PowerSeries, div, make_series
+
+fractions = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+real_coeffs = st.builds(GaussRational, fractions, st.just(F(0)))
+gauss_coeffs = st.builds(GaussRational, fractions, fractions)
+# zeros are frequent in the program's series (even/odd ones, monomial probes)
+coeffs = st.one_of(st.just(GAUSS_ZERO), real_coeffs, gauss_coeffs)
+scalars = st.one_of(fractions.map(GaussRational), gauss_coeffs)
+nonzero_scalars = scalars.filter(bool)
+QS = [F(1), F(2), F(2, 3), F(5, 4)]
+
+
+@st.composite
+def coeff_lists(draw, min_order=0, max_order=8, elements=coeffs):
+    order = draw(st.integers(min_value=min_order, max_value=max_order))
+    return draw(st.lists(elements, min_size=order + 1, max_size=order + 1))
+
+
+@st.composite
+def series(draw, min_order=0, max_order=8):
+    cs = draw(coeff_lists(min_order, max_order, draw(st.sampled_from([real_coeffs, coeffs]))))
+    return PowerSeries(cs, len(cs) - 1)
+
+
+def exact(s: PowerSeries):
+    assert_canonical(s)
+    return s.order, s.coeffs
+
+
+def expect(values, order):
+    return order, tuple(values)
+
+
+def assert_canonical(s: PowerSeries) -> None:
+    assert isinstance(s.den, int) and s.den > 0
+    assert len(s.num_re) == s.order + 1
+    assert all(type(x) is int for x in s.num_re)
+    parts = list(s.num_re)
+    if s.num_im is not None:
+        assert len(s.num_im) == s.order + 1
+        assert any(s.num_im), "an all-zero imaginary part must be stored as None"
+        parts += s.num_im
+    assert gcd(s.den, *parts) == 1
+
+
+def q_number(n: int, q: F) -> F:
+    # written out from the definition, independently of qcore.q_number
+    if q == 1:
+        return F(n)
+    return (q**n - q**-n) / (q - 1 / q)
+
+
+def ref_product(a, b, n):
+    out = []
+    for k in range(n + 1):
+        acc = GAUSS_ZERO
+        for i in range(k + 1):
+            if i < len(a) and k - i < len(b):
+                acc = acc + a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+class TestConstruction:
+    @given(coeff_lists(min_order=0))
+    def test_round_trip(self, cs):
+        s = PowerSeries(cs, len(cs) - 1)
+        assert exact(s) == expect(cs, len(cs) - 1)
+
+    def test_canonical_examples(self):
+        s = make_series([F(1, 2), F(1, 3), F(-1, 6)], 2)
+        assert (s.num_re, s.num_im, s.den) == ((3, 2, -1), None, 6)
+        z = make_series([0, 0], 3)
+        assert (z.num_re, z.num_im, z.den) == ((0, 0, 0, 0), None, 1)
+        g = make_series([GaussRational(F(1, 2), F(3, 4))], 0)
+        assert (g.num_re, g.num_im, g.den) == ((2,), (3,), 4)
+
+    def test_accepts_fractions_and_ints(self):
+        assert exact(PowerSeries([1, F(1, 2)], 1)) == expect([1, F(1, 2)], 1)
+
+    def test_length_must_match_order(self):
+        with pytest.raises(ValueError):
+            PowerSeries([1, 2], 2)
+        with pytest.raises(ValueError):
+            PowerSeries([], -2)
+
+    def test_immutable(self):
+        s = make_series([1], 1)
+        with pytest.raises(AttributeError):
+            s.den = 2
+        with pytest.raises(AttributeError):
+            del s.num_re
+
+
+class TestRing:
+    @given(series(), series())
+    @settings(max_examples=80)
+    def test_add_sub(self, a, b):
+        n = min(a.order, b.order)
+        pa, pb = a.coeffs, b.coeffs
+        assert exact(a + b) == expect([pa[k] + pb[k] for k in range(n + 1)], n)
+        assert exact(a - b) == expect([pa[k] - pb[k] for k in range(n + 1)], n)
+        assert exact(-a) == expect([-c for c in pa], a.order)
+
+    @given(series(), series())
+    @settings(max_examples=80)
+    def test_mul(self, a, b):
+        n = min(a.order, b.order)
+        assert exact(a * b) == expect(ref_product(a.coeffs, b.coeffs, n), n)
+
+    @given(series(), st.integers(min_value=0, max_value=8))
+    @settings(max_examples=40)
+    def test_mul_by_monomial_either_side(self, a, k):
+        # the sparse operand is moved to the left; both sides must agree
+        probe = make_series([0] * min(k, a.order) + [F(-3, 2)], a.order)
+        want = expect(ref_product(a.coeffs, probe.coeffs, a.order), a.order)
+        assert exact(a * probe) == want
+        assert exact(probe * a) == want
+
+    @given(series(min_order=20, max_order=28), series(min_order=20, max_order=28))
+    @settings(max_examples=15)
+    def test_mul_dense_long(self, a, b):
+        n = min(a.order, b.order)
+        assert exact(a * b) == expect(ref_product(a.coeffs, b.coeffs, n), n)
+
+    @given(series(), scalars)
+    @settings(max_examples=60)
+    def test_scalar_mul(self, a, c):
+        want = expect([x * c for x in a.coeffs], a.order)
+        assert exact(a * c) == want
+        assert exact(c * a) == want
+
+    @given(series(), nonzero_scalars)
+    @settings(max_examples=60)
+    def test_scalar_div(self, a, c):
+        assert exact(a / c) == expect([x / c for x in a.coeffs], a.order)
+
+    def test_scalar_div_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            make_series([1], 2) / 0
+
+
+class TestDivision:
+    @given(series(), series(), st.sampled_from([F(1), F(-2, 3)]))
+    @settings(max_examples=80)
+    def test_div(self, a, b, b0):
+        b = b - make_series([b.coeff(0) - b0], b.order)  # an invertible divisor
+        n = min(a.order, b.order)
+        pa, pb = a.coeffs, b.coeffs
+        out = []
+        for k in range(n + 1):
+            acc = pa[k]
+            for j in range(1, k + 1):
+                acc = acc - pb[j] * out[k - j]
+            out.append(acc / pb[0])
+        assert exact(div(a, b)) == expect(out, n)
+        assert exact(a / b) == expect(out, n)
+
+    @given(series())
+    @settings(max_examples=20)
+    def test_zero_constant_term_rejected(self, b):
+        b = b - make_series([b.coeff(0)], b.order)
+        with pytest.raises(NonInvertibleSeriesError):
+            div(make_series([1], b.order), b)
+
+    def test_complex_constant_is_invertible(self):
+        b = make_series([GAUSS_I, 1], 3)
+        assert exact(div(b, b)) == expect([1, 0, 0, 0], 3)
+
+
+class TestSubstitutions:
+    @given(series(), st.lists(coeffs, min_size=0, max_size=4))
+    @settings(max_examples=80)
+    def test_mul_poly(self, a, poly):
+        val = next((k for k, c in enumerate(poly) if c), None)
+        got = a.mul_poly(poly)
+        if val is None:
+            assert exact(got) == expect([GAUSS_ZERO] * (max(a.order, 0) + 1), max(a.order, 0))
+            return
+        n = a.order + val
+        want = [GAUSS_ZERO] * (n + 1)
+        for k, c in enumerate(poly):
+            for j, x in enumerate(a.coeffs):
+                if k + j <= n:
+                    want[k + j] = want[k + j] + c * x
+        assert exact(got) == expect(want, n)
+
+    @given(series(), st.one_of(fractions, gauss_coeffs))
+    @settings(max_examples=80)
+    def test_scale_arg(self, a, lam):
+        lam_g = GaussRational(lam) if isinstance(lam, F) else lam
+        want = [c * lam_g**n for n, c in enumerate(a.coeffs)]
+        assert exact(a.scale_arg(lam)) == expect(want, a.order)
+
+    @given(series())
+    @settings(max_examples=40)
+    def test_i_rotate(self, a):
+        want = [c * GAUSS_I**n for n, c in enumerate(a.coeffs)]
+        assert exact(a.i_rotate()) == expect(want, a.order)
+
+    @given(series(), st.sampled_from(QS))
+    @settings(max_examples=80)
+    def test_jackson_derivative(self, a, q):
+        want = [c * q_number(n, q) for n, c in enumerate(a.coeffs) if n >= 1]
+        assert exact(a.jackson_derivative(Deformation(q))) == expect(want, a.order - 1)
+
+
+class TestEquality:
+    @given(coeff_lists(min_order=0, max_order=6), coeff_lists(max_order=5), coeff_lists(max_order=5))
+    @settings(max_examples=80)
+    def test_order_relative_with_different_denominators(self, prefix, tail_a, tail_b):
+        a = PowerSeries(prefix + tail_a, len(prefix) + len(tail_a) - 1)
+        b = PowerSeries(prefix + tail_b, len(prefix) + len(tail_b) - 1)
+        m = min(a.order, b.order) + 1
+        assert (a == b) == (a.coeffs[:m] == b.coeffs[:m])
+        assert (a == b) == (b == a)
+        assert a.truncated(len(prefix) - 1) == b
+
+    @given(series(), series())
+    @settings(max_examples=60)
+    def test_matches_reference(self, a, b):
+        m = min(a.order, b.order) + 1
+        assert (a == b) == (a.coeffs[:m] == b.coeffs[:m])
+
+    def test_one_changed_coefficient(self):
+        a = make_series([F(1, 3), F(1, 2), GaussRational(0, F(1, 5))], 2)
+        b = make_series([F(1, 3), F(1, 2), GaussRational(0, F(1, 5)), F(1, 7)], 4)
+        assert a == b and a.den != b.den
+        assert a != make_series([F(1, 3), F(1, 2), GaussRational(0, F(1, 7))], 2)
+        assert a != make_series([F(1, 3), F(1, 2)], 2)
+
+    def test_truncation_renormalises(self):
+        s = make_series([2, F(1, 6)], 1).truncated(0)
+        assert (s.num_re, s.den) == ((2,), 1)
+
+
+EMPTY = PowerSeries((), -1)
+
+
+class TestEmptySeries:
+    def test_shape(self):
+        assert exact(EMPTY) == (-1, ())
+        assert EMPTY.is_zero
+        assert EMPTY.first_nonzero_index() is None
+        assert EMPTY.max_abs_coeff() == 0
+        assert EMPTY.evaluate_float(0.5) == 0.0
+        assert str(EMPTY) == "<empty series>"
+
+    @given(series())
+    @settings(max_examples=20)
+    def test_operations(self, a):
+        for got in (a + EMPTY, EMPTY - a, a * EMPTY, EMPTY * a, EMPTY * F(3, 2),
+                    EMPTY.scale_arg(F(1, 2)), EMPTY.i_rotate(), div(EMPTY, make_series([1], a.order))):
+            assert exact(got) == (-1, ())
+        assert EMPTY == a and a == EMPTY
+
+    def test_derivative_of_constant(self):
+        assert exact(make_series([7], 0).jackson_derivative(Deformation(F(2)))) == (-1, ())
+
+    def test_mul_poly(self):
+        assert exact(EMPTY.mul_poly([0, 1])) == expect([0], 0)
+        assert exact(EMPTY.mul_poly([1])) == (-1, ())
+
+    def test_not_a_divisor(self):
+        with pytest.raises(NonInvertibleSeriesError):
+            div(make_series([1], 2), EMPTY)
