@@ -53,7 +53,14 @@ from .operators import (
     t_plus_q,
 )
 from .serialize import series_from_json, series_to_csv, series_to_json
-from .verify import DEFAULT_BETAS, DEFAULT_QS, SUITES, CheckResult, run_suite
+from .verify import (
+    DEFAULT_BETAS,
+    DEFAULT_QS,
+    LEIBNIZ_QS,
+    SUITES,
+    CheckResult,
+    run_suite,
+)
 
 __all__ = ["RunConfig", "parse_args", "main"]
 
@@ -393,7 +400,7 @@ def _verify_cells(config: RunConfig) -> list[tuple]:
                 for bb in (beta,) if beta is not None else DEFAULT_BETAS:
                     cells.append((suite, qq, bb))
         elif suite == "leibniz":
-            for qq in (q,) if q is not None else (Fraction(2), Fraction(3, 2)):
+            for qq in (q,) if q is not None else LEIBNIZ_QS:
                 cells.append((suite, qq, None))
         else:
             cells.append((suite, None, None))

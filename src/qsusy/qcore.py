@@ -10,9 +10,9 @@ coefficient with no epsilon.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "GaussRational",
     "Deformation",
     "q_number",
+    "q_number_numerators",
     "q_factorial",
     "parse_rational",
     "format_rational",
@@ -47,23 +48,62 @@ def _as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+# "p" or "p/q" in plain digits, the form format_rational writes. Left for
+# re to compile on first use: only text past the int/str digit limit needs it.
+_PLAIN_RATIONAL = r"\s*([+-]?)(\d+)(?:\s*/\s*(\d+))?\s*\Z"
+
+
+def _int_str(n: int) -> str:
+    """str(n) for an integer of any length.
+
+    Past the interpreter's int/str digit limit (4300 digits by default) the
+    number is split on a power of ten into halves that are each converted
+    the same way, so the process-wide limit is left as it is.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        k = abs(n).bit_length() * 3 // 20  # about half of its decimal digits
+        high, low = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + _int_str(high) + _int_str(low).zfill(k)
+
+
+def _str_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits of any length."""
+    try:
+        return int(digits)
+    except ValueError:
+        k = len(digits) // 2
+        return _str_int(digits[:-k]) * 10**k + _str_int(digits[-k:])
+
+
 def parse_rational(text: str) -> Rational:
     """Parse "p/q", integer, or decimal strings to an exact rational.
 
     Decimal strings stay exact: "1.5" parses to 3/2, never through a float.
+    "p" and "p/q" are read at any length, past the int/str digit limit.
     """
+    text = str(text)
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        plain = re.match(_PLAIN_RATIONAL, text)
+        if plain is None or plain[3] is not None and not plain[3].strip("0"):
+            raise ValueError(f"not a rational: {text!r}") from exc
+        sign, num, den = plain.groups()
+        value = Fraction(_str_int(num), 1 if den is None else _str_int(den))
+        return -value if sign == "-" else value
 
 
 def format_rational(value: RationalLike) -> str:
-    """Render a rational as "p/q", or plain "p" when the denominator is 1."""
+    """Render a rational as "p/q", or plain "p" when the denominator is 1.
+
+    Numerators and denominators of any length are written in full.
+    """
     value = _as_fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_str(value.numerator)
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,24 +298,50 @@ class Deformation:
         return f"q={format_rational(self.q)}"
 
 
-@lru_cache(maxsize=None)
+def q_number_numerators(n: int, d: Deformation) -> list[int]:
+    """The integers s_1..s_n with [k]_q = s_k / (ab)**(k-1) for q = a/b.
+
+    s_1 = 1 and s_(k+1) = a**2 s_k + b**(2k), because (ab)**(k-1) [k]_q is
+    the sum of a**(2(k-1-j)) b**(2j) over j = 0..k-1. Each s_k is coprime to
+    ab (it is b**(2(k-1)) mod a and a**(2(k-1)) mod b), so (ab)**(k-1) is the
+    reduced denominator of [k]_q. At q = 1 the table is 1, 2, ..., n. This
+    is the one source of q-numbers in the package; nothing about it is
+    cached, so nothing grows with the values of q a process has seen.
+    """
+    a2, b2 = d.q.numerator ** 2, d.q.denominator ** 2
+    out = []
+    s, b_pow = 0, 1  # s_0 = 0 and b**0
+    for _ in range(n):
+        s = a2 * s + b_pow
+        b_pow *= b2
+        out.append(s)
+    return out
+
+
 def q_number(n: int, d: Deformation) -> Rational:
     """Symmetric q-analog of the integer n: (q**n - q**-n) / (q - 1/q).
 
     Returns n itself at q = 1 (the limit value). Odd in n, invariant under
     q -> 1/q, and equal to n when q = 1.
     """
-    q = d.q
-    if q == 1:
-        return Fraction(n)
-    return (q**n - q**-n) / (q - 1 / q)
+    if n < 0:
+        return -q_number(-n, d)
+    if n == 0:
+        return Fraction(0)
+    ab = d.q.numerator * d.q.denominator
+    return Fraction(q_number_numerators(n, d)[-1], ab ** (n - 1))
 
 
-@lru_cache(maxsize=None)
 def q_factorial(n: int, d: Deformation) -> Rational:
-    """Product [1][2]...[n] of symmetric q-numbers; the empty product is 1."""
+    """Product [1][2]...[n] of symmetric q-numbers; the empty product is 1.
+
+    With [k]_q = s_k / (ab)**(k-1) the product is s_1 ... s_n over
+    (ab)**(n(n-1)/2), already in lowest terms.
+    """
     if n < 0:
         raise ValueError(f"q-factorial needs n >= 0, got {n}")
-    if n == 0:
-        return Fraction(1)
-    return q_factorial(n - 1, d) * q_number(n, d)
+    num = 1
+    for s in q_number_numerators(n, d):
+        num *= s
+    ab = d.q.numerator * d.q.denominator
+    return Fraction(num, ab ** (n * (n - 1) // 2))

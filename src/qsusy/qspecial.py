@@ -19,8 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .qcore import Deformation, Rational, i_power, q_factorial
-from .series import PowerSeries, constant_series, linear_combination, make_series
+from .qcore import Deformation, Rational, i_power, q_number_numerators
+from .series import (
+    PowerSeries,
+    _canonical,
+    constant_series,
+    linear_combination,
+    make_series,
+)
 
 __all__ = [
     "VacuumSpec",
@@ -64,9 +70,50 @@ def q_exp(u: PowerSeries, d: Deformation) -> PowerSeries:
     u**n only feeds degrees >= n, so the sum terminates at n = order. At q = 1
     the result is the truncated classical exponential, and the output is
     invariant under q -> 1/q because every [n]_q! is.
+
+    A real monomial u = c x**m, the only form the package itself passes, has
+    the closed form of ``_q_exp_monomial``; any other u takes the power sum.
     """
     if u.order >= 0 and (u.num_re[0] or (u.num_im is not None and u.num_im[0])):
         raise ValueError("q_exp needs a series with zero constant term")
+    if u.num_im is None:
+        support = [k for k, x in enumerate(u.num_re) if x]
+        if len(support) <= 1:
+            return _q_exp_monomial(u, support[0] if support else 0, d)
+    return _q_exp_by_powers(u, d)
+
+
+def _q_exp_monomial(u: PowerSeries, m: int, d: Deformation) -> PowerSeries:
+    """e_q(c x**m), written out term by term; m = 0 stands for u = 0.
+
+    With c = r/t, q = a/b, [n]_q! = S_n / (ab)**(n(n-1)/2) and
+    S_n = s_1 ... s_n (see ``q_number_numerators``), the coefficient
+    c**n / [n]_q! of x**(mn) is r**n t**(M-n) (ab)**(n(n-1)/2) S_M / S_n over
+    the common denominator t**M S_M, for n = 0..M with M = N // m. One gcd
+    then brings the series to its canonical form.
+    """
+    order = max(u.order, 0)
+    if m == 0:
+        return constant_series(1, order)
+    r, t = u.num_re[m], u.den
+    top = order // m
+    s = q_number_numerators(top, d)
+    ab = d.q.numerator * d.q.denominator
+    # S_M / S_n times t**(M-n), from n = M down to 0
+    tail = [1] * (top + 1)
+    for n in range(top - 1, -1, -1):
+        tail[n] = tail[n + 1] * s[n] * t
+    num = [0] * (order + 1)
+    r_pow, ab_pow = 1, 1  # r**n and (ab)**(n(n-1)/2)
+    for n in range(top + 1):
+        num[m * n] = r_pow * ab_pow * tail[n]
+        r_pow *= r
+        ab_pow *= ab**n
+    return _canonical(order, num, None, tail[0])
+
+
+def _q_exp_by_powers(u: PowerSeries, d: Deformation) -> PowerSeries:
+    """sum u**n / [n]_q! by repeated products, for any u with u(0) = 0."""
     return linear_combination(_q_exp_terms(u, d))
 
 
@@ -74,9 +121,12 @@ def _q_exp_terms(u: PowerSeries, d: Deformation):
     """(1/[n]_q!, u**n) for n = 0..order, one power alive at a time."""
     power = constant_series(1, max(u.order, 0))
     yield 1, power
-    for n in range(1, u.order + 1):
+    ab = d.q.numerator * d.q.denominator
+    weight = Fraction(1)
+    for n, s in enumerate(q_number_numerators(u.order, d), 1):
         power = power * u
-        yield 1 / q_factorial(n, d), power
+        weight *= Fraction(ab ** (n - 1), s)
+        yield weight, power
 
 
 def _x_squared(scale: Rational, order: int) -> PowerSeries:

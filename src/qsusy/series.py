@@ -38,7 +38,7 @@ from .qcore import (
     Deformation,
     GaussRational,
     Rational,
-    q_number,
+    q_number_numerators,
     to_gauss,
 )
 
@@ -205,10 +205,12 @@ def _convolve(a: IntVector, b: IntVector, n: int) -> list[int]:
         return out
     b += [0] * (n + 1 - len(b))
     rb = b[::-1]
-    return [
-        sum(map(_mul, compress(a[: k + 1], nonzero[: k + 1]), compress(rb[n - k :], nonzero[: k + 1])))
-        for k in range(n + 1)
-    ]
+    return [_dot(a[: k + 1], rb[n - k :], nonzero[: k + 1]) for k in range(n + 1)]
+
+
+def _dot(a: IntVector, b: IntVector, mask: Sequence[bool]) -> int:
+    """Sum of a[j] * b[j] over the positions j where mask is true."""
+    return sum(map(_mul, compress(a, mask), compress(b, mask)))
 
 
 def _product(
@@ -485,11 +487,16 @@ class PowerSeries:
 
         At q = 1 this is the classical derivative. The output order drops by
         one; differentiating a bare constant leaves no retained coefficients.
-        All [n]_q are put over the lcm of their denominators.
+        With q = a/b and [n]_q = s_n / (ab)**(n-1), term n is weighted by
+        s_n (ab)**(N-n) over the common (ab)**(N-1).
         """
-        qn = [q_number(n, d) for n in range(1, self.order + 1)]
-        den = lcm(*(f.denominator for f in qn))
-        weights = [f.numerator * (den // f.denominator) for f in qn]
+        top = self.order
+        ab = d.q.numerator * d.q.denominator
+        weights = q_number_numerators(top, d)
+        ab_pow = 1
+        for n in range(top - 2, -1, -1):
+            ab_pow *= ab
+            weights[n] *= ab_pow
         im = self.num_im
         re, im = _weigh(
             islice(self.num_re, 1, None),
@@ -497,7 +504,7 @@ class PowerSeries:
             weights,
             None,
         )
-        return _canonical(self.order - 1, re, im, self.den * den)
+        return _canonical(top - 1, re, im, self.den * (ab_pow if top >= 1 else 1))
 
     def evaluate(self, x0: CoeffLike) -> GaussRational:
         """Horner evaluation of the retained polynomial part at an exact point."""
@@ -608,9 +615,15 @@ def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
     The divisor's constant term must be invertible; a zero constant term
     (a function vanishing at the origin) raises NonInvertibleSeriesError.
-    The recurrence runs on reduced rationals (GaussRationals when either
-    side is complex), whose sizes stay those of the answer, and the result
-    is put back over one denominator once.
+
+    The quotient's numerators N_k are kept over a running denominator L,
+    the lcm of the reduced denominators of c_0..c_(k-1). With a = A / Da and
+    b = B / Db, c_k = (A_k Db L - Da sum_j B_j N_(k-j)) / (Da B_0 L). B_0 is
+    divided out through its conjugate, so c_k = T / (K L) with K = Da |B_0|
+    (Da |B_0|**2 for a complex B_0) and T a Gaussian integer. The smallest
+    multiple of L that clears c_k is L * K / g with g = gcd(T, K): that is
+    one gcd per output, and when K / g > 1 the earlier numerators are scaled
+    up by it. L then ends as the canonical denominator, with no final pass.
     """
     if b.order < 0 or not b._nonzero_at(0):
         raise NonInvertibleSeriesError(
@@ -619,22 +632,50 @@ def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     n = min(a.order, b.order)
     if n < 0:
         return _make(-1, (), None, 1)
-    real = a.num_im is None and b.num_im is None
-    if real:
-        av = (Fraction(x, a.den) for x in islice(a.num_re, n + 1))
-        bv = [Fraction(x, b.den) for x in islice(b.num_re, n + 1)]
-    else:
-        av, bv = a.coeffs[: n + 1], b.coeffs[: n + 1]
-    b0 = bv[0]
-    out = []
-    for k, acc in enumerate(av):
-        for j in range(1, k + 1):
-            if bv[j]:
-                acc = acc - bv[j] * out[k - j]
-        out.append(acc / b0)
-    if real:
-        return _from_fractions(n, out, None)
-    return _from_fractions(n, [c.re for c in out], [c.im for c in out])
+    da, db = a.den, b.den
+    are, bre = list(islice(a.num_re, n + 1)), list(islice(b.num_re, n + 1))
+    aim = list(islice(a.num_im or repeat(0), n + 1))
+    bim = None if b.num_im is None else list(islice(b.num_im, n + 1))
+    p, q = bre[0], 0 if bim is None else bim[0]
+    # 1 / B_0 = (cp - i cq) / k0
+    cp, cq, k0 = (1 if p > 0 else -1, 0, abs(p)) if not q else (p, q, p * p + q * q)
+    big_k = da * k0
+    # B_n..B_1 and where they are nonzero, read from the right for output k
+    rre = bre[:0:-1]
+    rim = None if bim is None else bim[:0:-1]
+    nonzero = [bool(x) for x in rre] if rim is None else [bool(x or y) for x, y in zip(rre, rim)]
+    re, im, big_l = [], None if a.num_im is None and bim is None else [], 1
+    for k in range(n + 1):
+        lo = n - k
+        mask = nonzero[lo:]
+        sr = _dot(rre[lo:], re, mask)
+        if im is None:
+            tr = cp * (are[k] * db * big_l - da * sr)
+            g = gcd(tr, big_k)
+        else:
+            si = _dot(rre[lo:], im, mask)
+            if rim is not None:
+                sr -= _dot(rim[lo:], im, mask)
+                si += _dot(rim[lo:], re, mask)
+            u = are[k] * db * big_l - da * sr
+            v = aim[k] * db * big_l - da * si
+            tr, ti = cp * u + cq * v, cp * v - cq * u
+            g = gcd(tr, ti, big_k)
+        m = big_k // g
+        if m != 1:
+            big_l *= m
+            _scale_in_place(re, m)
+            if im is not None:
+                _scale_in_place(im, m)
+        re.append(tr // g)
+        if im is not None:
+            im.append(ti // g)
+    return _make(n, re, im if im is not None and any(im) else None, big_l)
+
+
+def _scale_in_place(values: list[int], m: int) -> None:
+    for k, x in enumerate(values):
+        values[k] = x * m
 
 
 def mul_poly(a: PowerSeries, poly: Sequence[CoeffLike]) -> PowerSeries:

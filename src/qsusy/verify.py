@@ -50,6 +50,7 @@ __all__ = [
     "CheckResult",
     "DEFAULT_QS",
     "DEFAULT_BETAS",
+    "LEIBNIZ_QS",
     "SUITES",
     "kernel_suite",
     "factorization_suite",
@@ -61,6 +62,8 @@ __all__ = [
 
 DEFAULT_QS: tuple[Rational, ...] = (Fraction(2), Fraction(3, 2), Fraction(5, 4))
 DEFAULT_BETAS: tuple[Rational, ...] = (Fraction(-1, 2), Fraction(1, 2))
+#: The q values the leibniz suite sweeps when no --q is pinned.
+LEIBNIZ_QS: tuple[Rational, ...] = (Fraction(2), Fraction(3, 2))
 LEIBNIZ_SEED = 0x5EED
 
 
@@ -173,7 +176,7 @@ def _random_polynomial(rng: random.Random, max_degree: int, order: int) -> Power
 
 
 def leibniz_suite(
-    qs: Iterable[Rational] = (Fraction(2), Fraction(3, 2)),
+    qs: Iterable[Rational] = LEIBNIZ_QS,
     pairs: int = 200,
     max_degree: int = 10,
     seed: int = LEIBNIZ_SEED,
@@ -372,7 +375,7 @@ def run_suite(
     if suite == "factorization":
         return factorization_suite(qs, betas, order or 32)
     if suite == "leibniz":
-        return leibniz_suite(qs if q is not None else (Fraction(2), Fraction(3, 2)))
+        return leibniz_suite(qs if q is not None else LEIBNIZ_QS)
     if suite == "limits":
         return limits_suite(order or 24)
     if suite == "classical":

@@ -39,6 +39,18 @@ def test_module_entry_point():
     assert series_from_json(proc.stdout).coeff(0) == F(-5, 4)
 
 
+def test_coefficients_past_the_digit_limit(tmp_path):
+    # the coefficients of this series reach about 5000 decimal digits
+    path = tmp_path / "beta.json"
+    code = main(["beta", "--q", "65/64", "--beta", "-1/2", "--order", "128", "--output", str(path)])
+    assert code == 0
+    series = series_from_json(path.read_text())
+    assert series.order == 128
+    assert series.den.bit_length() * 0.301 > 4300
+    v = VacuumSpec(beta=F(-1, 2), d=Deformation(F(65, 64)), order=128)
+    assert series == beta_q(v)
+
+
 class TestParsing:
     def test_valid_hermite(self):
         config = parse_args(["hermite", "--n", "3", "--q", "3/2", "--order", "24"])

@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -73,6 +75,16 @@ class TestQFactorial:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             q_factorial(-1, Deformation(F(2)))
+
+    def test_past_the_recursion_limit(self):
+        # a cold call once recursed once per factor
+        n = sys.getrecursionlimit() + 500
+        assert q_factorial(n, Deformation(F(1))) == math.factorial(n)
+
+    def test_not_memoised(self):
+        # memo tables keyed on user q would grow with every q ever passed
+        assert not hasattr(q_number, "cache_info")
+        assert not hasattr(q_factorial, "cache_info")
 
 
 class TestDeformation:
@@ -166,3 +178,19 @@ class TestRationalStrings:
     @given(value=rationals)
     def test_round_trip(self, value):
         assert parse_rational(format_rational(value)) == value
+
+    def test_past_the_digit_limit(self):
+        # 10**5000 // 7 is 5000 digits of 142857..., beyond int/str's 4300
+        num = 10**5000 // 7
+        digits = ("142857" * 834)[:5000]
+        value = F(-num, 3**11)
+        text = format_rational(value)
+        assert text == f"-{digits}/177147"
+        assert parse_rational(text) == value
+        assert parse_rational(f"{3**11}/{digits}") == F(3**11, num)
+        assert format_rational(F(num)) == digits
+
+    @pytest.mark.parametrize("text", ["1" * 5000 + "/0", "1" * 5000 + "x", "1" * 5000 + "/-3"])
+    def test_long_malformed_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)

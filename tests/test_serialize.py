@@ -38,6 +38,14 @@ class TestGaussPairs:
 
 
 class TestJson:
+    def test_coefficients_past_the_digit_limit(self):
+        # a 5000-digit numerator: int/str conversion stops at 4300 digits
+        huge = F(10**5000 // 7, 3**11)
+        s = make_series([huge, GaussRational(F(1, 2), -huge)], 1)
+        back = series_from_json(series_to_json(s))
+        assert exact_equal(back, s)
+        assert exact_equal(series_from_csv(series_to_csv(s)), s)
+
     def test_document_shape(self):
         doc = series_to_dict(make_series([1, F(-1, 2)], 2))
         assert doc == {"order": 2, "coeffs": [["1", "0"], ["-1/2", "0"], ["0", "0"]]}

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsusy.qcore import GAUSS_I, GAUSS_ZERO, Deformation, GaussRational
-from qsusy.series import NonInvertibleSeriesError, PowerSeries, div, make_series
+from qsusy.qcore import GAUSS_I, GAUSS_ZERO, Deformation, GaussRational, q_number_numerators
+from qsusy.qspecial import _q_exp_by_powers, q_exp
+from qsusy.series import NonInvertibleSeriesError, PowerSeries, div, make_series, monomial
 
 fractions = st.fractions(min_value=-7, max_value=7, max_denominator=12)
 real_coeffs = st.builds(GaussRational, fractions, st.just(F(0)))
@@ -65,6 +66,18 @@ def q_number(n: int, q: F) -> F:
     if q == 1:
         return F(n)
     return (q**n - q**-n) / (q - 1 / q)
+
+
+def ref_div(a, b):
+    n = min(a.order, b.order)
+    pa, pb = a.coeffs, b.coeffs
+    out = []
+    for k in range(n + 1):
+        acc = pa[k]
+        for j in range(1, k + 1):
+            acc = acc - pb[j] * out[k - j]
+        out.append(acc / pb[0])
+    return expect(out, n)
 
 
 def ref_product(a, b, n):
@@ -162,16 +175,34 @@ class TestDivision:
     @settings(max_examples=80)
     def test_div(self, a, b, b0):
         b = b - make_series([b.coeff(0) - b0], b.order)  # an invertible divisor
-        n = min(a.order, b.order)
-        pa, pb = a.coeffs, b.coeffs
-        out = []
-        for k in range(n + 1):
-            acc = pa[k]
-            for j in range(1, k + 1):
-                acc = acc - pb[j] * out[k - j]
-            out.append(acc / pb[0])
-        assert exact(div(a, b)) == expect(out, n)
-        assert exact(a / b) == expect(out, n)
+        assert exact(div(a, b)) == ref_div(a, b)
+        assert exact(a / b) == ref_div(a, b)
+
+    @given(series(), series(), nonzero_scalars)
+    @settings(max_examples=80)
+    def test_div_any_constant_term(self, a, b, b0):
+        # real and complex constant terms other than 1, complex operands
+        b = b - make_series([b.coeff(0) - b0], b.order)
+        assert exact(div(a, b)) == ref_div(a, b)
+
+    @given(series(max_order=14), coeff_lists(max_order=7, elements=st.one_of(real_coeffs, coeffs)),
+           st.sampled_from([F(3), F(-5, 7), GaussRational(F(2, 3), F(-1, 2))]))
+    @settings(max_examples=60)
+    def test_div_even_divisor(self, a, half, b0):
+        # even divisors, like e_q(beta x^2), have every odd coefficient zero
+        cs = [b0]
+        for c in half[1:]:
+            cs += [GAUSS_ZERO, c]
+        b = make_series(cs, 2 * len(half) - 2)
+        assert exact(div(a, b)) == ref_div(a, b)
+
+    def test_div_long_growing_denominator(self):
+        # an order-24 quotient whose denominator grows at most steps
+        a = make_series([F(1, k + 2) for k in range(25)], 24)
+        b = make_series([F(-3, 2)] + [F((-1) ** k, 3 * k + 1) for k in range(1, 25)], 24)
+        assert exact(div(a, b)) == ref_div(a, b)
+        c = div(a, b)
+        assert c * b == a
 
     @given(series())
     @settings(max_examples=20)
@@ -281,3 +312,66 @@ class TestEmptySeries:
     def test_not_a_divisor(self):
         with pytest.raises(NonInvertibleSeriesError):
             div(make_series([1], 2), EMPTY)
+
+
+class TestQNumberTable:
+    @pytest.mark.parametrize("q", QS + [F(7, 3), F(1, 5), F(9, 4)])
+    def test_against_definition(self, q):
+        d = Deformation(q)
+        a, b = q.numerator, q.denominator
+        table = q_number_numerators(12, d)
+        assert len(table) == 12
+        for n, s in enumerate(table, 1):
+            assert F(s, (a * b) ** (n - 1)) == q_number(n, q)
+            assert gcd(s, a * b) == 1  # so (ab)**(n-1) is the reduced denominator
+
+    def test_classical_table_is_the_integers(self):
+        assert q_number_numerators(6, Deformation(1)) == [1, 2, 3, 4, 5, 6]
+        assert q_number_numerators(0, Deformation(F(2))) == []
+
+
+def ref_q_exp(c, m, order, q):
+    """c**n x**(mn) / [n]_q! summed from the definition."""
+    out = [F(0)] * (order + 1)
+    fact = F(1)
+    for n in range(order // m + 1):
+        if n:
+            fact *= q_number(n, q)
+        out[m * n] = c**n / fact
+    return make_series(out, order)
+
+
+class TestQExp:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("c", ["3", "-1/2", "2q/3"])
+    def test_closed_form_matches_power_sum(self, m, q, c):
+        d = Deformation(q)
+        c = 2 * q / 3 if c == "2q/3" else F(c)
+        for order in (m, 2 * m + 1, 13):
+            u = monomial(m, order, c)
+            got = q_exp(u, d)
+            assert exact(got) == exact(_q_exp_by_powers(u, d))
+            assert exact(got) == exact(ref_q_exp(c, m, order, q))
+
+    @pytest.mark.parametrize("order", [-1, 0, 5])
+    def test_zero_argument(self, order):
+        u = PowerSeries([0] * (order + 1), order)
+        want = make_series([1], max(order, 0))
+        assert exact(q_exp(u, Deformation(F(2)))) == exact(want)
+        assert exact(_q_exp_by_powers(u, Deformation(F(2)))) == exact(want)
+
+    @given(coeff_lists(min_order=1, max_order=7), st.sampled_from(QS))
+    @settings(max_examples=30)
+    def test_other_arguments_take_the_power_sum(self, cs, q):
+        # any u with u(0) = 0, complex or with several terms
+        u = PowerSeries([GAUSS_ZERO] + cs[1:], len(cs) - 1)
+        d = Deformation(q)
+        want = [GAUSS_ZERO] * (u.order + 1)
+        power = make_series([1], u.order)
+        fact = F(1)
+        for n in range(u.order + 1):
+            if n:
+                power, fact = power * u, fact * q_number(n, q)
+            want = [w + c / fact for w, c in zip(want, power.coeffs)]
+        assert exact(q_exp(u, d)) == expect(want, u.order)
