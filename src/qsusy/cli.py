@@ -491,11 +491,11 @@ def _run_table(config: RunConfig) -> int:
     if config.op is not None:
         series = _load_series(config.input_path)
         op = _build_operator(config, series.order)
-        result = op.apply(series)
+        # the q-quotient degenerates at x = 0, and undeformed operators have
+        # no pointwise form at all; only those points read the exact result
+        result = op.apply(series) if 0 in config.xs or not op.has_point_form else None
 
         def value_at(x: Rational) -> float:
-            # the q-quotient degenerates at x = 0, and undeformed operators
-            # have no pointwise form at all; both cases answer via the series
             if x == 0 or not op.has_point_form:
                 return result.evaluate_float(float(x))
             return op.apply_at(series.evaluate_float, float(x))
@@ -510,7 +510,13 @@ def _run_table(config: RunConfig) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "value"])
     for x in config.xs:
-        writer.writerow([format_rational(x), repr(value_at(x))])
+        try:
+            value = value_at(x)
+        except OverflowError as exc:
+            raise ValueError(
+                f"table point x = {format_rational(x)} is outside the float range"
+            ) from exc
+        writer.writerow([format_rational(x), repr(value)])
     _write(buf.getvalue(), config.output_path)
     return 0
 

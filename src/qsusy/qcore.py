@@ -48,9 +48,9 @@ def _as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-# "p" or "p/q" in plain digits, the form format_rational writes. Left for
-# re to compile on first use: only text past the int/str digit limit needs it.
-_PLAIN_RATIONAL = r"\s*([+-]?)(\d+)(?:\s*/\s*(\d+))?\s*\Z"
+# "p", "p/q" or a plain decimal "p.f", in digits. Left for re to compile on
+# first use: only text past the int/str digit limit needs it.
+_PLAIN_RATIONAL = r"\s*([+-]?)(?=\d|\.\d)(\d*)(?:\s*/\s*(\d+)|\.(\d*))?\s*\Z"
 
 
 def _int_str(n: int) -> str:
@@ -81,7 +81,8 @@ def parse_rational(text: str) -> Rational:
     """Parse "p/q", integer, or decimal strings to an exact rational.
 
     Decimal strings stay exact: "1.5" parses to 3/2, never through a float.
-    "p" and "p/q" are read at any length, past the int/str digit limit.
+    "p", "p/q" and plain decimals "p.f" are read at any length, past the
+    int/str digit limit.
     """
     text = str(text)
     try:
@@ -90,8 +91,12 @@ def parse_rational(text: str) -> Rational:
         plain = re.match(_PLAIN_RATIONAL, text)
         if plain is None or plain[3] is not None and not plain[3].strip("0"):
             raise ValueError(f"not a rational: {text!r}") from exc
-        sign, num, den = plain.groups()
-        value = Fraction(_str_int(num), 1 if den is None else _str_int(den))
+        sign, num, den, frac = plain.groups()
+        if frac is not None:
+            num, den = num + frac, 10 ** len(frac)
+        elif den is not None:
+            den = _str_int(den)
+        value = Fraction(_str_int(num), den or 1)
         return -value if sign == "-" else value
 
 

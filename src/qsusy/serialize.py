@@ -5,6 +5,10 @@ rounded; Gaussian rationals as two-element arrays [re, im]. A series is
 {"order": N, "coeffs": [[re, im], ...]} with exactly N + 1 entries, and the
 CSV form is one row (n, re, im) per coefficient. Round-tripping either format
 reproduces the series exactly.
+
+Both directions work on the stored numerators: the writer reduces each one
+against the common denominator, and the reader puts what it parses over one
+lcm, with no GaussRational per coefficient.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any
+from math import gcd
+from typing import Any, Iterable, Iterator, Sequence
 
-from .qcore import GaussRational, format_rational, parse_rational
-from .series import PowerSeries
+from .qcore import GaussRational, _int_str, format_rational, parse_rational
+from .series import PowerSeries, _from_ratios
 
 __all__ = [
     "gauss_to_pair",
@@ -34,13 +39,81 @@ def gauss_to_pair(g: GaussRational) -> list[str]:
 
 
 def gauss_from_pair(pair: Any) -> GaussRational:
+    re, im = _checked_pair(pair)
+    return GaussRational(parse_rational(re), parse_rational(im))
+
+
+def _checked_pair(pair: Any) -> Any:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected a [re, im] pair, got {pair!r}")
-    return GaussRational(parse_rational(pair[0]), parse_rational(pair[1]))
+    return pair
+
+
+# -- writer: straight from the stored numerators ---------------------------------
+
+
+def _ratio_text(x: int, den: int) -> str:
+    """format_rational(Fraction(x, den)) for den > 0, with no Fraction built."""
+    g = gcd(x, den)
+    if g == den:
+        return _int_str(x // g)
+    return f"{_int_str(x // g)}/{_int_str(den // g)}"
+
+
+def _text_pairs(a: PowerSeries) -> Iterator[list[str]]:
+    den = a.den
+    if a.num_im is None:
+        return ([_ratio_text(x, den), "0"] for x in a.num_re)
+    return ([_ratio_text(x, den), _ratio_text(y, den)] for x, y in zip(a.num_re, a.num_im))
+
+
+# -- reader: straight to numerators over one denominator -------------------------
+
+
+def _parts(text: Any) -> tuple[int, int]:
+    """(numerator, denominator > 0) of one wire rational, not necessarily reduced.
+
+    Text in the form format_rational writes (ASCII "-?digits" or
+    "-?digits/digits" with a nonzero denominator, within the int/str digit
+    limit) is read as two ints. Anything else goes through parse_rational,
+    which accepts or rejects it with its own message.
+    """
+    if type(text) is str:
+        top, slash, bottom = text.partition("/")
+        digits = top[1:] if top[:1] == "-" else top
+        if digits.isascii() and digits.isdigit() and (
+            not slash or bottom.isascii() and bottom.isdigit()
+        ):
+            try:
+                num, den = int(top), int(bottom) if slash else 1
+            except ValueError:  # past the int/str digit limit
+                pass
+            else:
+                if den:
+                    return num, den
+    value = parse_rational(text)
+    return value.numerator, value.denominator
+
+
+def _read(order: int, rows: Iterable[Sequence[Any]]) -> PowerSeries:
+    """The series whose coefficient n is rows[n] = (re, im), as wire text."""
+    nums: list[int] = []
+    dens: list[int] = []
+    for pair in rows:
+        for text in pair:
+            # half the parts of a typical series are zero
+            num, den = (0, 1) if text == "0" else _parts(text)
+            nums.append(num)
+            dens.append(den)
+    if len(nums) != 2 * (order + 1):
+        raise ValueError(
+            f"series of order {order} needs {order + 1} coefficients, got {len(nums) // 2}"
+        )
+    return _from_ratios(order, nums, dens)
 
 
 def series_to_dict(a: PowerSeries) -> dict[str, Any]:
-    return {"order": a.order, "coeffs": [gauss_to_pair(c) for c in a.coeffs]}
+    return {"order": a.order, "coeffs": list(_text_pairs(a))}
 
 
 def series_from_dict(data: Any) -> PowerSeries:
@@ -52,12 +125,7 @@ def series_from_dict(data: Any) -> PowerSeries:
         raise ValueError(f"bad series order: {order!r}")
     if not isinstance(pairs, list):
         raise ValueError(f"series 'coeffs' must be a list of [re, im] pairs, got {pairs!r}")
-    coeffs = tuple(gauss_from_pair(p) for p in pairs)
-    if len(coeffs) != order + 1:
-        raise ValueError(
-            f"series of order {order} needs {order + 1} coefficients, got {len(coeffs)}"
-        )
-    return PowerSeries(coeffs, order)
+    return _read(order, map(_checked_pair, pairs))
 
 
 def series_to_json(a: PowerSeries) -> str:
@@ -72,8 +140,8 @@ def series_to_csv(a: PowerSeries) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "re", "im"])
-    for n, c in enumerate(a.coeffs):
-        writer.writerow([n, format_rational(c.re), format_rational(c.im)])
+    for n, pair in enumerate(_text_pairs(a)):
+        writer.writerow([n, *pair])
     return buf.getvalue()
 
 
@@ -81,11 +149,12 @@ def series_from_csv(text: str) -> PowerSeries:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["n", "re", "im"]:
         raise ValueError("series CSV needs the header row n,re,im")
-    coeffs = []
-    for i, row in enumerate(rows[1:]):
-        if len(row) != 3 or int(row[0]) != i:
-            raise ValueError(f"bad CSV coefficient row {row!r} at position {i}")
-        coeffs.append(GaussRational(parse_rational(row[1]), parse_rational(row[2])))
-    if not coeffs:
+    if len(rows) == 1:
         raise ValueError("series CSV has no coefficient rows")
-    return PowerSeries(tuple(coeffs), len(coeffs) - 1)
+    return _read(len(rows) - 2, map(_checked_row, range(len(rows) - 1), rows[1:]))
+
+
+def _checked_row(i: int, row: list[str]) -> list[str]:
+    if len(row) != 3 or int(row[0]) != i:
+        raise ValueError(f"bad CSV coefficient row {row!r} at position {i}")
+    return row[1:]

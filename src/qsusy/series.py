@@ -76,14 +76,35 @@ class NonInvertibleSeriesError(ValueError):
     """Raised when dividing by a series whose constant term is zero."""
 
 
-def _coerce_coeffs(coeffs: Iterable[CoeffLike]) -> list[GaussRational]:
-    out = []
-    for c in coeffs:
-        g = to_gauss(c)
-        if g is NotImplemented:
+def _ratios(values: Iterable[CoeffLike]) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of exact scalars, parts interleaved.
+
+    Entries 2n and 2n + 1 are the real and imaginary parts of value n.
+    """
+    nums: list[int] = []
+    dens: list[int] = []
+    for c in values:
+        if isinstance(c, GaussRational):
+            re, im = c.re, c.im
+        elif isinstance(c, (int, Fraction)):
+            re, im = c, 0
+        else:
             raise TypeError(f"cannot use {c!r} as a series coefficient")
-        out.append(g)
-    return out
+        nums += (re.numerator, im.numerator)
+        dens += (re.denominator, im.denominator)
+    return nums, dens
+
+
+def _from_ratios(order: int, nums: Sequence[int], dens: Sequence[int]) -> "PowerSeries":
+    """The series with c_n = nums[2n] / dens[2n] + i nums[2n + 1] / dens[2n + 1].
+
+    The denominators must be positive and need not be reduced: the parts go
+    over the lcm of all denominators, and ``_canonical``'s one gcd takes out
+    any factor that unreduced input leaves.
+    """
+    den = lcm(*dens)
+    scaled = [x * (den // d) if x else 0 for x, d in zip(nums, dens)]
+    return _canonical(order, scaled[0::2], scaled[1::2], den)
 
 
 def _canonical(
@@ -122,28 +143,6 @@ def _make(
 
 
 _set = object.__setattr__
-
-
-def _from_fractions(
-    order: int, res: Sequence[Fraction], ims: Optional[Sequence[Fraction]]
-) -> "PowerSeries":
-    """Put reduced rational parts over the lcm of their denominators.
-
-    No gcd pass is needed: a prime dividing that lcm to its full power divides
-    some part's denominator exactly that often, and that part's scaled
-    numerator is then not divisible by it.
-    """
-    dens = [x.denominator for x in res]
-    if ims is not None:
-        dens += [x.denominator for x in ims]
-    den = lcm(*dens)
-    im = None if ims is None else [x.numerator * (den // x.denominator) for x in ims]
-    return _make(
-        order,
-        [x.numerator * (den // x.denominator) for x in res],
-        im if im is not None and any(im) else None,
-        den,
-    )
 
 
 def _scalar_parts(c: GaussRational) -> tuple[int, int, int]:
@@ -265,15 +264,13 @@ class PowerSeries:
     def __init__(self, coeffs: Iterable[CoeffLike], order: int) -> None:
         if order < -1:
             raise ValueError(f"series order must be >= -1, got {order}")
-        values = _coerce_coeffs(coeffs)
-        if len(values) != order + 1:
+        nums, dens = _ratios(coeffs)
+        if len(nums) != 2 * (order + 1):
             raise ValueError(
                 f"series of order {order} needs {order + 1} coefficients, "
-                f"got {len(values)}"
+                f"got {len(nums) // 2}"
             )
-        built = _from_fractions(
-            order, [c.re for c in values], [c.im for c in values]
-        )
+        built = _from_ratios(order, nums, dens)
         for name in self.__slots__:
             _set(self, name, getattr(built, name))
 
@@ -440,9 +437,9 @@ class PowerSeries:
         lowest nonzero degree. Multiplying by x (poly [0, 1]) therefore
         raises the order by one instead of truncating.
         """
-        cs = _coerce_coeffs(poly)
-        p = _from_fractions(len(cs) - 1, [c.re for c in cs], [c.im for c in cs])
-        val = next((k for k in range(len(cs)) if p._nonzero_at(k)), None)
+        nums, dens = _ratios(poly)
+        p = _from_ratios(len(nums) // 2 - 1, nums, dens)
+        val = p.first_nonzero_index()
         if val is None:
             # the zero polynomial: the product is identically zero
             return zero_series(max(self.order, 0))
@@ -549,12 +546,13 @@ def make_series(coeffs: Sequence[CoeffLike], order: int) -> PowerSeries:
     """Build a series from low-to-high coefficients, zero-padded to ``order``."""
     if order < 0:
         raise ValueError(f"series order must be >= 0, got {order}")
-    cs = _coerce_coeffs(coeffs)
-    if len(cs) > order + 1:
+    nums, dens = _ratios(coeffs)
+    pad = 2 * (order + 1) - len(nums)
+    if pad < 0:
         raise ValueError(
-            f"{len(cs)} coefficients do not fit in a series of order {order}"
+            f"{len(nums) // 2} coefficients do not fit in a series of order {order}"
         )
-    return PowerSeries(cs + [GAUSS_ZERO] * (order + 1 - len(cs)), order)
+    return _from_ratios(order, nums + [0] * pad, dens + [1] * pad)
 
 
 def zero_series(order: int) -> PowerSeries:
@@ -582,17 +580,21 @@ def linear_combination(terms: Iterable[tuple[Rational, PowerSeries]]) -> PowerSe
     can be far longer than the reduced sum's. The order is the smallest among
     the terms.
     """
-    acc: list[GaussRational] = []
+    acc: list[Fraction] = []  # real and imaginary parts interleaved
     for i, (w, s) in enumerate(terms):
         if i == 0:
-            acc = [GAUSS_ZERO] * (s.order + 1)
-        del acc[s.order + 1 :]
+            acc = [_FRACTION_ZERO] * (2 * (s.order + 1))
+        del acc[2 * (s.order + 1) :]
         scale = Fraction(w) / s.den
         ims = repeat(0) if s.num_im is None else s.num_im
-        for k, x, y in zip(range(len(acc)), s.num_re, ims):
-            if x or y:
-                acc[k] += GaussRational._raw(x * scale, y * scale)
-    return _from_fractions(len(acc) - 1, [c.re for c in acc], [c.im for c in acc])
+        for k, x, y in zip(range(0, len(acc), 2), s.num_re, ims):
+            if x:
+                acc[k] += x * scale
+            if y:
+                acc[k + 1] += y * scale
+    return _from_ratios(
+        len(acc) // 2 - 1, [c.numerator for c in acc], [c.denominator for c in acc]
+    )
 
 
 # -- operation aliases (functional spelling of the methods above) ------------

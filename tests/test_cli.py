@@ -7,6 +7,7 @@ import pytest
 
 from qsusy import __version__
 from qsusy.cli import DEFAULT_SWEEP, main, parse_args
+from qsusy.operators import QOperator
 from qsusy.qcore import Deformation
 from qsusy.qspecial import VacuumSpec, beta_q, q_gauss, q_hermite
 from qsusy.serialize import series_from_csv, series_from_json, series_to_json
@@ -372,3 +373,46 @@ class TestTable:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         # h0 x^2 = -2 + x^2 (x^2 - 1) at x = 1/2: -2 + 1/4 * (-3/4)
         assert float(rows[0][1]) == pytest.approx(-2 + 0.25 * -0.75, rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ("--func", "beta"),
+        ("--op", "Tplus", "--beta", "-1/2"),
+    ])
+    def test_point_outside_float_range_is_usage_error(self, capsys, tmp_path, argv):
+        src = write_gauss(tmp_path, q=F(3, 2))
+        code, out, err = run(
+            capsys, "table", *argv, "--q", "3/2", "--input", str(src), "--xs", "1/2,1e400",
+        )
+        assert code == 2
+        assert out == ""
+        assert "outside the float range" in err and "Traceback" not in err
+
+
+class TestTableExactApply:
+    """table --op runs the exact operator application only for points that read it."""
+
+    # the bytes these commands wrote when every request applied the operator exactly
+    CASES = [
+        (("--op", "Tplus", "--q", "3/2", "--xs", "1/4,-1/2,1"), 0,
+         "x,value\n1/4,-0.11595750527254703\n-1/2,0.32465906585836657\n1,21.399206259417202\n"),
+        (("--op", "Tplus", "--q", "3/2", "--xs", "1/4,0,-1/2"), 1,
+         "x,value\n1/4,-0.11595750527254703\n0,-0.5\n-1/2,0.32465906585836657\n"),
+        (("--op", "h0", "--xs", "1/2,-1"), 1, "x,value\n1/2,-6.640625\n-1,42.0\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,applies,expected", CASES)
+    def test_apply_calls_and_bytes(self, capsys, tmp_path, monkeypatch, argv, applies, expected):
+        path = tmp_path / "probe.json"
+        path.write_text(series_to_json(make_series([1, F(-1, 2), 0, F(1, 3), 0, 2], 12)))
+        calls = []
+        apply = QOperator.apply
+
+        def counted(op, f):
+            calls.append(op.name)
+            return apply(op, f)
+
+        monkeypatch.setattr(QOperator, "apply", counted)
+        code, out, _ = run(capsys, "table", *argv, "--beta", "-1/2", "--input", str(path))
+        assert code == 0
+        assert len(calls) == applies
+        assert out == expected

@@ -190,7 +190,19 @@ class TestRationalStrings:
         assert parse_rational(f"{3**11}/{digits}") == F(3**11, num)
         assert format_rational(F(num)) == digits
 
-    @pytest.mark.parametrize("text", ["1" * 5000 + "/0", "1" * 5000 + "x", "1" * 5000 + "/-3"])
+    def test_long_decimal(self):
+        # 0.11...1 with 5000 ones is (10**5000 - 1) / 9 over 10**5000
+        value = F((10**5000 - 1) // 9, 10**5000)
+        assert parse_rational("0." + "1" * 5000) == value
+        assert parse_rational(" -." + "1" * 5000 + "0 ") == -value
+        assert parse_rational("1" * 5000 + ".") == value * 10**5000
+        assert parse_rational(format_rational(value)) == value
+        assert parse_rational(format_rational(-value)) == -value
+
+    @pytest.mark.parametrize("text", [
+        "1" * 5000 + "/0", "1" * 5000 + "x", "1" * 5000 + "/-3",
+        "1" * 5000 + ".5.5", "1" * 5000 + "./3", "1" * 5000 + ".5/3", "." * 5000,
+    ])
     def test_long_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)

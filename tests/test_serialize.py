@@ -1,10 +1,12 @@
+import csv
+import io
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsusy.qcore import GaussRational
+from qsusy.qcore import GaussRational, parse_rational
 from qsusy.series import PowerSeries, make_series
 from qsusy.serialize import (
     gauss_from_pair,
@@ -85,3 +87,119 @@ class TestCsv:
     def test_round_trip(self, coeffs):
         series = PowerSeries(tuple(coeffs), len(coeffs) - 1)
         assert exact_equal(series_from_csv(series_to_csv(series)), series)
+
+
+# -- the numerator reader and writer against the per-coefficient path -----------
+
+HUGE = F(-(10**5000 // 7), 3**11)
+
+
+def layout(s: PowerSeries):
+    return s.order, s.num_re, s.num_im, s.den
+
+
+def outcome(fn, *args):
+    """The series' stored form, or the exception's type and message."""
+    try:
+        return layout(fn(*args))
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def reference_from_dict(data):
+    """The reader as it was: one validated GaussRational per coefficient."""
+    order, pairs = data["order"], data["coeffs"]
+    coeffs = tuple(gauss_from_pair(p) for p in pairs)
+    if len(coeffs) != order + 1:
+        raise ValueError(f"series of order {order} needs {order + 1} coefficients, got {len(coeffs)}")
+    return PowerSeries(coeffs, order)
+
+
+def reference_from_csv(text):
+    rows = list(csv.reader(io.StringIO(text)))
+    coeffs = []
+    for i, row in enumerate(rows[1:]):
+        if len(row) != 3 or int(row[0]) != i:
+            raise ValueError(f"bad CSV coefficient row {row!r} at position {i}")
+        coeffs.append(GaussRational(parse_rational(row[1]), parse_rational(row[2])))
+    return PowerSeries(tuple(coeffs), len(coeffs) - 1)
+
+
+def csv_text(pairs):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "re", "im"])
+    for n, pair in enumerate(pairs):
+        writer.writerow([n, *pair])
+    return buf.getvalue()
+
+
+EDGE_TEXTS = [
+    # what format_rational writes, and unreduced forms of it
+    "3", "-3", "0", "-0", "3/4", "-3/4", "2/4", "-6/8", "0/5", "-0/7", "007", "10/100",
+    "1" * 5000, "-" + "1" * 5000 + "/" + "7" * 4999 + "0",
+    # other text parse_rational accepts
+    "+3", " 3 ", "3 /4", "1.5", "-.25", "1e3", "3_0", "٣", "0." + "1" * 5000,
+    # JSON values that are not strings
+    3, -7, 1.5, True,
+    # rejected, each with parse_rational's message
+    None, "", "-", "--3", "/3", "3/", "3/0", "3/00", "6/-3", "3/4/5", "x", "1" * 5000 + "x",
+    "1" * 5000 + "/0", [1, 2],
+]
+
+
+class TestNumeratorReader:
+    @pytest.mark.parametrize("text", EDGE_TEXTS, ids=lambda t: repr(t)[:20])
+    def test_edge_text_agrees_with_reference(self, text):
+        doc = {"order": 2, "coeffs": [[text, "0"], ["1/3", text], ["-5/6", "1/2"]]}
+        assert outcome(series_from_dict, doc) == outcome(reference_from_dict, doc)
+        if isinstance(text, str) and text and text.isprintable():
+            rows = csv_text(doc["coeffs"])
+            assert outcome(series_from_csv, rows) == outcome(reference_from_csv, rows)
+
+    @pytest.mark.parametrize("doc", [
+        {"order": 3, "coeffs": [["1", "x"]]},  # a bad value is reported before the length
+        {"order": 3, "coeffs": [["1", "0"]]},
+        {"order": 0, "coeffs": [["1", "0"], ["2", "0"]]},
+        {"order": 1, "coeffs": [["1", "0"], ["1"]]},
+        {"order": 1, "coeffs": [["x", "0"], ["1"]]},
+    ])
+    def test_rejections_agree_with_reference(self, doc):
+        got = outcome(series_from_dict, doc)
+        assert got == outcome(reference_from_dict, doc)
+        assert got[0] is ValueError
+
+    @given(
+        coeffs=st.lists(coefficients, min_size=1, max_size=9),
+        scales=st.lists(st.integers(min_value=1, max_value=60), min_size=18, max_size=18),
+    )
+    def test_unreduced_input(self, coeffs, scales):
+        # every part written as (k p)/(k q); k = 1 on an integer gives plain "p"
+        def text(x, k):
+            return str(x.numerator) if k == 1 and x.denominator == 1 else f"{x.numerator * k}/{x.denominator * k}"
+
+        pairs = [[text(c.re, scales[2 * n]), text(c.im, scales[2 * n + 1])] for n, c in enumerate(coeffs)]
+        doc = {"order": len(coeffs) - 1, "coeffs": pairs}
+        want = layout(reference_from_dict(doc))
+        assert layout(series_from_dict(doc)) == want
+        assert layout(series_from_csv(csv_text(pairs))) == want
+        assert want == layout(PowerSeries(coeffs, len(coeffs) - 1))
+
+
+class TestNumeratorWriter:
+    def check(self, s):
+        pairs = [gauss_to_pair(c) for c in s.coeffs]
+        assert series_to_dict(s)["coeffs"] == pairs
+        assert series_to_csv(s) == csv_text(pairs)
+        assert layout(series_from_json(series_to_json(s))) == layout(s)
+
+    def test_examples(self):
+        # zero, integers over a common denominator of 6, negative, complex, 5000 digits
+        self.check(make_series([0, 3, F(-1, 2), F(1, 3), -7], 5))
+        self.check(make_series([GaussRational(F(-1, 2), 5), 0, GaussRational(0, F(-2, 3)), 4], 3))
+        self.check(make_series([HUGE, 2, GaussRational(F(1, 2), -HUGE), 0], 3))
+        self.check(make_series([], 2))
+
+    @given(coeffs=st.lists(coefficients, min_size=1, max_size=9))
+    def test_matches_per_coefficient_pairs(self, coeffs):
+        self.check(PowerSeries(tuple(coeffs), len(coeffs) - 1))

@@ -8,7 +8,7 @@ and every numerator, and no imaginary vector when every imaginary part is 0.
 """
 
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,8 @@ gauss_coeffs = st.builds(GaussRational, fractions, fractions)
 # zeros are frequent in the program's series (even/odd ones, monomial probes)
 coeffs = st.one_of(st.just(GAUSS_ZERO), real_coeffs, gauss_coeffs)
 scalars = st.one_of(fractions.map(GaussRational), gauss_coeffs)
+# every scalar type a constructor takes, bool included (an int to Python)
+mixed_scalars = st.one_of(st.integers(min_value=-20, max_value=20), st.booleans(), fractions, gauss_coeffs)
 nonzero_scalars = scalars.filter(bool)
 QS = [F(1), F(2), F(2, 3), F(5, 4)]
 
@@ -59,6 +61,19 @@ def assert_canonical(s: PowerSeries) -> None:
         assert any(s.num_im), "an all-zero imaginary part must be stored as None"
         parts += s.num_im
     assert gcd(s.den, *parts) == 1
+
+
+def layout(s: PowerSeries):
+    return s.order, s.num_re, s.num_im, s.den
+
+
+def reference_layout(values, order):
+    """The stored form as the per-coefficient path built it: every value made
+    a GaussRational, the reduced parts put over the lcm of their denominators."""
+    gs = [v if isinstance(v, GaussRational) else GaussRational(F(v)) for v in values]
+    den = lcm(*(x.denominator for g in gs for x in (g.re, g.im)))
+    im = tuple(int(g.im * den) for g in gs)
+    return order, tuple(int(g.re * den) for g in gs), im if any(im) else None, den
 
 
 def q_number(n: int, q: F) -> F:
@@ -107,6 +122,31 @@ class TestConstruction:
 
     def test_accepts_fractions_and_ints(self):
         assert exact(PowerSeries([1, F(1, 2)], 1)) == expect([1, F(1, 2)], 1)
+
+    @given(st.lists(mixed_scalars, min_size=1, max_size=9), st.integers(min_value=0, max_value=3))
+    def test_constructors_agree_with_per_coefficient_path(self, values, pad):
+        n = len(values) - 1
+        assert layout(PowerSeries(values, n)) == reference_layout(values, n)
+        padded = values + [0] * pad
+        assert layout(make_series(values, n + pad)) == reference_layout(padded, n + pad)
+        assert layout(monomial(n, n + pad, values[-1])) == reference_layout([0] * n + [values[-1]] + [0] * pad, n + pad)
+        a = make_series([1, F(-1, 2), GaussRational(0, 3)], 4)
+        gauss = [GaussRational(v) if not isinstance(v, GaussRational) else v for v in values]
+        assert layout(a.mul_poly(values)) == layout(a.mul_poly(gauss))
+
+    @pytest.mark.parametrize("build", [
+        lambda: PowerSeries([1, 0.5], 1),
+        lambda: make_series([1, 0.5], 3),
+        lambda: monomial(1, 3, 0.5),
+        lambda: make_series([1], 3).mul_poly([0, 0.5]),
+    ])
+    def test_floats_rejected(self, build):
+        with pytest.raises(TypeError, match="cannot use 0.5 as a series coefficient"):
+            build()
+
+    def test_other_types_rejected(self):
+        with pytest.raises(TypeError, match="cannot use '1/2' as a series coefficient"):
+            PowerSeries(["1/2"], 0)
 
     def test_length_must_match_order(self):
         with pytest.raises(ValueError):
