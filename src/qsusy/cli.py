@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -47,6 +48,7 @@ from .operators import (
     QOperator,
     classical_hermite_op,
     classical_schrodinger_op,
+    limit_sweep,
     second_order_composed,
     susy_pair_limit,
     t_minus_q,
@@ -437,20 +439,13 @@ def _run_verify(config: RunConfig) -> int:
 
 
 def _run_limit(config: RunConfig) -> int:
+    probe = q_exp(make_series([0, 0, Fraction(-1, 2)], config.order), Deformation(1))
+    vacuum = lambda d: VacuumSpec(beta=config.beta, d=d, order=config.order)
     rows = []
-    order = config.order
-    probe = q_exp(make_series([0, 0, Fraction(-1, 2)], order), Deformation(1))
-    h0, _ = susy_pair_limit(_vacuum(config, order))
-    target = h0.apply(probe)
-    for q in config.qs:
-        cell = RunConfig(command="limit", q=q, beta=config.beta, order=order)
-        v = _vacuum(cell)
+    for row in limit_sweep(lambda d: second_order_composed(vacuum(d), "b"), config.qs, probe):
+        v = vacuum(Deformation(row.q))
         beta0_dev = abs(beta_q(v).coeff(0).as_rational() - 2 * config.beta)
-        drift_dev = delta_beta_q(v).max_abs_coeff()
-        partner_dev = (
-            second_order_composed(v, "b").apply(probe) - target
-        ).max_abs_coeff()
-        rows.append((q, beta0_dev, drift_dev, partner_dev))
+        rows.append((row.q, beta0_dev, delta_beta_q(v).max_abs_coeff(), row.deviation))
 
     if config.emit == "json":
         payload = [
@@ -516,6 +511,8 @@ def _run_table(config: RunConfig) -> int:
             raise ValueError(
                 f"table point x = {format_rational(x)} is outside the float range"
             ) from exc
+        if not math.isfinite(value):
+            raise ValueError(f"table point x = {format_rational(x)} has no finite value ({value!r})")
         writer.writerow([format_rational(x), repr(value)])
     _write(buf.getvalue(), config.output_path)
     return 0

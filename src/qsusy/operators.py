@@ -1,128 +1,102 @@
 """Linear operators on truncated series: intertwiners and partner operators.
 
-A QOperator carries two parallel realizations of the same linear map:
+A QOperator is a frozen tree: ``Sum``, ``Scale`` and ``Compose`` join leaves
+that multiply by a truncated series (``Mult``) or an exact polynomial
+(``MultPoly``), take the symmetric q-derivative (``Jackson``) or map f to
+f(q^k x) (``Shift``). Three interpreters read a tree:
 
-* a series action, exact on Gaussian-rational coefficients, used for all
-  identity checks near the origin;
-* an optional pointwise action on float evaluators, used on grids away from
-  the origin, where the q-shifted arguments f(qx), f(x/q) are evaluated
-  directly.
-
-Operators are immutable and closed under sum, scalar multiple, and
-composition. ``order_cost`` records how many trailing coefficients one
-application invalidates (1 for first-order operators, 2 for second-order);
-composition adds the costs, sums keep the worst one.
-
-The pointwise action exists only for q != 1: the classical derivative has no
-finite q-quotient, so undeformed operators answer through the series path
-(that same fallback serves the x = 0 grid point of deformed operators, where
-the quotient degenerates).
+* series apply (``apply``), exact on Gaussian-rational coefficients;
+* pointwise apply (``apply_at``) on float evaluators, in a fixed float order.
+  It exists only for q != 1 (the classical derivative has no finite
+  q-quotient) and degenerates at x = 0; both answer through the series path;
+* the term normal form (``normal_form``), op f = sum of a(x) (D_q^m f)(lam x),
+  by D(FG) = (DF) G(qx) + F(x/q) DG and D[h(lam x)] = lam (Dh)(lam x).
+  On a monomial each term is one integer row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import islice, repeat
+from math import lcm
+from operator import add as _add, mul as _mul
 from typing import Callable, Optional, Sequence
 
-from .qcore import Deformation, Rational, to_gauss
-from .series import PowerSeries, div
+from .qcore import Deformation, Rational, q_number, to_gauss
+from .series import PowerSeries, _canonical, constant_series, div, make_series
 from .qspecial import VacuumSpec, beta_q, delta_beta_q
 
 __all__ = [
-    "QOperator",
-    "FactorizationPair",
-    "SweepRow",
-    "identity_op",
-    "scalar_op",
-    "multiplication_op",
-    "poly_multiplication_op",
-    "jackson_op",
-    "classical_darboux",
-    "darboux_potential_difference",
-    "t_plus_q",
-    "t_minus_q",
-    "second_order_composed",
-    "second_order_direct",
-    "classical_hermite_op",
-    "classical_schrodinger_op",
-    "susy_pair_limit",
-    "t_generalized",
-    "vacuum_pair",
-    "generalized_pair",
-    "limit_sweep",
-    "convergence_ratios",
+    "QOperator", "Sum", "Scale", "Compose", "Mult", "MultPoly", "Jackson", "Shift", "NormalForm",
+    "normal_form", "FactorizationPair", "SweepRow", "identity_op", "scalar_op", "multiplication_op",
+    "poly_multiplication_op", "jackson_op", "classical_darboux", "darboux_potential_difference",
+    "t_plus_q", "t_minus_q", "second_order_composed", "five_term_table", "second_order_direct",
+    "classical_hermite_op", "classical_schrodinger_op", "susy_pair_limit", "t_generalized",
+    "vacuum_pair", "generalized_pair", "limit_sweep", "convergence_ratios",
 ]
 
 Evaluator = Callable[[float], float]
-PointFn = Callable[[Evaluator, float], float]
+# (m, lam) -> a(x): the operator sum of a(x) (D_q^m f)(lam x)
+Terms = dict[tuple[int, Fraction], PowerSeries]
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
 class QOperator:
-    """An exact linear map on series, with an optional float pointwise twin."""
+    """A node of an immutable operator tree; a subclass's ``__slots__`` name its fields.
 
-    name: str
-    order_cost: int
-    series_fn: Callable[[PowerSeries], PowerSeries] = field(repr=False)
-    point_fn: Optional[PointFn] = field(default=None, repr=False)
+    The float form is built with the node, once: ``table`` reads it at many points.
+    """
+
+    __slots__ = ("_point",)
+
+    def __init__(self, *fields: object) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            _set(self, name, value)
+        _set(self, "_point", _point_form(self))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"QOperator is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    @property
+    def name(self) -> str:
+        fields = (getattr(self, s) for s in self.__slots__)
+        return f"{type(self).__name__}({', '.join(str(getattr(v, 'name', v)) for v in fields)})"
 
     def apply(self, f: PowerSeries) -> PowerSeries:
-        return self.series_fn(f)
+        return _run(self, f, _series_leaf, _add, _mul)
 
     __call__ = apply
 
     @property
     def has_point_form(self) -> bool:
-        return self.point_fn is not None
+        return self._point is not None
 
     def apply_at(self, f: Evaluator, x: float) -> float:
         """Pointwise action on a float evaluator; x = 0 raises ZeroDivisionError."""
-        if self.point_fn is None:
-            raise ValueError(
-                f"{self.name} has no pointwise form; use the series path"
-            )
-        return self.point_fn(f, float(x))
+        if self._point is None:
+            raise ValueError(f"{self.name} has no pointwise form; use the series path")
+        return self._point(f, float(x))
 
-    # -- algebra -------------------------------------------------------------
+    @property
+    def order_cost(self) -> int:
+        return _run(self, 0, lambda op, n: n + (type(op) is Jackson), max, lambda n, c: n)
 
     def __add__(self, other: "QOperator") -> "QOperator":
-        if not isinstance(other, QOperator):
-            return NotImplemented
-        pt = None
-        if self.point_fn is not None and other.point_fn is not None:
-            sa, sb = self.point_fn, other.point_fn
-            pt = lambda f, x: sa(f, x) + sb(f, x)
-        return QOperator(
-            name=f"({self.name} + {other.name})",
-            order_cost=max(self.order_cost, other.order_cost),
-            series_fn=lambda f: self.series_fn(f) + other.series_fn(f),
-            point_fn=pt,
-        )
+        return Sum(self, other) if isinstance(other, QOperator) else NotImplemented
 
     def __sub__(self, other: "QOperator") -> "QOperator":
-        if not isinstance(other, QOperator):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, QOperator) else NotImplemented
 
     def __neg__(self) -> "QOperator":
         return self * -1
 
     def __mul__(self, scalar: object) -> "QOperator":
         c = to_gauss(scalar)
-        if c is NotImplemented:
-            return NotImplemented
-        pt = None
-        if self.point_fn is not None and c.im == 0:
-            sp = self.point_fn
-            cf = float(c.re)
-            pt = lambda f, x: cf * sp(f, x)
-        return QOperator(
-            name=f"({c} * {self.name})",
-            order_cost=self.order_cost,
-            series_fn=lambda f: self.series_fn(f) * c,
-            point_fn=pt,
-        )
+        return NotImplemented if c is NotImplemented else Scale(c, self)
 
     __rmul__ = __mul__
 
@@ -130,113 +104,215 @@ class QOperator:
         """self after inner: (self @ inner)(f) = self(inner(f))."""
         if not isinstance(inner, QOperator):
             raise TypeError("can only compose QOperators")
-        pt = None
-        if self.point_fn is not None and inner.point_fn is not None:
-            so, si = self.point_fn, inner.point_fn
-            pt = lambda f, x: so(lambda y: si(f, y), x)
-        return QOperator(
-            name=f"({self.name} . {inner.name})",
-            order_cost=self.order_cost + inner.order_cost,
-            series_fn=lambda f: self.series_fn(inner.series_fn(f)),
-            point_fn=pt,
-        )
+        return Compose(self, inner)
 
     __matmul__ = compose
 
 
-# -- elementary operators -----------------------------------------------------
+def _node(name: str, *fields: str) -> type:
+    """A QOperator subclass whose fields, in this order, are ``fields``."""
+    return type(name, (QOperator,), {"__slots__": fields})
 
 
-def identity_op() -> QOperator:
-    return QOperator("1", 0, lambda f: f, lambda f, x: f(x))
+Sum = _node("Sum", "left", "right")  # left + right
+Scale = _node("Scale", "c", "op")  # c op, for an exact scalar c
+Compose = _node("Compose", "outer", "inner")  # outer after inner
+Mult = _node("Mult", "g", "name")  # g f, valid to min(order of g, order of f)
+MultPoly = _node("MultPoly", "coeffs", "name")  # p f, order-exact (see mul_poly)
+Jackson = _node("Jackson", "d")  # the symmetric q-derivative; d/dx at q = 1
+Shift = _node("Shift", "d", "k")  # f -> f(q^k x)
 
 
-def scalar_op(c: object) -> QOperator:
-    g = to_gauss(c)
-    if g is NotImplemented:
-        raise TypeError(f"not an exact scalar: {c!r}")
-    return identity_op() * g
+def _run(op: QOperator, x, leaf: Callable, add: Callable, scale: Callable):
+    """op applied to the input x: the walk behind series apply, the normal form and orders.
 
-
-def multiplication_op(g: PowerSeries, name: str = "mult") -> QOperator:
-    """Multiplication by a truncated series, f -> g * f.
-
-    The result is only valid to min(order of g, order of f); build g at least
-    as long as the series the operator will act on.
+    Only the leaves differ between these: a Sum is add(left(x), right(x)),
+    a Scale is scale(op(x), c), a Compose is outer(inner(x)), a leaf is leaf(node, x).
     """
-    return QOperator(
-        name=name,
-        order_cost=0,
-        series_fn=lambda f: g * f,
-        point_fn=lambda f, x: g.evaluate_float(x) * f(x),
-    )
+    kind = type(op)
+    if kind is Sum:
+        return add(_run(op.left, x, leaf, add, scale), _run(op.right, x, leaf, add, scale))
+    if kind is Scale:
+        return scale(_run(op.op, x, leaf, add, scale), op.c)
+    if kind is Compose:
+        return _run(op.outer, _run(op.inner, x, leaf, add, scale), leaf, add, scale)
+    return leaf(op, x)
 
 
-def poly_multiplication_op(poly: Sequence[object], name: str = "poly") -> QOperator:
-    """Multiplication by an exactly known polynomial (order-exact, see mul_poly)."""
-    coeffs = [to_gauss(c) for c in poly]
-    if any(c is NotImplemented for c in coeffs):
-        raise TypeError("polynomial coefficients must be exact scalars")
-    if any(c.im != 0 for c in coeffs):
-        floats = None
-    else:
-        floats = [float(c.re) for c in coeffs]
-
-    def pt(f: Evaluator, x: float) -> float:
-        acc = 0.0
-        for c in reversed(floats):
-            acc = acc * x + c
-        return acc * f(x)
-
-    return QOperator(
-        name=name,
-        order_cost=0,
-        series_fn=lambda f: f.mul_poly(coeffs),
-        point_fn=pt if floats is not None else None,
-    )
+def _series_leaf(op: QOperator, f: PowerSeries) -> PowerSeries:
+    kind = type(op)
+    if kind is Mult:
+        return op.g * f
+    if kind is MultPoly:
+        return f.mul_poly(op.coeffs)
+    if kind is Jackson:
+        return f.jackson_derivative(op.d)
+    return f.scale_arg(op.d.q**op.k) if op.k else f
 
 
-def jackson_op(d: Deformation) -> QOperator:
-    """The symmetric q-derivative as an operator; classical derivative at q = 1.
+def _point_form(op: QOperator) -> Optional[Callable[[Evaluator, float], float]]:
+    """(f, x) -> (op f)(x) on float evaluators, built from the children's; None if none.
 
-    The pointwise twin (f(qx) - f(x/q)) / (x (q - 1/q)) exists only for
-    q != 1 and degenerates at x = 0, where the series view must be used.
+    A sum adds left to right, a scale multiplies after its operand, and a
+    composition evaluates the inner form wherever the outer one reads f.
     """
-    pt = None
-    if not d.is_classical:
-        qf = float(d.q)
+    kind = type(op)
+    if kind is Sum or kind is Compose:
+        a, b = (getattr(op, field)._point for field in op.__slots__)
+        if a is None or b is None:
+            return None
+        if kind is Sum:
+            return lambda f, x: a(f, x) + b(f, x)
+        return lambda f, x: a(lambda y: b(f, y), x)
+    if kind is Scale:
+        a, cf = op.op._point, float(op.c.re)
+        return None if a is None or op.c.im else lambda f, x: cf * a(f, x)
+    if kind is Jackson:
+        if op.d.is_classical:
+            return None
+        qf = float(op.d.q)
         iqf = 1.0 / qf
         span = qf - iqf
-        pt = lambda f, x: (f(qf * x) - f(iqf * x)) / (x * span)
-    return QOperator(
-        name=f"D[{d}]",
-        order_cost=1,
-        series_fn=lambda f: f.jackson_derivative(d),
-        point_fn=pt,
-    )
+        return lambda f, x: (f(qf * x) - f(iqf * x)) / (x * span)
+    if kind is Shift:
+        lam = float(op.d.q**op.k)
+        return lambda f, x: f(lam * x)
+    if kind is MultPoly and any(c.im for c in op.coeffs):
+        return None
+    g = op.g if kind is Mult else make_series(op.coeffs, max(len(op.coeffs) - 1, 0))
+    return lambda f, x: g.evaluate_float(x) * f(x)
 
 
-# -- classical Darboux layer --------------------------------------------------
+def _order_leaf(op: QOperator, n: int) -> int:
+    kind = type(op)
+    if kind is Mult:
+        return min(op.g.order, n)
+    if kind is MultPoly:
+        low = next((i for i, c in enumerate(op.coeffs) if c), None)
+        return max(n, 0) if low is None else n + low
+    return n - 1 if kind is Jackson else n
+
+
+def _terms_leaf(op: QOperator, terms: Terms) -> Terms:
+    kind = type(op)
+    if kind is Jackson:
+        # D[a(x) h(lam x)] = (D a)(x) h(q lam x) + lam a(x/q) (D h)(lam x)
+        q, out = op.d.q, {}
+        for (m, lam), a in terms.items():
+            _put(out, (m, lam * q), a.jackson_derivative(op.d))
+            _put(out, (m + 1, lam), a.scale_arg(1 / q) * lam)
+        return out
+    if kind is Shift:
+        step = op.d.q**op.k
+        return {(m, lam * step): a.scale_arg(step) for (m, lam), a in terms.items()}
+    # a multiplication acts on the coefficient a alone
+    return {key: _series_leaf(op, a) for key, a in terms.items()}
+
+
+def _put(terms: Terms, key: tuple[int, Fraction], a: PowerSeries) -> None:
+    terms[key] = terms[key] + a if key in terms else a
+
+
+def _terms_sum(a: Terms, b: Terms) -> Terms:
+    for key, c in b.items():
+        _put(a, key, c)
+    return a
+
+
+class NormalForm:
+    """op f = sum over (m, lam) of terms[m, lam](x) (D_q^m f)(lam x), f of one order.
+
+    ``order`` is that of op f by series apply; every term is valid that far.
+    """
+
+    __slots__ = ("d", "order", "terms")
+
+    def __init__(self, d: Deformation, order: int, terms: Terms) -> None:
+        self.d, self.order, self.terms = d, order, terms
+
+    def rows(self, j: int) -> tuple[list[int], Optional[list[int]], int]:
+        """op x^j as real and imaginary (None if zero) numerators over one denominator.
+
+        The term (m, lam) sends x^j to a(x) [j]_q ... [j-m+1]_q lam^(j-m) x^(j-m):
+        a's numerators, times one integer, added from index j - m. No gcd.
+        """
+        n, parts = self.order, []
+        for (m, lam), a in self.terms.items():
+            if 0 <= j - m <= n:
+                s = lam ** (j - m)
+                for i in range(m):
+                    s *= q_number(j - i, self.d)
+                parts.append((j - m, a, s))
+        den = lcm(1, *(a.den * s.denominator for _, a, s in parts))
+        re = [0] * (n + 1)
+        im = [0] * (n + 1) if any(a.num_im for _, a, _ in parts) else None
+        for p, a, s in parts:
+            w = s.numerator * (den // (a.den * s.denominator))
+            for acc, row in ((re, a.num_re), (im, a.num_im)):
+                if row is not None:
+                    end = min(n + 1, p + len(row))
+                    acc[p:end] = map(_add, acc[p:end], map(_mul, repeat(w), islice(row, end - p)))
+        return re, im, den
+
+    def apply_monomial(self, j: int) -> PowerSeries:
+        """op x^j as a series; equal, order included, to op.apply(monomial(j, n))."""
+        return _canonical(self.order, *self.rows(j))
+
+
+def normal_form(op: QOperator, n: int) -> NormalForm:
+    """The term normal form of op on series of order n; its derivatives share one q."""
+    leaf = lambda node, ds: ds | {node.d} if type(node) is Jackson else ds
+    ds = _run(op, set(), leaf, set.union, lambda ds, c: ds) or {_CLASSICAL}
+    if len(ds) > 1:
+        raise ValueError("the term normal form needs one deformation parameter")
+    scale = lambda terms, c: {key: a * c for key, a in terms.items()}
+    terms = _run(op, {(0, Fraction(1)): constant_series(1, n)}, _terms_leaf, _terms_sum, scale)
+    terms = {key: a for key, a in terms.items() if not a.is_zero}
+    return NormalForm(ds.pop(), _run(op, n, _order_leaf, min, lambda n, c: n), terms)
+
+
+# -- builders -------------------------------------------------------------------
 
 _CLASSICAL = Deformation(Fraction(1))
 
 
-def classical_darboux(u: PowerSeries, sign: int = 1) -> QOperator:
-    """First-order intertwiner sign*D - u'/u built from a transformation function.
+def identity_op() -> QOperator:
+    return Shift(_CLASSICAL, 0)
 
-    sign=+1 gives the forward operator annihilating u; sign=-1 gives its
-    conjugate -D - u'/u. The logarithmic derivative is computed by exact
-    series division, so u must not vanish at the origin.
-    """
+
+def scalar_op(c: object) -> QOperator:
+    return identity_op() * c
+
+
+def multiplication_op(g: PowerSeries, name: str = "mult") -> QOperator:
+    """Multiplication by a truncated series; build g as long as its inputs."""
+    return Mult(g, name)
+
+
+def poly_multiplication_op(poly: Sequence[object], name: str = "poly") -> QOperator:
+    """Multiplication by an exactly known polynomial (order-exact, see mul_poly)."""
+    coeffs = tuple(to_gauss(c) for c in poly)
+    if any(c is NotImplemented for c in coeffs):
+        raise TypeError("polynomial coefficients must be exact scalars")
+    return MultPoly(coeffs, name)
+
+
+def jackson_op(d: Deformation) -> QOperator:
+    """The symmetric q-derivative as an operator; classical derivative at q = 1."""
+    return Jackson(d)
+
+
+def _intertwiner(d: Deformation, sign: int, w: PowerSeries) -> QOperator:
+    """sign * D_q - w(x): every first-order intertwiner here has this form."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    ratio = div(u.jackson_derivative(_CLASSICAL), u)
-    base = jackson_op(_CLASSICAL)
-    if sign == -1:
-        base = -base
-    op = base - multiplication_op(ratio, name="u'/u")
-    label = "T" if sign == 1 else "T+"
-    return QOperator(label, op.order_cost, op.series_fn, op.point_fn)
+    base = jackson_op(d)
+    return (base if sign == 1 else -base) - multiplication_op(w)
+
+
+def classical_darboux(u: PowerSeries, sign: int = 1) -> QOperator:
+    """Intertwiner sign*D - u'/u from u, u(0) != 0; sign=+1 annihilates u."""
+    return t_generalized(u, _CLASSICAL, sign)
 
 
 def darboux_potential_difference(u: PowerSeries) -> PowerSeries:
@@ -245,94 +321,56 @@ def darboux_potential_difference(u: PowerSeries) -> PowerSeries:
     return ratio.jackson_derivative(_CLASSICAL) * -2
 
 
-# -- deformed intertwiners and partner operators ------------------------------
-
-
 def t_plus_q(v: VacuumSpec) -> QOperator:
     """Forward deformed intertwiner D_q - beta_q(x^2) x, annihilating the vacuum."""
-    w = beta_q(v).mul_poly([0, 1])
-    op = jackson_op(v.d) - multiplication_op(w, name="beta_q*x")
-    return QOperator(f"Tplus(beta={v.beta}, {v.d})", op.order_cost, op.series_fn, op.point_fn)
+    return _intertwiner(v.d, 1, beta_q(v).mul_poly([0, 1]))
 
 
 def t_minus_q(v: VacuumSpec) -> QOperator:
     """Backward deformed intertwiner -D_q - beta_q(x^2) x."""
-    w = beta_q(v).mul_poly([0, 1])
-    op = -jackson_op(v.d) - multiplication_op(w, name="beta_q*x")
-    return QOperator(f"Tminus(beta={v.beta}, {v.d})", op.order_cost, op.series_fn, op.point_fn)
+    return _intertwiner(v.d, -1, beta_q(v).mul_poly([0, 1]))
+
+
+def _partner_sign(which: str) -> int:
+    if which not in ("b", "f"):
+        raise ValueError("which must be 'b' or 'f'")
+    return 1 if which == "b" else -1
 
 
 def second_order_composed(v: VacuumSpec, which: str) -> QOperator:
-    """Second-order partner operator as an explicit product of intertwiners.
-
-    which="b" gives Tminus after Tplus (the operator annihilating the vacuum);
-    which="f" gives Tplus after Tminus.
-    """
-    if which not in ("b", "f"):
-        raise ValueError("which must be 'b' or 'f'")
+    """Tminus after Tplus (which="b", annihilates the vacuum) or Tplus after Tminus."""
     plus, minus = t_plus_q(v), t_minus_q(v)
-    op = minus @ plus if which == "b" else plus @ minus
-    return QOperator(f"O{which}[composed]({v.beta}, {v.d})", op.order_cost, op.series_fn, op.point_fn)
+    return minus @ plus if _partner_sign(which) == 1 else plus @ minus
 
 
-def second_order_direct(v: VacuumSpec, which: str) -> QOperator:
-    """Second-order partner operator in expanded five-term form.
+def five_term_table(v: VacuumSpec, which: str) -> list[tuple[PowerSeries, int, int]]:
+    """Rows (a, m, k) of the expanded partner operator, sum of a(x) (D_q^m f)(q^k x).
 
-    Acting on f, with B = beta_q(x^2) and dB = B(x^2) - (1/q) B(x^2/q^2):
+    With B = beta_q(x^2) and dB = B(x^2) - (1/q) B(x^2/q^2), acting on f:
 
         which="b":  -D_q^2 f - dB x (D_q f) + B^2 x^2 f
                     + q (D_q B) x f(qx) + B(x^2/q^2) f(qx)
         which="f":  same with the dB, q(D_q B)x, and B(x^2/q^2) terms negated.
-
-    The coefficient series that multiply f(qx) act on the q-shifted argument;
-    the others multiply f at x itself. Equality with the composed product is
-    the defining cross-check of this expansion.
     """
-    if which not in ("b", "f"):
-        raise ValueError("which must be 'b' or 'f'")
-    d = v.d
-    q = d.q
-    sign = 1 if which == "b" else -1
-    b = beta_q(v)
-    dbx = delta_beta_q(v).mul_poly([0, 1])
-    b_sq_x2 = (b * b).mul_poly([0, 0, 1])
-    jbx_q = b.jackson_derivative(d).mul_poly([0, 1]) * q
-    b_down = b.scale_arg(1 / q)
-
-    def series_fn(f: PowerSeries) -> PowerSeries:
-        df = f.jackson_derivative(d)
-        ddf = df.jackson_derivative(d)
-        fq = f.scale_arg(q)
-        out = -ddf + b_sq_x2 * f - (dbx * df) * sign
-        return out + (jbx_q * fq + b_down * fq) * sign
-
-    pt = None
-    if not d.is_classical:
-        qf = float(q)
-        iqf = 1.0 / qf
-        span = qf - iqf
-        sf = float(sign)
-
-        def pt(f: Evaluator, x: float) -> float:
-            dq = lambda g, y: (g(qf * y) - g(iqf * y)) / (y * span)
-            df = lambda y: dq(f, y)
-            fq = f(qf * x)
-            return (
-                -dq(df, x)
-                + b_sq_x2.evaluate_float(x) * f(x)
-                - sf * dbx.evaluate_float(x) * df(x)
-                + sf * (jbx_q.evaluate_float(x) + b_down.evaluate_float(x)) * fq
-            )
-
-    return QOperator(
-        name=f"O{which}[direct]({v.beta}, {v.d})",
-        order_cost=2,
-        series_fn=series_fn,
-        point_fn=pt,
-    )
+    sign, q, b = _partner_sign(which), v.d.q, beta_q(v)
+    return [
+        (constant_series(-1, v.order), 2, 0),
+        (delta_beta_q(v).mul_poly([0, 1]) * -sign, 1, 0),
+        ((b * b).mul_poly([0, 0, 1]), 0, 0),
+        (b.jackson_derivative(v.d).mul_poly([0, 1]) * (sign * q), 0, 1),
+        (b.scale_arg(1 / q) * sign, 0, 1),
+    ]
 
 
-# -- classical oracles ---------------------------------------------------------
+def second_order_direct(v: VacuumSpec, which: str) -> QOperator:
+    """The partner operator as the sum of its five-term table; see second_order_composed."""
+    terms = []
+    for a, m, k in five_term_table(v, which):
+        op = multiplication_op(a)
+        for _ in range(m):
+            op = op @ jackson_op(v.d)
+        terms.append(op @ Shift(v.d, k) if k else op)
+    return reduce(_add, terms)
 
 
 def classical_hermite_op(n: int) -> QOperator:
@@ -340,8 +378,7 @@ def classical_hermite_op(n: int) -> QOperator:
     if n < 0:
         raise ValueError(f"needs n >= 0, got {n}")
     dd = jackson_op(_CLASSICAL)
-    op = (dd @ dd) - (poly_multiplication_op([0, 2], "2x") @ dd) + scalar_op(2 * n)
-    return QOperator(f"OH(n={n})", op.order_cost, op.series_fn, op.point_fn)
+    return (dd @ dd) - (poly_multiplication_op([0, 2], "2x") @ dd) + scalar_op(2 * n)
 
 
 def classical_schrodinger_op(n: int) -> QOperator:
@@ -349,8 +386,7 @@ def classical_schrodinger_op(n: int) -> QOperator:
     if n < 0:
         raise ValueError(f"needs n >= 0, got {n}")
     dd = jackson_op(_CLASSICAL)
-    op = -(dd @ dd) + poly_multiplication_op([-(2 * n + 1), 0, 1], "x^2-(2n+1)")
-    return QOperator(f"Ophi(n={n})", op.order_cost, op.series_fn, op.point_fn)
+    return -(dd @ dd) + poly_multiplication_op([-(2 * n + 1), 0, 1], "x^2-(2n+1)")
 
 
 def susy_pair_limit(v: VacuumSpec) -> tuple[QOperator, QOperator]:
@@ -360,41 +396,18 @@ def susy_pair_limit(v: VacuumSpec) -> tuple[QOperator, QOperator]:
     kinetic = -(dd @ dd)
     h0 = kinetic + poly_multiplication_op([b1, 0, b1 * b1], "b1^2x^2+b1")
     h1 = kinetic + poly_multiplication_op([-b1, 0, b1 * b1], "b1^2x^2-b1")
-    h0 = QOperator(f"h0(beta={v.beta})", h0.order_cost, h0.series_fn, h0.point_fn)
-    h1 = QOperator(f"h1(beta={v.beta})", h1.order_cost, h1.series_fn, h1.point_fn)
     return h0, h1
 
 
-# -- generalized (negative energy) intertwiners -------------------------------
-
-
 def t_generalized(u: PowerSeries, d: Deformation, sign: int = 1) -> QOperator:
-    """Intertwiner sign*D_q - (D_q u)/u from an arbitrary transformation function.
-
-    Scale invariant in u (the logarithmic q-derivative kills constants) and
-    annihilates its own u when sign=+1. u must be invertible at the origin.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    ratio = div(u.jackson_derivative(d), u)
-    base = jackson_op(d)
-    if sign == -1:
-        base = -base
-    op = base - multiplication_op(ratio, name="(D_q u)/u")
-    label = "Tgen+" if sign == 1 else "Tgen-"
-    return QOperator(f"{label}({d})", op.order_cost, op.series_fn, op.point_fn)
+    """Intertwiner sign*D_q - (D_q u)/u, u(0) != 0; scale invariant in u, kills u at sign=+1."""
+    return _intertwiner(d, sign, div(u.jackson_derivative(d), u))
 
 
 @dataclass(frozen=True)
 class FactorizationPair:
-    """A forward/backward intertwiner pair with its factorization energy.
-
-    ``epsilon`` is the exact eigenvalue of the transformation function under
-    the undeformed partner operator h0 (zero for the vacuum construction,
-    negative for the rotated excited-state construction). ``source`` is a
-    human-readable description of the transformation function, including any
-    bookkeeping about eigenvalue conventions.
-    """
+    """An intertwiner pair; ``epsilon`` is the exact eigenvalue of the
+    transformation function under h0 (0 for the vacuum, negative otherwise)."""
 
     t_plus: QOperator
     t_minus: QOperator
@@ -410,27 +423,16 @@ class FactorizationPair:
 
 def vacuum_pair(v: VacuumSpec) -> FactorizationPair:
     """Zero-energy pair built on the deformed Gaussian vacuum."""
-    return FactorizationPair(
-        t_plus=t_plus_q(v),
-        t_minus=t_minus_q(v),
-        epsilon=Fraction(0),
-        source=f"deformed Gaussian vacuum, beta={v.beta}, {v.d}",
-    )
+    source = f"deformed Gaussian vacuum, beta={v.beta}, {v.d}"
+    return FactorizationPair(t_plus_q(v), t_minus_q(v), Fraction(0), source)
 
 
 def generalized_pair(
     u: PowerSeries, d: Deformation, epsilon: Rational, source: str = ""
 ) -> FactorizationPair:
     """Pair built on an arbitrary nodeless transformation function."""
-    return FactorizationPair(
-        t_plus=t_generalized(u, d, 1),
-        t_minus=t_generalized(u, d, -1),
-        epsilon=epsilon,
-        source=source or f"user transformation function, {d}",
-    )
-
-
-# -- undeformed-limit sweeps ---------------------------------------------------
+    source = source or f"user transformation function, {d}"
+    return FactorizationPair(t_generalized(u, d, 1), t_generalized(u, d, -1), epsilon, source)
 
 
 @dataclass(frozen=True)
@@ -443,16 +445,9 @@ class SweepRow:
 
 
 def limit_sweep(
-    builder: Callable[[Deformation], QOperator],
-    qs: Sequence[Rational],
-    probe: PowerSeries,
+    builder: Callable[[Deformation], QOperator], qs: Sequence[Rational], probe: PowerSeries
 ) -> list[SweepRow]:
-    """Apply a q-parametrized operator family to a probe and compare with q = 1.
-
-    For every q the builder's operator acts on the probe, the q = 1 action is
-    subtracted, and the largest coefficient magnitude of the difference is
-    reported exactly (plus a float rendering).
-    """
+    """Largest coefficient of builder(q)(probe) - builder(1)(probe) for each q, exactly."""
     target = builder(_CLASSICAL).apply(probe)
     rows = []
     for q in qs:

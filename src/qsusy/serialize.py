@@ -133,7 +133,10 @@ def series_to_json(a: PowerSeries) -> str:
 
 
 def series_from_json(text: str) -> PowerSeries:
-    return series_from_dict(json.loads(text))
+    try:
+        return series_from_dict(json.loads(text))
+    except RecursionError as exc:
+        raise ValueError("series document is nested too deeply") from exc
 
 
 def series_to_csv(a: PowerSeries) -> str:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .qcore import Deformation, Rational, format_rational
-from .series import PowerSeries, make_series, monomial
+from .series import PowerSeries, make_series
 from .qspecial import (
     VacuumSpec,
     beta_q,
@@ -37,9 +37,11 @@ from .qspecial import (
     q_exp,
 )
 from .operators import (
+    NormalForm,
     classical_hermite_op,
     classical_schrodinger_op,
     convergence_ratios,
+    normal_form,
     second_order_composed,
     second_order_direct,
     susy_pair_limit,
@@ -101,6 +103,21 @@ def _residual_result(
     )
 
 
+def _probe_result(
+    name: str, params: dict[str, str], diff: NormalForm, degrees: range, min_order: int
+) -> CheckResult:
+    """Pass only if the difference operator sends every probe x^j to exactly zero.
+
+    Each probe is read as integer rows; a residual series is built only for
+    the first probe that fails (or is too short), to report it.
+    """
+    for j in degrees:
+        re, im, _ = diff.rows(j)
+        if diff.order < min_order or any(re) or im is not None and any(im):
+            return _residual_result(name, params, diff.apply_monomial(j), min_order)
+    return CheckResult(name=name, params=params)
+
+
 def _cell_params(v: VacuumSpec) -> dict[str, str]:
     return {
         "q": format_rational(v.d.q),
@@ -137,30 +154,22 @@ def factorization_suite(
     """Expanded five-term partner operators equal the composed products.
 
     Checked on the complete monomial basis x^0..x^order, which settles the
-    operator identity on the whole truncated space by linearity.
+    operator identity on the whole truncated space by linearity. Both sides
+    are read through the term normal form of their difference.
     """
     out = []
-    basis = [monomial(j, order) for j in range(order + 1)]
     for q in qs:
         for beta in betas:
             v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
             for which in ("b", "f"):
-                direct = second_order_direct(v, which)
-                composed = second_order_composed(v, which)
-                worst = CheckResult(
-                    name=f"factorization[{which}]", params=_cell_params(v)
-                )
-                for probe in basis:
-                    res = _residual_result(
-                        f"factorization[{which}]",
-                        _cell_params(v),
-                        direct.apply(probe) - composed.apply(probe),
-                        order - 2,
-                    )
-                    if not res.passed:
-                        worst = res
-                        break
-                out.append(worst)
+                diff = second_order_direct(v, which) - second_order_composed(v, which)
+                out.append(_probe_result(
+                    f"factorization[{which}]",
+                    _cell_params(v),
+                    normal_form(diff, order),
+                    range(order + 1),
+                    order - 2,
+                ))
     return out
 
 
@@ -248,27 +257,17 @@ def limits_suite(order: int = 24, top_degree: int = 20) -> list[CheckResult]:
     """
     out = []
     need = max(order, top_degree + 4)
-    basis = [monomial(j, need) for j in range(top_degree + 1)]
     for beta in DEFAULT_BETAS:
         v1 = VacuumSpec(beta=beta, d=Deformation(1), order=need)
         h0, h1 = susy_pair_limit(v1)
         for which, target in (("b", h0), ("f", h1)):
-            deformed = second_order_composed(v1, which)
-            worst = CheckResult(
-                name=f"undeformed_reduction[{which}]",
-                params={"beta": format_rational(beta), "order": str(need)},
-            )
-            for probe in basis:
-                res = _residual_result(
-                    worst.name,
-                    dict(worst.params),
-                    deformed.apply(probe) - target.apply(probe),
-                    need - 2,
-                )
-                if not res.passed:
-                    worst = res
-                    break
-            out.append(worst)
+            out.append(_probe_result(
+                f"undeformed_reduction[{which}]",
+                {"beta": format_rational(beta), "order": str(need)},
+                normal_form(second_order_composed(v1, which) - target, need),
+                range(top_degree + 1),
+                need - 2,
+            ))
 
     sweep = [1 + Fraction(1, 2**k) for k in range(1, 7)]
     for beta in DEFAULT_BETAS:

@@ -196,6 +196,15 @@ class TestApply:
         assert out == ""
         assert err.startswith("qsusy: error:")
 
+    def test_deeply_nested_input_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"order": 1, "coeffs": ' + "[" * depth + "]" * depth + "}")
+        code, out, err = run(capsys, "apply", "--op", "h0", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in err and "Traceback" not in err
+
 
 class TestVerify:
     def test_kernel_pass(self, capsys):
@@ -316,6 +325,23 @@ class TestLimit:
         code, _, _ = run(capsys, "limit", "--qs", "2,0")
         assert code == 2
 
+    def test_partner_deviation_is_measured_from_h0(self, capsys):
+        # the sweep subtracts the q = 1 composed partner; the undeformed
+        # reduction makes that the same series as h0 applied to the probe
+        from qsusy.operators import second_order_composed, susy_pair_limit
+        from qsusy.qspecial import q_exp
+
+        code, out, _ = run(
+            capsys, "limit", "--qs", "2,5/4,1", "--beta", "1/2", "--order", "14", "--emit", "json"
+        )
+        assert code == 0
+        probe = q_exp(make_series([0, 0, F(-1, 2)], 14), Deformation(1))
+        h0, _ = susy_pair_limit(VacuumSpec(beta=F(1, 2), d=Deformation(1), order=14))
+        for row in json.loads(out):
+            v = VacuumSpec(beta=F(1, 2), d=Deformation(F(row["q"])), order=14)
+            dev = (second_order_composed(v, "b").apply(probe) - h0.apply(probe)).max_abs_coeff()
+            assert row["partner_deviation"] == str(dev)
+
 
 class TestTable:
     def test_beta_even_symmetry(self, capsys):
@@ -386,6 +412,25 @@ class TestTable:
         assert code == 2
         assert out == ""
         assert "outside the float range" in err and "Traceback" not in err
+
+    def test_non_finite_function_value_is_usage_error(self, capsys):
+        # beta_q(x^2) overflows to inf at x = 1e100 without raising
+        code, out, err = run(capsys, "table", "--func", "beta", "--q", "3/2", "--xs", "1/2,1e100")
+        assert code == 2
+        assert out == ""
+        assert "has no finite value (inf)" in err and "Traceback" not in err
+
+    def test_non_finite_operator_value_is_usage_error(self, capsys, tmp_path):
+        # the pointwise q-quotient meets inf - inf at x = 1e200
+        path = tmp_path / "h2.json"
+        path.write_text(series_to_json(q_hermite(2, Deformation(F(3, 2)), 16)))
+        code, out, err = run(
+            capsys, "table", "--op", "Tplus", "--q", "3/2", "--beta", "-1/2",
+            "--input", str(path), "--xs", "1e200",
+        )
+        assert code == 2
+        assert out == ""
+        assert "has no finite value (nan)" in err and "Traceback" not in err
 
 
 class TestTableExactApply:

@@ -1,0 +1,191 @@
+"""The operator tree's term normal form, against series apply, and the checks built on it.
+
+The oracle throughout is series apply of the nested tree, which shares no
+code with the normal form beyond the leaf operations of the series kernel.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from qsusy import operators, verify
+from qsusy.cli import OPERATOR_NAMES, _build_operator, parse_args
+from qsusy.operators import (
+    Shift,
+    jackson_op,
+    multiplication_op,
+    normal_form,
+    poly_multiplication_op,
+    second_order_composed,
+    second_order_direct,
+    susy_pair_limit,
+    t_plus_q,
+)
+from qsusy.qcore import GaussRational, Deformation, format_rational
+from qsusy.qspecial import VacuumSpec, q_gauss
+from qsusy.series import constant_series, monomial, zero_series
+
+D1 = Deformation(1)
+FORMS = OPERATOR_NAMES + ("direct[b]", "direct[f]")
+
+
+def build(name, q, order):
+    if name.startswith("direct"):
+        v = VacuumSpec(beta=F(-1, 2), d=Deformation(q), order=order)
+        return second_order_direct(v, name[-2])
+    config = parse_args([
+        "apply", "--op", name, "--q", format_rational(q), "--beta", "-1/2", "--n", "2",
+        "--order", str(order), "--input", "unused.json",
+    ])
+    return _build_operator(config, order)
+
+
+def assert_same_series(got, want):
+    """Equal in value and in order: canonical forms are unique, so compare them."""
+    assert got.order == want.order
+    assert (got.num_re, got.num_im, got.den) == (want.num_re, want.num_im, want.den)
+
+
+def first_series_failure(left, right, order, degrees):
+    """worst_deviation and first_failure_index of left - right on the first failing probe."""
+    for j in degrees:
+        probe = monomial(j, order)
+        residual = left.apply(probe) - right.apply(probe)
+        if not residual.is_zero:
+            return format_rational(residual.max_abs_coeff()), residual.first_nonzero_index()
+    return None
+
+
+@pytest.mark.parametrize("order", [8, 16, 32])
+@pytest.mark.parametrize("q", [F(1), F(3, 2), F(2, 3)])
+@pytest.mark.parametrize("name", FORMS)
+def test_normal_form_matches_nested_series_apply(name, q, order):
+    op = build(name, q, order)
+    nf = normal_form(op, order)
+    for j in range(order + 1):
+        assert_same_series(nf.apply_monomial(j), op.apply(monomial(j, order)))
+
+
+def test_complex_scales_and_shifts_both_ways():
+    d = Deformation(F(3, 2))
+    v = VacuumSpec(beta=F(1, 2), d=d, order=12)
+    op = (jackson_op(d) @ Shift(d, -2)) * GaussRational(F(1, 3), F(2)) + (
+        multiplication_op(q_gauss(v)) @ Shift(d, 1)
+    ) - poly_multiplication_op([0, F(5, 7)]) @ jackson_op(d) @ jackson_op(d)
+    nf = normal_form(op, 12)
+    assert any(a.num_im is not None for a in nf.terms.values())
+    for j in range(13):
+        assert_same_series(nf.apply_monomial(j), op.apply(monomial(j, 12)))
+
+
+def test_rows_are_the_unreduced_numerators():
+    v = VacuumSpec(beta=F(-1, 2), d=Deformation(F(5, 4)), order=10)
+    nf = normal_form(t_plus_q(v), 10)
+    for j in range(11):
+        re, im, den = nf.rows(j)
+        want = t_plus_q(v).apply(monomial(j, 10))
+        assert im is None
+        assert [F(x, den) for x in re] == [c.re for c in want.coeffs]
+
+
+def test_correct_identity_cancels_termwise():
+    # the composed product expands to the five-term table term by term, so
+    # the difference has no terms left and every probe row is empty
+    v = VacuumSpec(beta=F(1, 2), d=Deformation(F(2)), order=16)
+    for which in ("b", "f"):
+        diff = second_order_direct(v, which) - second_order_composed(v, which)
+        assert normal_form(diff, 16).terms == {}
+
+
+def test_one_deformation_per_normal_form():
+    op = jackson_op(Deformation(2)) @ jackson_op(Deformation(F(3, 2)))
+    with pytest.raises(ValueError):
+        normal_form(op, 8)
+
+
+def test_insufficient_order_is_reported():
+    # every row is zero, but the result is too short to mean it
+    short = multiplication_op(zero_series(3))
+    result = verify._probe_result("x", {}, normal_form(short, 10), range(11), 8)
+    assert result.status == "fail"
+    assert result.worst_deviation == "insufficient order 3 < 8"
+    assert result.first_failure_index is None
+
+
+class TestTree:
+    def test_immutable(self):
+        op = jackson_op(D1)
+        with pytest.raises(AttributeError):
+            op.d = Deformation(2)
+
+    def test_point_form_needs_real_scales_and_a_deformed_derivative(self):
+        d = Deformation(2)
+        assert jackson_op(d).has_point_form
+        assert not (jackson_op(d) * GaussRational(0, 1)).has_point_form
+        assert not poly_multiplication_op([GaussRational(0, 1)]).has_point_form
+        assert not (jackson_op(d) @ jackson_op(D1)).has_point_form
+
+    def test_name_shows_the_tree(self):
+        op = jackson_op(Deformation(2)) - multiplication_op(constant_series(1, 4), "w")
+        assert op.name == "Sum(Jackson(q=2), Scale(-1, w))"
+
+
+# -- checks shown to fail ------------------------------------------------------
+
+CELL = dict(q=F(3, 2), beta=F(-1, 2), order=16)
+
+
+def flip_shifted_terms(rows):
+    return [(-a if k else a, m, k) for a, m, k in rows]
+
+
+def perturb_b2x2(rows):
+    a, m, k = rows[2]
+    rows[2] = (a + monomial(5, a.order, F(1, 7)), m, k)
+    return rows
+
+
+@pytest.mark.parametrize("fault", [flip_shifted_terms, perturb_b2x2])
+def test_wrong_five_term_table_fails_factorization(monkeypatch, fault):
+    table = operators.five_term_table
+    monkeypatch.setattr(operators, "five_term_table", lambda v, which: fault(table(v, which)))
+    q, beta, order = CELL["q"], CELL["beta"], CELL["order"]
+    checks = verify.factorization_suite([q], [beta], order)
+    assert [c.name for c in checks] == ["factorization[b]", "factorization[f]"]
+    v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
+    for check in checks:
+        assert check.status == "fail"
+        which = check.name[-2]
+        expected = first_series_failure(
+            second_order_direct(v, which), second_order_composed(v, which),
+            order, range(order + 1),
+        )
+        assert (check.worst_deviation, check.first_failure_index) == expected
+
+
+def test_factorization_passes_unpatched():
+    checks = verify.factorization_suite([CELL["q"]], [CELL["beta"]], CELL["order"])
+    assert all(c.passed and c.worst_deviation == "0" for c in checks)
+
+
+def test_wrong_h0_constant_fails_undeformed_reduction(monkeypatch):
+    def wrong_pair(v):
+        b1 = 2 * F(v.beta)
+        _, h1 = susy_pair_limit(v)
+        h0 = -(jackson_op(D1) @ jackson_op(D1)) + poly_multiplication_op([b1 + 1, 0, b1 * b1])
+        return h0, h1
+
+    monkeypatch.setattr(verify, "susy_pair_limit", wrong_pair)
+    checks = {
+        (c.name, c.params["beta"]): c
+        for c in verify.limits_suite() if c.name.startswith("undeformed")
+    }
+    for beta in verify.DEFAULT_BETAS:
+        v1 = VacuumSpec(beta=beta, d=D1, order=24)
+        bad = checks["undeformed_reduction[b]", format_rational(beta)]
+        assert bad.status == "fail"
+        expected = first_series_failure(
+            second_order_composed(v1, "b"), wrong_pair(v1)[0], 24, range(21)
+        )
+        assert (bad.worst_deviation, bad.first_failure_index) == expected
+        assert checks["undeformed_reduction[f]", format_rational(beta)].passed
