@@ -351,6 +351,17 @@ def _build_operator(config: RunConfig, min_order: int) -> QOperator:
     raise ValueError(f"unknown operator: {name!r}")
 
 
+def _operator_for(config: RunConfig, series: PowerSeries) -> QOperator:
+    """The --op operator for an input series, which must be long enough for it."""
+    op = _build_operator(config, series.order)
+    if series.order < op.order_cost:
+        raise ValueError(
+            f"--op {config.op} needs an input series of order >= {op.order_cost}, "
+            f"got order {series.order}"
+        )
+    return op
+
+
 def _run_hermite(config: RunConfig) -> int:
     series = q_hermite(config.n_or_p, Deformation(config.q), config.order)
     return _emit_series(series, config)
@@ -374,8 +385,7 @@ def _load_series(path: str) -> PowerSeries:
 
 def _run_apply(config: RunConfig) -> int:
     series = _load_series(config.input_path)
-    op = _build_operator(config, series.order)
-    return _emit_series(op.apply(series), config)
+    return _emit_series(_operator_for(config, series).apply(series), config)
 
 
 def _check_to_dict(check: CheckResult) -> dict:
@@ -485,7 +495,7 @@ def _table_series(config: RunConfig) -> PowerSeries:
 def _run_table(config: RunConfig) -> int:
     if config.op is not None:
         series = _load_series(config.input_path)
-        op = _build_operator(config, series.order)
+        op = _operator_for(config, series)
         # the q-quotient degenerates at x = 0, and undeformed operators have
         # no pointwise form at all; only those points read the exact result
         result = op.apply(series) if 0 in config.xs or not op.has_point_form else None

@@ -323,12 +323,18 @@ def darboux_potential_difference(u: PowerSeries) -> PowerSeries:
 
 def t_plus_q(v: VacuumSpec) -> QOperator:
     """Forward deformed intertwiner D_q - beta_q(x^2) x, annihilating the vacuum."""
-    return _intertwiner(v.d, 1, beta_q(v).mul_poly([0, 1]))
+    return _vacuum_intertwiners(v)[0]
 
 
 def t_minus_q(v: VacuumSpec) -> QOperator:
     """Backward deformed intertwiner -D_q - beta_q(x^2) x."""
-    return _intertwiner(v.d, -1, beta_q(v).mul_poly([0, 1]))
+    return _vacuum_intertwiners(v)[1]
+
+
+def _vacuum_intertwiners(v: VacuumSpec) -> tuple[QOperator, QOperator]:
+    """(D_q - w, -D_q - w) with w = beta_q(x^2) x, built once for both."""
+    w = beta_q(v).mul_poly([0, 1])
+    return _intertwiner(v.d, 1, w), _intertwiner(v.d, -1, w)
 
 
 def _partner_sign(which: str) -> int:
@@ -339,7 +345,7 @@ def _partner_sign(which: str) -> int:
 
 def second_order_composed(v: VacuumSpec, which: str) -> QOperator:
     """Tminus after Tplus (which="b", annihilates the vacuum) or Tplus after Tminus."""
-    plus, minus = t_plus_q(v), t_minus_q(v)
+    plus, minus = _vacuum_intertwiners(v)
     return minus @ plus if _partner_sign(which) == 1 else plus @ minus
 
 
@@ -424,7 +430,7 @@ class FactorizationPair:
 def vacuum_pair(v: VacuumSpec) -> FactorizationPair:
     """Zero-energy pair built on the deformed Gaussian vacuum."""
     source = f"deformed Gaussian vacuum, beta={v.beta}, {v.d}"
-    return FactorizationPair(t_plus_q(v), t_minus_q(v), Fraction(0), source)
+    return FactorizationPair(*_vacuum_intertwiners(v), Fraction(0), source)
 
 
 def generalized_pair(

@@ -19,6 +19,33 @@ multi-argument gcd, so the kernels run on plain integers. ``GaussRational``
 is the scalar type at the boundary: ``coeffs`` and ``coeff`` build it on
 demand.
 
+A product of two series convolves integer vectors (``_convolve``) by one of
+three paths, chosen from the operands alone. The operand with more zeros
+goes on the left.
+
+* Sparse rows: when at most a quarter of its entries are nonzero (a monomial
+  probe, a short polynomial), one row of the schoolbook product is added
+  per nonzero entry.
+* Karatsuba short product: when the folded vectors have at least 16
+  entries and the smaller operand's largest numerator has at least 2,100
+  bits. When each operand is even or odd, only every second entry is
+  convolved (the vectors are folded), so Karatsuba's sums mix no zeros
+  into nonzero entries; otherwise the vectors are used whole. The short
+  product computes coefficients 0..n only: it splits into one full product
+  and two short products of half the length, and a full product splits
+  into three (Karatsuba & Ofman, 1963), down to single entries.
+* Dense dot products otherwise: one per output coefficient, skipping the
+  left operand's zeros.
+
+Karatsuba trades one product of two numerators for a few additions. CPython
+multiplies integers of fewer than 70 digits of 30 bits (2,100 bits) by
+schoolbook and longer ones by its own Karatsuba, so below that size a
+product costs little more than the additions it would replace. Measured
+with CPython 3.11 on a 2-CPU x86-64 host, on 16 entries of random integers
+the Karatsuba path takes 1.4x the time of the dot products at 1,000 bits
+and 0.9x at 2,100 bits; on 65 entries, 0.9x and 0.55x. All three paths give
+the same integers.
+
 There is no epsilon anywhere in this module; the float entry point is the
 single evaluator ``evaluate_float`` used at the grid/plotting boundary.
 """
@@ -183,12 +210,10 @@ def _weigh(
 def _convolve(a: IntVector, b: IntVector, n: int) -> list[int]:
     """Coefficients 0..n of the product of integer vectors a and b.
 
-    The operand with more zeros goes on the left, and its zeros are skipped.
-    A sparse left operand (a monomial probe, a short polynomial) adds whole
-    rows of the schoolbook product, one per nonzero entry. A dense one takes
-    one dot product per output coefficient instead: each output integer is
-    then built once, where adding rows would rebuild every output per row
-    and hold two copies of the longest numerators at once.
+    The operand with more zeros goes on the left, and one of three paths
+    runs (see the module docstring): the sparse rows, the Karatsuba short
+    product when both operands are long and hold big integers, or the dense
+    dot products.
     """
     a, b = list(islice(a, n + 1)), list(islice(b, n + 1))
     if a.count(0) < b.count(0):
@@ -202,14 +227,107 @@ def _convolve(a: IntVector, b: IntVector, n: int) -> list[int]:
                 end = i + len(row)
                 out[i:end] = map(_add, out[i:end], map(_mul, repeat(x), row))
         return out
-    b += [0] * (n + 1 - len(b))
+    out = _folded_karatsuba(a, b, n)
+    return _dense(a, b, n, nonzero) if out is None else out
+
+
+def _dense(a: list[int], b: list[int], n: int, nonzero: Sequence[bool]) -> list[int]:
+    """Coefficients 0..n of a * b, one dot product each, skipping a's zeros.
+
+    Each output integer is built once, where adding rows would rebuild every
+    output per row and hold two copies of the longest numerators at once.
+    """
     rb = b[::-1]
+    rb[:0] = repeat(0, n + 1 - len(b))
     return [_dot(a[: k + 1], rb[n - k :], nonzero[: k + 1]) for k in range(n + 1)]
 
 
 def _dot(a: IntVector, b: IntVector, mask: Sequence[bool]) -> int:
     """Sum of a[j] * b[j] over the positions j where mask is true."""
     return sum(map(_mul, compress(a, mask), compress(b, mask)))
+
+
+# The gate of the Karatsuba path; the module docstring says why it sits here.
+_KARATSUBA_MIN_BITS = 70 * 30
+_KARATSUBA_MIN_LEN = 16
+
+
+def _parity(v: list[int]) -> Optional[int]:
+    """0 or 1 when every nonzero entry of v has an even or odd index, else None."""
+    if not any(islice(v, 1, None, 2)):
+        return 0
+    if not any(islice(v, 0, None, 2)):
+        return 1
+    return None
+
+
+def _folded_karatsuba(a: list[int], b: list[int], n: int) -> Optional[list[int]]:
+    """Coefficients 0..n of a * b by a Karatsuba short product; None below its gate.
+
+    When each operand is even or odd, a = x^pa A(x^2) and b = x^pb B(x^2),
+    so a * b = x^(pa + pb) (A B)(x^2), and A B is the product convolved.
+    """
+    pa, pb = _parity(a), _parity(b)
+    step = 1 if pa is None or pb is None else 2
+    if step == 1:
+        pa = pb = 0
+    shift = pa + pb
+    m = (n - shift) // step + 1  # output entries the folded product fills
+    if m < _KARATSUBA_MIN_LEN:
+        return None
+    fa, fb = a[pa::step][:m], b[pb::step][:m]
+    fa += [0] * (m - len(fa))  # an operand may end before index n
+    fb += [0] * (m - len(fb))
+    if min(max(map(int.bit_length, fa)), max(map(int.bit_length, fb))) < _KARATSUBA_MIN_BITS:
+        return None
+    out = [0] * (n + 1)
+    out[shift::step] = _short_product(fa, fb)
+    return out
+
+
+def _short_product(a: list[int], b: list[int]) -> list[int]:
+    """The first len(a) coefficients of a * b, for len(a) == len(b).
+
+    With a = a0 + x^h a1 (and b alike), they are a0 b0 in full plus x^h times
+    the low parts of a0 b1 and a1 b0, which are short products themselves.
+    """
+    m = len(a)
+    if m == 1:
+        return [a[0] * b[0]]
+    h = (m + 1) // 2
+    k = m - h
+    out = _full_product(a[:h], b[:h])  # 2h - 1 entries: m, or m - 1 for even m
+    out += [0] * (m - len(out))
+    cross = _short_product(a[:k], b[h:])
+    out[h:] = map(_add, out[h:], cross)
+    del cross
+    cross = _short_product(a[h:], b[:k])
+    out[h:] = map(_add, out[h:], cross)
+    return out
+
+
+def _full_product(a: list[int], b: list[int]) -> list[int]:
+    """All 2 len(a) - 1 coefficients of a * b, for len(a) == len(b): three
+    half-length products, (a0 + a1)(b0 + b1) - a0 b0 - a1 b1 giving the middle."""
+    m = len(a)
+    if m == 1:
+        return [a[0] * b[0]]
+    h = m // 2
+    low = _full_product(a[:h], b[:h])
+    high = _full_product(a[h:], b[h:])
+    sa, sb = a[h:], b[h:]
+    sa[:h] = map(_add, sa[:h], a[:h])
+    sb[:h] = map(_add, sb[:h], b[:h])
+    mid = _full_product(sa, sb)
+    del sa, sb
+    mid[: len(low)] = map(_sub, mid[: len(low)], low)
+    mid[:] = map(_sub, mid, high)
+    low.append(0)
+    low += high
+    del high
+    end = h + len(mid)
+    low[h:end] = map(_add, low[h:end], mid)
+    return low
 
 
 def _product(
@@ -483,7 +601,8 @@ class PowerSeries:
         """Symmetric q-derivative: c_n x**n -> [n]_q c_n x**(n-1).
 
         At q = 1 this is the classical derivative. The output order drops by
-        one; differentiating a bare constant leaves no retained coefficients.
+        one; differentiating a bare constant, or a series with no retained
+        coefficients, leaves none.
         With q = a/b and [n]_q = s_n / (ab)**(n-1), term n is weighted by
         s_n (ab)**(N-n) over the common (ab)**(N-1).
         """
@@ -501,10 +620,15 @@ class PowerSeries:
             weights,
             None,
         )
-        return _canonical(top - 1, re, im, self.den * (ab_pow if top >= 1 else 1))
+        return _canonical(max(top - 1, -1), re, im, self.den * (ab_pow if top >= 1 else 1))
+
+    def _require_value(self) -> None:
+        if self.order < 0:
+            raise ValueError("series has no retained coefficients; no value")
 
     def evaluate(self, x0: CoeffLike) -> GaussRational:
         """Horner evaluation of the retained polynomial part at an exact point."""
+        self._require_value()
         x0 = to_gauss(x0)
         if x0 is NotImplemented:
             raise TypeError("evaluation point must be an exact scalar")
@@ -519,6 +643,7 @@ class PowerSeries:
         Each coefficient is the correctly rounded quotient num / den, the
         same float its reduced Fraction gives.
         """
+        self._require_value()
         if self.num_im is not None:
             raise ValueError("series has imaginary coefficients; no float value")
         acc = 0.0

@@ -205,6 +205,29 @@ class TestApply:
         assert out == ""
         assert "nested too deeply" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, need", [
+        (("apply", "--op", "h0", "--q", "3/2"), 2),
+        (("apply", "--op", "Tplus"), 1),
+        (("table", "--op", "Tplus", "--q", "3/2", "--xs", "0"), 1),
+        (("table", "--op", "Ob", "--q", "3/2", "--xs", "1/2"), 2),
+    ])
+    def test_input_too_short_for_the_operator(self, capsys, tmp_path, argv, need):
+        # an order-0 series has no coefficient left after the operator's q-derivatives
+        path = tmp_path / "constant.json"
+        path.write_text(series_to_json(make_series([1], 0)))
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"qsusy: error: --op {argv[2]} needs an input series of order >= {need}, got order 0\n"
+
+    @pytest.mark.parametrize("op, need", [("Tplus", 1), ("Ob", 2), ("OH", 2)])
+    def test_input_just_long_enough(self, capsys, tmp_path, op, need):
+        path = tmp_path / "probe.json"
+        path.write_text(series_to_json(make_series([1, 2, 3][: need + 1], need)))
+        code, out, _ = run(capsys, "apply", "--op", op, "--q", "3/2", "--input", str(path))
+        assert code == 0
+        assert series_from_json(out).order == 0
+
 
 class TestVerify:
     def test_kernel_pass(self, capsys):

@@ -8,6 +8,8 @@ from qsusy.series import constant_series, make_series, monomial
 from qsusy.qspecial import VacuumSpec, beta_q, classical_hermite, q_exp, q_gauss, u_transform
 from qsusy.operators import (
     FactorizationPair,
+    Mult,
+    QOperator,
     classical_darboux,
     classical_hermite_op,
     classical_schrodinger_op,
@@ -25,6 +27,14 @@ from qsusy.operators import (
     t_plus_q,
     vacuum_pair,
 )
+
+def mults(op):
+    """The Mult leaves of an operator tree."""
+    if type(op) is Mult:
+        return [op]
+    children = (getattr(op, name) for name in op.__slots__)
+    return [m for child in children if isinstance(child, QOperator) for m in mults(child)]
+
 
 D1 = Deformation(F(1))
 D32 = Deformation(F(3, 2))
@@ -183,6 +193,18 @@ class TestSecondOrderPartners:
         for j in range(17):
             probe = monomial(j, 16)
             assert direct.apply(probe) == composed.apply(probe)
+
+    @pytest.mark.parametrize("which", ["b", "f"])
+    def test_one_drift_series_for_both_factors(self, which):
+        # w = beta_q(x^2) x is built once and shared; names are as before
+        v = vac(F(-1, 2), F(3, 2))
+        composed = second_order_composed(v, which)
+        pair = vacuum_pair(v)
+        for ops in ((composed,), (pair.t_plus, pair.t_minus)):
+            [w] = {id(m.g): m.g for op in ops for m in mults(op)}.values()
+            assert w == beta_q(v).mul_poly([0, 1])
+        plus, minus = t_plus_q(v), t_minus_q(v)
+        assert composed.name == (minus @ plus if which == "b" else plus @ minus).name
 
     def test_classical_drift_term_vanishes(self):
         from qsusy.qspecial import delta_beta_q

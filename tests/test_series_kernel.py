@@ -7,6 +7,7 @@ in the canonical form: a positive common denominator, no factor shared by it
 and every numerator, and no imaginary vector when every imaginary part is 0.
 """
 
+import random
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsusy.qcore import GAUSS_I, GAUSS_ZERO, Deformation, GaussRational, q_number_numerators
-from qsusy.qspecial import _q_exp_by_powers, q_exp
+from qsusy import series as kernel, verify
+from qsusy.qcore import GAUSS_I, GAUSS_ZERO, Deformation, GaussRational, format_rational, q_number_numerators
+from qsusy.qspecial import VacuumSpec, _q_exp_by_powers, beta_q, q_exp, q_gauss
 from qsusy.series import NonInvertibleSeriesError, PowerSeries, div, make_series, monomial
 
 fractions = st.fractions(min_value=-7, max_value=7, max_denominator=12)
@@ -331,8 +333,16 @@ class TestEmptySeries:
         assert EMPTY.is_zero
         assert EMPTY.first_nonzero_index() is None
         assert EMPTY.max_abs_coeff() == 0
-        assert EMPTY.evaluate_float(0.5) == 0.0
         assert str(EMPTY) == "<empty series>"
+
+    def test_has_no_value(self):
+        # no retained coefficient, so nothing to evaluate, exactly or in floats
+        with pytest.raises(ValueError, match="no retained coefficients"):
+            EMPTY.evaluate(F(1, 2))
+        with pytest.raises(ValueError, match="no retained coefficients"):
+            EMPTY.evaluate_float(0.5)
+        with pytest.raises(ValueError, match="no retained coefficients"):
+            make_series([7], 0).jackson_derivative(Deformation(F(2))).evaluate(0)
 
     @given(series())
     @settings(max_examples=20)
@@ -344,6 +354,14 @@ class TestEmptySeries:
 
     def test_derivative_of_constant(self):
         assert exact(make_series([7], 0).jackson_derivative(Deformation(F(2)))) == (-1, ())
+
+    @pytest.mark.parametrize("q", [F(1), F(2, 3)])
+    def test_derivative_stays_empty(self, q):
+        # the constructor refuses order -2, so D_q must not make one either
+        d = Deformation(q)
+        got = EMPTY.jackson_derivative(d)
+        assert exact(got) == (-1, ())
+        assert exact(got.jackson_derivative(d)) == (-1, ())
 
     def test_mul_poly(self):
         assert exact(EMPTY.mul_poly([0, 1])) == expect([0], 0)
@@ -415,3 +433,179 @@ class TestQExp:
                 power, fact = power * u, fact * q_number(n, q)
             want = [w + c / fact for w, c in zip(want, power.coeffs)]
         assert exact(q_exp(u, d)) == expect(want, u.order)
+
+
+# -- the Karatsuba short product ------------------------------------------------
+
+
+def big_vector(rng, length, bits, parity=None):
+    """Integers of exactly `bits` bits and random sign; zero off `parity` if given."""
+    out = []
+    for i in range(length):
+        x = rng.getrandbits(bits) | 1 << (bits - 1)
+        out.append(0 if parity is not None and i % 2 != parity else x if rng.random() < 0.5 else -x)
+    return out
+
+
+def dot_path(a, b, n):
+    """Coefficients 0..n by the dense dot products, the reference path."""
+    a, b = a[: n + 1], b[: n + 1]
+    return kernel._dense(a, b, n, [bool(x) for x in a])
+
+
+def reference(a, b, n):
+    got = ref_product(PowerSeries(a, len(a) - 1).coeffs, PowerSeries(b, len(b) - 1).coeffs, n)
+    assert all(c.im == 0 and c.re.denominator == 1 for c in got)
+    return [c.re.numerator for c in got]
+
+
+def takes_karatsuba(a, b, n):
+    """Whether _convolve(a, b, n) runs the Karatsuba path (a must be the sparser)."""
+    return kernel._folded_karatsuba(a[: n + 1], b[: n + 1], n) is not None
+
+
+MIN_BITS = kernel._KARATSUBA_MIN_BITS
+
+
+class TestKaratsuba:
+    @pytest.mark.parametrize("parities", [(0, 0), (0, 1), (1, 0), (1, 1), (None, 0), (1, None), (None, None)])
+    @pytest.mark.parametrize("length, n, bits", [(41, 40, 12000), (47, 46, 2200), (66, 65, 2200), (70, 47, 5000)])
+    def test_matches_dot_path_and_reference(self, parities, length, n, bits):
+        rng = random.Random(f"{parities}{length}{n}{bits}")
+        pa, pb = parities
+        a = big_vector(rng, length, bits, pa)
+        b = big_vector(rng, length, bits - 7, pb)
+        assert takes_karatsuba(a, b, n)
+        want = dot_path(a, b, n)
+        assert kernel._convolve(a, b, n) == want
+        assert kernel._convolve(b, a, n) == want
+        assert want == reference(a, b, n)
+
+    @pytest.mark.parametrize("pa, pb, n", [(0, 0, 30), (0, 1, 31), (1, 1, 32), (None, 0, 15), (None, None, 15)])
+    def test_folded_length_gate(self, pa, pb, n):
+        # n is the smallest order whose folded product has 16 entries
+        rng = random.Random(n)
+        a, b = big_vector(rng, n + 1, 3000, pa), big_vector(rng, n + 1, 3000, pb)
+        assert takes_karatsuba(a, b, n) and not takes_karatsuba(a, b, n - 1)
+        for m in (n - 1, n):
+            assert kernel._convolve(a, b, m) == dot_path(a, b, m) == reference(a, b, m)
+
+    def test_bit_gate_reads_the_smaller_operand(self):
+        rng = random.Random(7)
+        big = big_vector(rng, 33, 9000, 0)
+        for bits, taken in ((MIN_BITS - 1, False), (MIN_BITS, True)):
+            small = big_vector(rng, 33, bits, 1)
+            small[5] = 1  # the gate reads the largest entry, not every entry
+            assert takes_karatsuba(small, big, 32) is taken
+            assert takes_karatsuba(big, small, 32) is taken
+            assert kernel._convolve(small, big, 32) == dot_path(small, big, 32) == reference(small, big, 32)
+
+    @pytest.mark.parametrize("m", list(range(1, 20)) + [31, 32, 33, 64, 65])
+    def test_short_and_full_products(self, m):
+        rng = random.Random(m)
+        a, b = big_vector(rng, m, 300), big_vector(rng, m, 280)
+        a[m // 2] = 0  # zeros inside the operands too
+        assert kernel._short_product(a, b) == dot_path(a, b, m - 1)
+        assert kernel._full_product(a, b) == dot_path(a + [0] * (m - 1), b + [0] * (m - 1), 2 * m - 2)
+
+    def test_operands_longer_than_n_and_short_operands(self):
+        rng = random.Random(11)
+        a, b = big_vector(rng, 90, 4000, 1), big_vector(rng, 60, 4000, 1)
+        for n in (40, 59, 70):
+            # b is shorter than n + 1 at n = 70: its missing entries are zeros
+            assert kernel._convolve(a, b, n) == dot_path(a, b + [0] * 40, n) == reference(a, b + [0] * 40, n)
+            assert takes_karatsuba(a, b, n)
+
+    @pytest.mark.parametrize("parities", [(0, 0), (0, 1), (None, 1)])
+    def test_complex_operands_through_the_product(self, parities, monkeypatch):
+        rng = random.Random(str(parities))
+        pa, pb = parities
+        bits = (2200, 5000, 12000)
+
+        def big_series(parity):
+            n = 40
+            re = big_vector(rng, n + 1, rng.choice(bits), parity)
+            im = big_vector(rng, n + 1, rng.choice(bits), parity)
+            den = rng.getrandbits(64) | 1
+            return PowerSeries([GaussRational(F(x, den), F(y, den)) for x, y in zip(re, im)], n)
+
+        a, b = big_series(pa), big_series(pb)
+        real = make_series([F(x, 3) for x in big_vector(rng, 41, 6000, pa)], 40)
+        taken = []
+        folded = kernel._folded_karatsuba
+        monkeypatch.setattr(kernel, "_folded_karatsuba",
+                            lambda *args: taken.append(1) or folded(*args))
+        for x, y in ((a, b), (a, real), (real, b)):
+            got = x * y
+            assert exact(got) == expect(ref_product(x.coeffs, y.coeffs, 40), 40)
+        assert len(taken) == 4 + 2 + 2
+
+    def test_dense_path_below_the_gate(self, monkeypatch):
+        # the products of the small default cells never reach the new path
+        monkeypatch.setattr(kernel, "_short_product", None)
+        assert all(c.passed for c in verify.kernel_suite(order=40))
+        assert verify.leibniz_suite()[0].passed
+
+
+def full_product_without_cross_term(a, b):
+    """Karatsuba's full product of a = a0 + x^h a1 and b with its cross term
+    x^h (a0 b1 + a1 b0) dropped: a0 b0 + x^(2h) a1 b1."""
+    m = len(a)
+    if m == 1:
+        return [a[0] * b[0]]
+    h = m // 2
+    low = dot_path(a[:h] + [0] * (h - 1), b[:h] + [0] * (h - 1), 2 * h - 2)
+    k = m - h
+    high = dot_path(a[h:] + [0] * (k - 1), b[h:] + [0] * (k - 1), 2 * k - 2)
+    return low + [0] + high
+
+
+class TestKaratsubaFaults:
+    """A product that drops a cross term must fail the suites that read it."""
+
+    def test_kernel(self, monkeypatch):
+        # at order 96 the kernel's one dense product, w g, is past the gate
+        q, beta, order = F(3, 2), F(-1, 2), 96
+        v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
+        w, g = beta_q(v).mul_poly([0, 1]), q_gauss(v)
+        assert takes_karatsuba(list(w.num_re), list(g.num_re), order)
+        [check] = verify.kernel_suite([q], [beta], order)
+        assert check.passed
+        good = w * g
+        monkeypatch.setattr(kernel, "_full_product", full_product_without_cross_term)
+        [check] = verify.kernel_suite([q], [beta], order)
+        # D_q g = w g, so the residual is the product's error, negated
+        error = (w * g - good).truncated(order - 1)
+        assert not error.is_zero
+        assert check.status == "fail"
+        assert check.first_failure_index == error.first_nonzero_index()
+        assert check.worst_deviation == format_rational(error.max_abs_coeff())
+
+    def test_leibniz(self, monkeypatch):
+        # the suite's polynomials are small, so the gate is opened for them
+        monkeypatch.setattr(kernel, "_KARATSUBA_MIN_BITS", 0)
+        q = F(3, 2)
+        d = Deformation(q)
+        assert verify.leibniz_suite([q])[0].passed
+
+        rng = random.Random(verify.LEIBNIZ_SEED)
+        pairs = [(verify._random_polynomial(rng, 10, 22), verify._random_polynomial(rng, 10, 22))
+                 for _ in range(200)]
+
+        def products(f, g):
+            return (f * g, f.jackson_derivative(d) * g.scale_arg(q),
+                    f.scale_arg(1 / q) * g.jackson_derivative(d))
+
+        good = [products(f, g) for f, g in pairs]
+        monkeypatch.setattr(kernel, "_full_product", full_product_without_cross_term)
+        [check] = verify.leibniz_suite([q])
+        assert check.status == "fail"
+        # the suite stops at the first pair whose residual is not zero
+        for (f, g), (g1, g2, g3) in zip(pairs, good):
+            b1, b2, b3 = products(f, g)
+            residual = (b1 - g1).jackson_derivative(d) - (b2 - g2) - (b3 - g3)
+            if not residual.is_zero:
+                break
+        assert not residual.is_zero
+        assert check.first_failure_index == residual.first_nonzero_index()
+        assert check.worst_deviation == format_rational(residual.max_abs_coeff())
