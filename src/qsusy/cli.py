@@ -39,6 +39,7 @@ from .qspecial import (
     VacuumSpec,
     beta_q,
     delta_beta_q,
+    drift_deviations,
     q_exp,
     q_gauss,
     q_hermite,
@@ -55,18 +56,10 @@ from .operators import (
     t_plus_q,
 )
 from .serialize import series_from_json, series_to_csv, series_to_json
-from .verify import (
-    DEFAULT_BETAS,
-    DEFAULT_QS,
-    LEIBNIZ_QS,
-    SUITES,
-    CheckResult,
-    run_suite,
-)
+from .verify import SUITES, CheckResult, cells, run_suite
 
 __all__ = ["RunConfig", "parse_args", "main"]
 
-DEFAULT_ORDER = 32
 MIN_ORDER = 4
 DEFAULT_SWEEP: tuple[Rational, ...] = (
     Fraction(2),
@@ -82,12 +75,15 @@ TABLE_FUNCS = ("beta", "dbeta", "gauss", "hermite", "ufunc")
 
 @dataclass
 class RunConfig:
-    """Validated run parameters; construction implies the flags parsed cleanly."""
+    """Validated run parameters; construction implies the flags parsed cleanly.
+
+    The field defaults are the flags' defaults (see ``_build_parser``).
+    """
 
     command: str
     q: Rational = Fraction(1)
     beta: Rational = Fraction(-1, 2)
-    order: int = DEFAULT_ORDER
+    order: int = 32
     n_or_p: int = 0
     input_path: Optional[str] = None
     output_path: Optional[str] = None
@@ -148,25 +144,16 @@ def _order_arg(text: str) -> int:
     return value
 
 
-def _default_order(parser: argparse.ArgumentParser) -> int:
-    env = os.environ.get("QSUSY_ORDER")
-    if env is None:
-        return DEFAULT_ORDER
-    try:
-        return _order_arg(env)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"QSUSY_ORDER: {exc}")
-
-
 def _add_common(sub: argparse.ArgumentParser, *, beta: bool = True) -> None:
-    sub.add_argument("--q", type=_positive_rational_arg, default=None,
-                     help="deformation parameter, exact rational (default 1)")
+    sub.add_argument("--q", type=_positive_rational_arg,
+                     help=f"deformation parameter, exact rational (default {RunConfig.q})")
     if beta:
-        sub.add_argument("--beta", type=_nonzero_rational_arg, default=None,
-                         help="vacuum coefficient, exact rational (default -1/2)")
-    sub.add_argument("--order", type=_order_arg, default=None,
-                     help=f"truncation order (default {DEFAULT_ORDER}, env QSUSY_ORDER)")
-    sub.add_argument("--output", default=None, help="output path (default stdout)")
+        sub.add_argument("--beta", type=_nonzero_rational_arg,
+                         help=f"vacuum coefficient, exact rational (default {RunConfig.beta})")
+    sub.add_argument("--order", type=_order_arg,
+                     help=f"truncation order (default {RunConfig.order}, env QSUSY_ORDER)")
+    sub.add_argument("--output", dest="output_path", metavar="OUTPUT",
+                     help="output path (default stdout)")
 
 
 # let argparse accept values like "-1/2" or "-1,2,-3/4" after an option flag
@@ -190,6 +177,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each flag's dest is its RunConfig field; a flag left out sets nothing.
+
+    So a default is written once: in RunConfig, or on the one flag whose
+    default differs from it (``limit --emit``, ``table --xs``, ``table --p``).
+    """
     parser = argparse.ArgumentParser(
         prog="qsusy",
         description="exact q-deformed oscillator intertwining toolkit",
@@ -198,53 +190,59 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(*args, **kwargs):
-        sub = commands.add_parser(*args, **kwargs)
+        sub = commands.add_parser(*args, argument_default=argparse.SUPPRESS, **kwargs)
         sub._negative_number_matcher = _NEGATIVE_VALUE
         return sub
 
+    def add_n(sub: argparse.ArgumentParser, **kwargs) -> None:
+        sub.add_argument("--n", type=int, dest="n_or_p", metavar="N", **kwargs)
+
     p = add_parser("hermite", help="deformed Hermite function series")
-    p.add_argument("--n", type=int, default=0, help="index n >= 0")
+    add_n(p, help="index n >= 0")
     _add_common(p, beta=False)
-    p.add_argument("--emit", choices=("json", "csv"), default="json")
+    p.add_argument("--emit", choices=("json", "csv"))
 
     p = add_parser("beta", help="drift coefficient series beta_q(x^2)")
     _add_common(p)
     p.add_argument("--delta", action="store_true",
                    help="emit the q-increment beta_q(x^2) - (1/q) beta_q(x^2/q^2)")
-    p.add_argument("--emit", choices=("json", "csv"), default="json")
+    p.add_argument("--emit", choices=("json", "csv"))
 
     p = add_parser("ufunc", help="nodeless transformation function series")
-    p.add_argument("--p", type=int, default=0, help="even index p >= 0")
+    p.add_argument("--p", type=int, dest="n_or_p", metavar="P", help="even index p >= 0")
     _add_common(p, beta=False)
-    p.add_argument("--emit", choices=("json", "csv"), default="json")
+    p.add_argument("--emit", choices=("json", "csv"))
 
     p = add_parser("apply", help="apply a named operator to a series file")
     p.add_argument("--op", required=True, choices=OPERATOR_NAMES)
-    p.add_argument("--n", type=int, default=0, help="index for OH/Ophi")
+    add_n(p, help="index for OH/Ophi")
     _add_common(p)
-    p.add_argument("--input", required=True, help="input series JSON path")
-    p.add_argument("--emit", choices=("json", "csv"), default="json")
+    p.add_argument("--input", required=True, dest="input_path", metavar="INPUT",
+                   help="input series JSON path")
+    p.add_argument("--emit", choices=("json", "csv"))
 
     p = add_parser("verify", help="run an identity suite")
     p.add_argument("suite", choices=SUITES + ("all",))
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=4, help="worker threads for cells")
+    p.add_argument("--jobs", type=int, help="worker threads for cells")
 
     p = add_parser("limit", help="deviation table along a q sweep")
-    p.add_argument("--qs", type=_positive_rational_list_arg, default=None,
+    p.add_argument("--qs", type=_positive_rational_list_arg,
                    help="comma-separated sweep, e.g. 2,3/2,5/4 (default standard sweep)")
     _add_common(p)
     p.add_argument("--emit", choices=("csv", "json"), default="csv")
 
     p = add_parser("table", help="float samples of a series or operator")
-    p.add_argument("--func", choices=TABLE_FUNCS, default="beta")
-    p.add_argument("--op", choices=OPERATOR_NAMES, default=None,
+    p.add_argument("--func", choices=TABLE_FUNCS)
+    p.add_argument("--op", choices=OPERATOR_NAMES,
                    help="sample an operator applied to --input instead of --func")
-    p.add_argument("--input", default=None, help="input series JSON for --op mode")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--xs", type=_rational_list_arg, default=None,
-                   help='comma-separated sample points (default "-1,-1/2,0,1/2,1")')
+    p.add_argument("--input", dest="input_path", metavar="INPUT",
+                   help="input series JSON for --op mode")
+    add_n(p)
+    # --func ufunc reads --p and every other function --n, so both are kept
+    p.add_argument("--p", type=int, dest="table_p", metavar="P", default=0)
+    p.add_argument("--xs", type=_rational_list_arg, default="-1,-1/2,0,1/2,1",
+                   help='comma-separated sample points (default "%(default)s")')
     _add_common(p)
     return parser
 
@@ -252,49 +250,30 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Parse and check one call's flags; the environment is read on every call."""
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    table_p = args.pop("table_p", None)
+    config = RunConfig(**args, q_given="q" in args, beta_given="beta" in args)
+    env_order = os.environ.get("QSUSY_ORDER")
+    if "order" not in args and env_order is not None:
+        try:
+            config.order = _order_arg(env_order)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"QSUSY_ORDER: {exc}")
 
-    config = RunConfig(command=args.command)
-    config.order = args.order if args.order is not None else _default_order(parser)
-    config.q_given = getattr(args, "q", None) is not None
-    if config.q_given:
-        config.q = args.q
-    config.beta_given = getattr(args, "beta", None) is not None
-    if config.beta_given:
-        config.beta = args.beta
-    config.output_path = getattr(args, "output", None)
-    config.input_path = getattr(args, "input", None)
-    config.emit = getattr(args, "emit", "json")
-    config.suite = getattr(args, "suite", None)
-    config.op = getattr(args, "op", None)
-    config.func = getattr(args, "func", "beta")
-    config.delta = getattr(args, "delta", False)
-    config.jobs = getattr(args, "jobs", 4)
-    if getattr(args, "qs", None) is not None:
-        config.qs = args.qs
-    if getattr(args, "xs", None) is not None:
-        config.xs = args.xs
-    elif args.command == "table":
-        config.xs = _rational_list_arg("-1,-1/2,0,1/2,1")
-
-    uses_p = args.command == "ufunc" or (args.command == "table" and args.func == "ufunc")
-    if uses_p:
-        config.n_or_p = getattr(args, "p", 0)
+    # the named series the command builds: table's --func, or the command itself
+    func = config.func if config.command == "table" else config.command
+    if func == "ufunc":
+        if table_p is not None:
+            config.n_or_p = table_p
         if config.n_or_p < 0 or config.n_or_p % 2:
             parser.error(f"--p must be even and >= 0, got {config.n_or_p}")
-    else:
-        config.n_or_p = getattr(args, "n", 0)
-        if config.n_or_p < 0:
-            parser.error(f"--n must be >= 0, got {config.n_or_p}")
-    hermite_like = (
-        args.command in ("hermite", "ufunc")
-        or (args.command == "table" and args.func in ("hermite", "ufunc"))
-    )
-    if hermite_like and config.order < config.n_or_p + 2:
+    elif config.n_or_p < 0:
+        parser.error(f"--n must be >= 0, got {config.n_or_p}")
+    if func in ("hermite", "ufunc") and config.order < config.n_or_p + 2:
         parser.error(
             f"order {config.order} too small for index {config.n_or_p} (needs index + 2)"
         )
-    if args.command == "table" and args.op is not None and args.input is None:
+    if config.command == "table" and config.op is not None and config.input_path is None:
         parser.error("table --op needs --input")
     return config
 
@@ -362,20 +341,26 @@ def _operator_for(config: RunConfig, series: PowerSeries) -> QOperator:
     return op
 
 
-def _run_hermite(config: RunConfig) -> int:
-    series = q_hermite(config.n_or_p, Deformation(config.q), config.order)
-    return _emit_series(series, config)
-
-
-def _run_beta(config: RunConfig) -> int:
+def _named_series(func: str, config: RunConfig) -> PowerSeries:
+    """The series a table --func name (or dbeta, for beta --delta) stands for."""
+    if func == "hermite":
+        return q_hermite(config.n_or_p, Deformation(config.q), config.order)
+    if func == "ufunc":
+        return u_transform(config.n_or_p, Deformation(config.q), config.order)
     v = _vacuum(config)
-    series = delta_beta_q(v) if config.delta else beta_q(v)
-    return _emit_series(series, config)
+    if func == "beta":
+        return beta_q(v)
+    if func == "dbeta":
+        return delta_beta_q(v)
+    if func == "gauss":
+        return q_gauss(v)
+    raise ValueError(f"unknown table function: {func!r}")
 
 
-def _run_ufunc(config: RunConfig) -> int:
-    series = u_transform(config.n_or_p, Deformation(config.q), config.order)
-    return _emit_series(series, config)
+def _run_series(config: RunConfig) -> int:
+    """hermite, beta [--delta] and ufunc: the command names its series."""
+    func = "dbeta" if config.delta else config.command
+    return _emit_series(_named_series(func, config), config)
 
 
 def _load_series(path: str) -> PowerSeries:
@@ -400,42 +385,21 @@ def _check_to_dict(check: CheckResult) -> dict:
     return out
 
 
-def _verify_cells(config: RunConfig) -> list[tuple]:
-    """Independent (suite, q, beta) work units; each one is a pure computation."""
-    suites = SUITES if config.suite == "all" else (config.suite,)
-    q = config.q if config.q_given else None
-    beta = config.beta if config.beta_given else None
-    cells = []
-    for suite in suites:
-        if suite in ("kernel", "factorization"):
-            for qq in (q,) if q is not None else DEFAULT_QS:
-                for bb in (beta,) if beta is not None else DEFAULT_BETAS:
-                    cells.append((suite, qq, bb))
-        elif suite == "leibniz":
-            for qq in (q,) if q is not None else LEIBNIZ_QS:
-                cells.append((suite, qq, None))
-        else:
-            cells.append((suite, None, None))
-    # a pin that no cell carries would be silently ignored
-    ignored = [flag for k, (flag, value) in enumerate((("--q", q), ("--beta", beta)), 1)
-               if value is not None and all(cell[k] is None for cell in cells)]
-    if ignored:
-        raise ValueError(f"verify {config.suite} does not take {' or '.join(ignored)}")
-    return cells
-
-
 def _run_verify(config: RunConfig) -> int:
-    cells = _verify_cells(config)
+    # each (suite, q, beta) cell is an independent, pure computation
+    grid = cells(
+        config.suite, config.q if config.q_given else None, config.beta if config.beta_given else None
+    )
 
     def one(cell: tuple) -> list[CheckResult]:
         suite, q, beta = cell
         return run_suite(suite, q=q, beta=beta, order=config.order)
 
-    if config.jobs > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=min(config.jobs, len(cells))) as pool:
-            results = [c for batch in pool.map(one, cells) for c in batch]
+    if config.jobs > 1 and len(grid) > 1:
+        with ThreadPoolExecutor(max_workers=min(config.jobs, len(grid))) as pool:
+            results = [c for batch in pool.map(one, grid) for c in batch]
     else:
-        results = [c for cell in cells for c in one(cell)]
+        results = [c for cell in grid for c in one(cell)]
 
     # sorting fixes the output bytes no matter how the cells were scheduled
     results.sort(key=lambda c: (c.name, sorted(c.params.items())))
@@ -453,9 +417,7 @@ def _run_limit(config: RunConfig) -> int:
     vacuum = lambda d: VacuumSpec(beta=config.beta, d=d, order=config.order)
     rows = []
     for row in limit_sweep(lambda d: second_order_composed(vacuum(d), "b"), config.qs, probe):
-        v = vacuum(Deformation(row.q))
-        beta0_dev = abs(beta_q(v).coeff(0).as_rational() - 2 * config.beta)
-        rows.append((row.q, beta0_dev, delta_beta_q(v).max_abs_coeff(), row.deviation))
+        rows.append((row.q, *drift_deviations(vacuum(Deformation(row.q))), row.deviation))
 
     if config.emit == "json":
         payload = [
@@ -478,20 +440,6 @@ def _run_limit(config: RunConfig) -> int:
     return 0
 
 
-def _table_series(config: RunConfig) -> PowerSeries:
-    if config.func == "beta":
-        return beta_q(_vacuum(config))
-    if config.func == "dbeta":
-        return delta_beta_q(_vacuum(config))
-    if config.func == "gauss":
-        return q_gauss(_vacuum(config))
-    if config.func == "hermite":
-        return q_hermite(config.n_or_p, Deformation(config.q), config.order)
-    if config.func == "ufunc":
-        return u_transform(config.n_or_p, Deformation(config.q), config.order)
-    raise ValueError(f"unknown table function: {config.func!r}")
-
-
 def _run_table(config: RunConfig) -> int:
     if config.op is not None:
         series = _load_series(config.input_path)
@@ -506,7 +454,7 @@ def _run_table(config: RunConfig) -> int:
             return op.apply_at(series.evaluate_float, float(x))
 
     else:
-        series = _table_series(config)
+        series = _named_series(config.func, config)
 
         def value_at(x: Rational) -> float:
             return series.evaluate_float(float(x))
@@ -529,9 +477,9 @@ def _run_table(config: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "hermite": _run_hermite,
-    "beta": _run_beta,
-    "ufunc": _run_ufunc,
+    "hermite": _run_series,
+    "beta": _run_series,
+    "ufunc": _run_series,
     "apply": _run_apply,
     "verify": _run_verify,
     "limit": _run_limit,

@@ -51,6 +51,12 @@ def _as_fraction(value: RationalLike) -> Fraction:
 # "p", "p/q" or a plain decimal "p.f", in digits. Left for re to compile on
 # first use: only text past the int/str digit limit needs it.
 _PLAIN_RATIONAL = r"\s*([+-]?)(?=\d|\.\d)(\d*)(?:\s*/\s*(\d+)|\.(\d*))?\s*\Z"
+# the exponent k of decimal text "m e k", which Fraction would expand to 10**|k|;
+# searched for from its "e", so a long run of digits is scanned once
+_EXPONENT = r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z"
+# the largest |k| read in "m e k": the int/str digit limit, so that a few
+# characters cannot name a number longer than a digit string may be
+_MAX_EXPONENT = 4300
 
 
 def _int_str(n: int) -> str:
@@ -82,9 +88,17 @@ def parse_rational(text: str) -> Rational:
 
     Decimal strings stay exact: "1.5" parses to 3/2, never through a float.
     "p", "p/q" and plain decimals "p.f" are read at any length, past the
-    int/str digit limit.
+    int/str digit limit. An exponent ("1e400") is read up to 4300 in
+    magnitude; a larger one raises ValueError before any work.
     """
     text = str(text)
+    exponent = re.search(_EXPONENT, text)
+    if exponent is not None:
+        digits = exponent[1].replace("_", "").lstrip("+-").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(
+                f"exponent of {text!r} is past {_MAX_EXPONENT}, the int/str digit limit"
+            )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -148,10 +162,6 @@ class GaussRational:
 
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.re, -self.im)
-
-    def max_abs(self) -> Rational:
-        """max(|re|, |im|), the coefficient magnitude used in deviation reports."""
-        return max(abs(self.re), abs(self.im))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

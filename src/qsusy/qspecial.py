@@ -34,6 +34,7 @@ __all__ = [
     "q_gauss",
     "beta_q",
     "delta_beta_q",
+    "drift_deviations",
     "q_hermite",
     "classical_hermite",
     "classical_norm",
@@ -166,6 +167,16 @@ def delta_beta_q(v: VacuumSpec) -> PowerSeries:
     """
     b = beta_q(v)
     return b - b.scale_arg(1 / v.d.q) * (1 / v.d.q)
+
+
+def drift_deviations(v: VacuumSpec) -> tuple[Rational, Rational]:
+    """How far the drift data sit from their q = 1 values, exactly.
+
+    The pair is |beta_q(0) - 2 beta| and the largest coefficient magnitude of
+    ``delta_beta_q``; both vanish at q = 1.
+    """
+    beta0 = abs(beta_q(v).coeff(0).as_rational() - 2 * v.beta)
+    return beta0, delta_beta_q(v).max_abs_coeff()
 
 
 @lru_cache(maxsize=None)

@@ -77,16 +77,7 @@ __all__ = [
     "constant_series",
     "monomial",
     "linear_combination",
-    "add",
-    "sub",
-    "mul",
     "div",
-    "mul_poly",
-    "scale_arg",
-    "i_rotate",
-    "jackson_derivative",
-    "evaluate",
-    "evaluate_float",
 ]
 
 CoeffLike = Union[GaussRational, Fraction, int]
@@ -722,19 +713,7 @@ def linear_combination(terms: Iterable[tuple[Rational, PowerSeries]]) -> PowerSe
     )
 
 
-# -- operation aliases (functional spelling of the methods above) ------------
-
-
-def add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a + b
-
-
-def sub(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a - b
-
-
-def mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a * b
+# -- division -----------------------------------------------------------------
 
 
 def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
@@ -803,27 +782,3 @@ def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 def _scale_in_place(values: list[int], m: int) -> None:
     for k, x in enumerate(values):
         values[k] = x * m
-
-
-def mul_poly(a: PowerSeries, poly: Sequence[CoeffLike]) -> PowerSeries:
-    return a.mul_poly(poly)
-
-
-def scale_arg(a: PowerSeries, lam: CoeffLike) -> PowerSeries:
-    return a.scale_arg(lam)
-
-
-def i_rotate(a: PowerSeries) -> PowerSeries:
-    return a.i_rotate()
-
-
-def jackson_derivative(a: PowerSeries, d: Deformation) -> PowerSeries:
-    return a.jackson_derivative(d)
-
-
-def evaluate(a: PowerSeries, x0: CoeffLike) -> GaussRational:
-    return a.evaluate(x0)
-
-
-def evaluate_float(a: PowerSeries, x0: float) -> float:
-    return a.evaluate_float(x0)

@@ -29,9 +29,8 @@ from .qcore import Deformation, Rational, format_rational
 from .series import PowerSeries, make_series
 from .qspecial import (
     VacuumSpec,
-    beta_q,
     classical_hermite,
-    delta_beta_q,
+    drift_deviations,
     q_gauss,
     q_hermite,
     q_exp,
@@ -59,6 +58,7 @@ __all__ = [
     "leibniz_suite",
     "limits_suite",
     "classical_suite",
+    "cells",
     "run_suite",
 ]
 
@@ -274,9 +274,9 @@ def limits_suite(order: int = 24, top_degree: int = 20) -> list[CheckResult]:
         beta0_devs = []
         drift_devs = []
         for q in sweep:
-            v = VacuumSpec(beta=beta, d=Deformation(q), order=8)
-            beta0_devs.append(abs(beta_q(v).coeff(0).as_rational() - 2 * beta))
-            drift_devs.append(delta_beta_q(v).max_abs_coeff())
+            beta0_dev, drift_dev = drift_deviations(VacuumSpec(beta=beta, d=Deformation(q), order=8))
+            beta0_devs.append(beta0_dev)
+            drift_devs.append(drift_dev)
         params = {"beta": format_rational(beta), "sweep": "1+2^-k, k=1..6"}
         out.append(
             _ratio_band_result(
@@ -359,6 +359,38 @@ def classical_suite(max_n: int = 6, order: int = 24) -> list[CheckResult]:
 
 SUITES = ("kernel", "factorization", "leibniz", "limits", "classical")
 
+Cell = tuple[str, Optional[Rational], Optional[Rational]]
+
+
+def cells(
+    suite: str, q: Optional[Rational] = None, beta: Optional[Rational] = None
+) -> list[Cell]:
+    """The (suite, q, beta) cells that a run of one suite, or of "all", covers.
+
+    kernel and factorization sweep DEFAULT_QS x DEFAULT_BETAS, leibniz sweeps
+    LEIBNIZ_QS, and limits and classical are one cell each. A pinned q or beta
+    replaces its sweep. "all" is the union of the suites, so it keeps a pin
+    that some suite takes; a pin that no cell carries would be silently
+    ignored, so it raises ``ValueError``.
+    """
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown verification suite: {suite!r}")
+    qs = DEFAULT_QS if q is None else (Fraction(q),)
+    betas = DEFAULT_BETAS if beta is None else (Fraction(beta),)
+    out: list[Cell] = []
+    for name in SUITES if suite == "all" else (suite,):
+        if name in ("kernel", "factorization"):
+            out += [(name, qq, bb) for qq in qs for bb in betas]
+        elif name == "leibniz":
+            out += [(name, qq, None) for qq in (LEIBNIZ_QS if q is None else qs)]
+        else:
+            out.append((name, None, None))
+    ignored = [flag for k, (flag, pin) in enumerate((("--q", q), ("--beta", beta)), 1)
+               if pin is not None and all(cell[k] is None for cell in out)]
+    if ignored:
+        raise ValueError(f"verify {suite} does not take {' or '.join(ignored)}")
+    return out
+
 
 def run_suite(
     suite: str,
@@ -366,17 +398,23 @@ def run_suite(
     beta: Optional[Rational] = None,
     order: Optional[int] = None,
 ) -> list[CheckResult]:
-    """Run one named suite, optionally pinned to a single (q, beta) cell."""
-    qs = DEFAULT_QS if q is None else (Fraction(q),)
-    betas = DEFAULT_BETAS if beta is None else (Fraction(beta),)
+    """Run one named suite over its ``cells``, optionally pinned to one q or beta."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown verification suite: {suite!r}")
+    return [check for _, qq, bb in cells(suite, q, beta) for check in _run_cell(suite, qq, bb, order)]
+
+
+def _run_cell(
+    suite: str, q: Optional[Rational], beta: Optional[Rational], order: Optional[int]
+) -> list[CheckResult]:
+    # the suites are looked up at call time, so a wrapper put on the module's
+    # names (a tracer, a test's fault) is the one that runs
     if suite == "kernel":
-        return kernel_suite(qs, betas, order or 40)
+        return kernel_suite((q,), (beta,), order or 40)
     if suite == "factorization":
-        return factorization_suite(qs, betas, order or 32)
+        return factorization_suite((q,), (beta,), order or 32)
     if suite == "leibniz":
-        return leibniz_suite(qs if q is not None else LEIBNIZ_QS)
+        return leibniz_suite((q,))
     if suite == "limits":
         return limits_suite(order or 24)
-    if suite == "classical":
-        return classical_suite(order=order or 24)
-    raise ValueError(f"unknown verification suite: {suite!r}")
+    return classical_suite(order=order or 24)

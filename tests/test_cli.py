@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ from qsusy import __version__
 from qsusy.cli import DEFAULT_SWEEP, main, parse_args
 from qsusy.operators import QOperator
 from qsusy.qcore import Deformation
-from qsusy.qspecial import VacuumSpec, beta_q, q_gauss, q_hermite
+from qsusy.qspecial import VacuumSpec, beta_q, delta_beta_q, q_gauss, q_hermite, u_transform
 from qsusy.serialize import series_from_csv, series_from_json, series_to_json
 from qsusy.series import make_series
 
@@ -80,6 +81,28 @@ class TestParsing:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("hermite", "--q", "1e300000", "--order", "4"),
+        ("beta", "--beta=-1e-4301"),
+        ("limit", "--qs", "2,1e999999999"),
+        ("table", "--xs", "0,1e10000000"),
+    ])
+    def test_huge_exponent_rejected_at_once(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "past 4300, the int/str digit limit" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("hermite", "--n", "5", "--order", "6"),
+        ("ufunc", "--p", "6", "--order", "7"),
+        ("table", "--func", "hermite", "--n", "5", "--order", "6"),
+        ("table", "--func", "ufunc", "--p", "6", "--order", "7"),
+    ])
+    def test_order_too_small_for_the_index(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "too small for index" in err
+
     def test_odd_p_rejected(self, capsys):
         code, _, _ = run(capsys, "ufunc", "--p", "3")
         assert code == 2
@@ -98,6 +121,46 @@ class TestParsing:
     def test_explicit_order_beats_env(self, monkeypatch):
         monkeypatch.setenv("QSUSY_ORDER", "12")
         assert parse_args(["beta", "--order", "8"]).order == 8
+
+    COMMON = dict(
+        q=F(1), beta=F(-1, 2), order=32, n_or_p=0, input_path=None, output_path=None,
+        emit="json", suite=None, op=None, func="beta", delta=False,
+        qs=(F(2), F(3, 2), F(5, 4), F(9, 8), F(17, 16), F(1)), xs=(),
+        q_given=False, beta_given=False, jobs=4,
+    )
+
+    @pytest.mark.parametrize("argv, fields", [
+        (["hermite"], {}),
+        (["beta"], {}),
+        (["ufunc"], {}),
+        (["apply", "--op", "h0", "--input", "in.json"], {"op": "h0", "input_path": "in.json"}),
+        (["verify", "kernel"], {"suite": "kernel"}),
+        (["limit"], {"emit": "csv"}),
+        (["table"], {"xs": (F(-1), F(-1, 2), F(0), F(1, 2), F(1))}),
+    ], ids=lambda v: v[0] if isinstance(v, list) else "")
+    def test_defaults_without_optional_flags(self, monkeypatch, argv, fields):
+        monkeypatch.delenv("QSUSY_ORDER", raising=False)
+        config = dataclasses.asdict(parse_args(argv))
+        assert config == {"command": argv[0], **self.COMMON, **fields}
+
+    @pytest.mark.parametrize("command, metavars", [
+        ("hermite", ["[--n N]", "[--q Q]", "[--order ORDER]", "[--output OUTPUT]", "[--emit {json,csv}]"]),
+        ("beta", ["[--q Q]", "[--beta BETA]", "[--output OUTPUT]", "[--delta]"]),
+        ("ufunc", ["[--p P]", "[--output OUTPUT]"]),
+        ("apply", ["--op {Ob,Of,Tplus,Tminus,h0,h1,OH,Ophi}", "[--n N]", "[--output OUTPUT]",
+                   "--input INPUT"]),
+        ("verify", ["[--output OUTPUT]", "[--jobs JOBS]"]),
+        ("limit", ["[--qs QS]", "[--output OUTPUT]", "[--emit {csv,json}]"]),
+        ("table", ["[--func {beta,dbeta,gauss,hermite,ufunc}]", "[--input INPUT]", "[--n N]",
+                   "[--p P]", "[--xs XS]", "[--output OUTPUT]"]),
+    ])
+    def test_help_usage_names(self, capsys, monkeypatch, command, metavars):
+        monkeypatch.setenv("COLUMNS", "200")
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        usage = out.split("\n\n")[0]
+        for metavar in metavars:
+            assert metavar in usage
 
     def test_parser_is_built_once(self):
         from qsusy.cli import _parser
@@ -187,6 +250,7 @@ class TestApply:
         {"order": True, "coeffs": [["1", "0"], ["0", "0"]]},
         {"order": 1, "coeffs": 5},
         {"order": 1, "coeffs": [5, 6]},
+        {"order": 2, "coeffs": [["1", "0"], ["0", "0"], ["1e10000000", "0"]]},
     ])
     def test_malformed_input_is_usage_error(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
@@ -279,13 +343,16 @@ class TestVerify:
         assert out == ""
         assert f"verify {argv[0]} does not take {flags}" in err
 
-    def test_all_keeps_its_pins(self):
-        from qsusy.cli import _verify_cells
-
-        cells = _verify_cells(parse_args(["verify", "all", "--q", "2", "--beta", "1/3"]))
-        assert ("kernel", F(2), F(1, 3)) in cells
-        assert ("leibniz", F(2), None) in cells
-        assert ("limits", None, None) in cells
+    def test_all_keeps_its_pins(self, capsys):
+        code, out, err = run(capsys, "verify", "all", "--q", "2", "--beta", "1/3", "--order", "12")
+        assert (code, err) == (0, "")
+        params = [(c["name"], c["params"]) for c in json.loads(out)["checks"]]
+        assert ("kernel", {"beta": "1/3", "order": "12", "q": "2"}) in params
+        assert ("leibniz", {"pairs": "200", "q": "2", "seed": str(0x5EED)}) in params
+        assert "drift_vanishes" in {name for name, _ in params}
+        # every pinned cell carries the pins, and no other cell is run
+        assert {p.get("q", "2") for _, p in params} == {"2"}
+        assert {p["beta"] for name, p in params if name in ("kernel", "factorization[b]")} == {"1/3"}
 
     def test_all_suites_fan_out(self, capsys):
         # exercises the threaded cell scheduling; sorting keeps bytes stable
@@ -379,6 +446,24 @@ class TestTable:
         values = {x: float(v) for x, v in rows[1:]}
         assert values["-1"] == values["1"]
         assert values["-1/2"] == values["1/2"]
+
+    @pytest.mark.parametrize("func, build", [
+        ("beta", lambda v, d: beta_q(v)),
+        ("dbeta", lambda v, d: delta_beta_q(v)),
+        ("gauss", lambda v, d: q_gauss(v)),
+        # hermite reads --n and ufunc --p; the other index is ignored
+        ("hermite", lambda v, d: q_hermite(3, d, 12)),
+        ("ufunc", lambda v, d: u_transform(2, d, 12)),
+    ])
+    def test_each_function_is_its_library_series(self, capsys, func, build):
+        code, out, _ = run(
+            capsys, "table", "--func", func, "--q", "3/2", "--beta", "1/3", "--n", "3", "--p", "2",
+            "--order", "12", "--xs", "-1/2,1/3",
+        )
+        assert code == 0
+        d = Deformation(F(3, 2))
+        series = build(VacuumSpec(beta=F(1, 3), d=d, order=12), d)
+        assert out == f"x,value\n-1/2,{series.evaluate_float(-0.5)!r}\n1/3,{series.evaluate_float(1 / 3)!r}\n"
 
     def test_classical_column_is_constant(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -198,6 +199,29 @@ class TestRationalStrings:
         assert parse_rational("1" * 5000 + ".") == value * 10**5000
         assert parse_rational(format_rational(value)) == value
         assert parse_rational(format_rational(-value)) == -value
+
+    @pytest.mark.parametrize("text,value", [
+        ("1e400", F(10**400)), ("1E4300", F(10**4300)), ("-1.5e-4300", F(-15, 10**4301)),
+        ("2_5e+4_300", F(25 * 10**4300)), ("1e0004300", F(10**4300)),
+    ])
+    def test_exponent_up_to_the_limit(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e4301", "1e-4301", " -2.5E+10000 ", "1e999999999", "1e1_000_000", "1e" + "9" * 5000,
+    ])
+    def test_exponent_past_the_limit_rejected_at_once(self, text):
+        # a larger exponent names a number of millions of digits in a few characters
+        with pytest.raises(ValueError, match="past 4300, the int/str digit limit"):
+            parse_rational(text)
+
+    def test_exponent_search_is_linear_in_the_length(self):
+        # the exponent pattern must not backtrack over a long run of digits:
+        # a quadratic scan of these 40,000 characters takes over 20 s
+        start = time.perf_counter()
+        assert parse_rational("7" * 40_000) == F((10**40_000 - 1) // 9 * 7)
+        assert parse_rational("0." + "5" * 40_000) == F((10**40_000 - 1) // 9 * 5, 10**40_000)
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("text", [
         "1" * 5000 + "/0", "1" * 5000 + "x", "1" * 5000 + "/-3",

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -149,6 +150,13 @@ EDGE_TEXTS = [
 
 
 class TestNumeratorReader:
+    def test_huge_exponent_rejected_at_once(self):
+        doc = {"order": 1, "coeffs": [["1", "0"], ["1e10000000", "0"]]}
+        with pytest.raises(ValueError, match="past 4300"):
+            series_from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match="past 4300"):
+            series_from_csv("n,re,im\n0,1,0\n1,0,-1e-999999999\n")
+
     @pytest.mark.parametrize("text", EDGE_TEXTS, ids=lambda t: repr(t)[:20])
     def test_edge_text_agrees_with_reference(self, text):
         doc = {"order": 2, "coeffs": [[text, "0"], ["1/3", text], ["-5/6", "1/2"]]}

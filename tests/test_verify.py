@@ -1,0 +1,181 @@
+"""The suites' cell grid, and seeded faults that each classical and limit check must catch.
+
+Each fault test computes the expected ``worst_deviation`` and
+``first_failure_index`` itself, from closed forms or from the unpatched
+library, and never through the suite's own comparison.
+"""
+
+from fractions import Fraction as F
+from math import factorial
+
+import pytest
+
+from qsusy import qspecial, verify
+from qsusy.operators import scalar_op
+from qsusy.qcore import Deformation, format_rational
+from qsusy.qspecial import VacuumSpec
+from qsusy.series import constant_series, monomial
+
+SWEEP = [1 + F(1, 2**k) for k in range(1, 7)]
+
+
+# -- the grid -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("suite, pins, flags", [
+    ("limits", {"q": 2}, "--q"),
+    ("leibniz", {"beta": 5}, "--beta"),
+    ("classical", {"q": 3}, "--q"),
+    ("classical", {"q": 3, "beta": 5}, "--q or --beta"),
+])
+def test_run_suite_refuses_a_pin_it_would_ignore(suite, pins, flags):
+    with pytest.raises(ValueError, match=f"^verify {suite} does not take {flags}$"):
+        verify.run_suite(suite, **pins)
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    for suite in ("all", "kernels"):
+        with pytest.raises(ValueError, match="unknown verification suite"):
+            verify.run_suite(suite)
+
+
+def test_run_suite_covers_the_default_grid():
+    assert verify.run_suite("kernel", order=12) == verify.kernel_suite(order=12)
+    assert verify.run_suite("kernel", q=F(3, 2), order=12) == verify.kernel_suite([F(3, 2)], order=12)
+    assert verify.run_suite("leibniz", q=2) == verify.leibniz_suite([F(2)])
+
+
+def test_cells():
+    assert len(verify.cells("all")) == 16
+    assert verify.cells("leibniz") == [("leibniz", F(2), None), ("leibniz", F(3, 2), None)]
+    assert verify.cells("all", q=2, beta=F(1, 3))[:2] == [
+        ("kernel", F(2), F(1, 3)), ("factorization", F(2), F(1, 3)),
+    ]
+    assert verify.cells("all", beta=F(1, 3))[-3:] == [
+        ("leibniz", F(3, 2), None), ("limits", None, None), ("classical", None, None),
+    ]
+
+
+# -- classical ----------------------------------------------------------------
+
+
+def hermite_coeffs(n):
+    """H_n by its explicit sum n! sum_m (-1)^m (2x)^(n-2m) / (m! (n-2m)!)."""
+    c = [F(0)] * (n + 1)
+    for m in range(n // 2 + 1):
+        c[n - 2 * m] = F((-1) ** m * factorial(n) * 2 ** (n - 2 * m), factorial(m) * factorial(n - 2 * m))
+    return c
+
+
+def oscillator_coeffs(n, order):
+    """exp(-x^2/2) H_n, coefficients 0..order."""
+    gauss = [F(0)] * (order + 1)
+    for k in range(order // 2 + 1):
+        gauss[2 * k] = F((-1) ** k, 2**k * factorial(k))
+    h = hermite_coeffs(n)
+    return [sum(h[j] * gauss[i - j] for j in range(min(i, n) + 1)) for i in range(order + 1)]
+
+
+def worst_and_first(coeffs):
+    nonzero = [k for k, c in enumerate(coeffs) if c]
+    return format_rational(max(abs(c) for c in coeffs)), nonzero[0]
+
+
+def classical_checks(name, order=24):
+    return [c for c in verify.classical_suite(order=order) if c.name == name]
+
+
+def test_wrong_hermite_constant_fails_hermite_annihilation(monkeypatch):
+    # D^2 - 2x D + 2n + 1: the residual is H_n itself
+    original = verify.classical_hermite_op
+    monkeypatch.setattr(verify, "classical_hermite_op", lambda n: original(n) + scalar_op(1))
+    checks = classical_checks("hermite_annihilation")
+    assert [c.params["n"] for c in checks] == [str(n) for n in range(7)]
+    for n, check in enumerate(checks):
+        assert check.status == "fail"
+        assert (check.worst_deviation, check.first_failure_index) == worst_and_first(hermite_coeffs(n))
+
+
+def test_wrong_oscillator_constant_fails_oscillator_annihilation(monkeypatch):
+    # -D^2 + x^2 - 2n: the residual is exp(-x^2/2) H_n through order 22
+    original = verify.classical_schrodinger_op
+    monkeypatch.setattr(verify, "classical_schrodinger_op", lambda n: original(n) + scalar_op(1))
+    checks = classical_checks("oscillator_annihilation")
+    for n, check in enumerate(checks):
+        assert check.status == "fail"
+        expected = worst_and_first(oscillator_coeffs(n, 22))
+        assert (check.worst_deviation, check.first_failure_index) == expected
+
+
+def test_perturbed_q1_hermite_fails_rodrigues_collapse(monkeypatch):
+    original = verify.q_hermite
+    monkeypatch.setattr(
+        verify, "q_hermite", lambda n, d, order: original(n, d, order) + monomial(n, order, F(1, 3))
+    )
+    checks = classical_checks("rodrigues_collapse")
+    assert len(checks) == 7
+    for n, check in enumerate(checks):
+        assert check.status == "fail"
+        assert (check.worst_deviation, check.first_failure_index) == ("1/3", n)
+
+
+def test_classical_passes_unpatched():
+    assert all(c.passed and c.worst_deviation == "0" for c in verify.classical_suite(order=24))
+
+
+# -- limit rates ----------------------------------------------------------------
+
+
+def limit_checks(name):
+    return {c.params["beta"]: c for c in verify.limits_suite() if c.name == name}
+
+
+def band_gap(devs, target):
+    ratios = [b / a for a, b in zip(devs, devs[1:])]
+    return format_rational(max(abs(r - target) for r in ratios))
+
+
+def drift_devs(drift, beta, fault):
+    """Largest coefficient of fault(q, drift(v)) along the sweep, as the suite sizes it."""
+    return [fault(q, drift(VacuumSpec(beta, Deformation(q), 8))).max_abs_coeff() for q in SWEEP]
+
+
+def test_first_order_beta0_fails_its_rate(monkeypatch):
+    # beta_q(0) - 2 beta gains a (q - 1) term, so the ratios go to 1/2, not 1/4
+    original = qspecial.beta_q
+    monkeypatch.setattr(qspecial, "beta_q", lambda v: original(v) + constant_series(v.d.q - 1, v.order))
+    checks = limit_checks("limit_rate[beta0]")
+    for beta in verify.DEFAULT_BETAS:
+        # beta_q(0) = beta (q + 1/q), so its deviation is beta (q - 1)^2 / q
+        devs = [abs(beta * (q - 1) ** 2 / q + (q - 1)) for q in SWEEP]
+        check = checks[format_rational(beta)]
+        assert check.status == "fail"
+        assert (check.worst_deviation, check.first_failure_index) == (band_gap(devs, F(1, 4)), None)
+
+
+def test_drift_that_does_not_vanish_fails(monkeypatch):
+    original = qspecial.delta_beta_q
+    offset = lambda q, s: s + constant_series(F(1, 10), s.order)
+    monkeypatch.setattr(qspecial, "delta_beta_q", lambda v: offset(v.d.q, original(v)))
+    for beta in verify.DEFAULT_BETAS:
+        devs = drift_devs(original, beta, offset)
+        check = limit_checks("drift_vanishes")[format_rational(beta)]
+        assert check.status == "fail"
+        assert (check.worst_deviation, check.first_failure_index) == (format_rational(devs[-1]), None)
+
+
+def test_second_order_drift_fails_its_rate_only(monkeypatch):
+    # a drift that vanishes as (q - 1)^2 still vanishes, at the wrong rate
+    original = qspecial.delta_beta_q
+    square = lambda q, s: s * (q - 1)
+    monkeypatch.setattr(qspecial, "delta_beta_q", lambda v: square(v.d.q, original(v)))
+    for beta in verify.DEFAULT_BETAS:
+        devs = drift_devs(original, beta, square)
+        check = limit_checks("limit_rate[drift]")[format_rational(beta)]
+        assert check.status == "fail"
+        assert (check.worst_deviation, check.first_failure_index) == (band_gap(devs, F(1, 2)), None)
+        assert limit_checks("drift_vanishes")[format_rational(beta)].passed
+
+
+def test_limits_pass_unpatched():
+    assert all(c.passed for c in verify.limits_suite())
