@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .qcore import Deformation, Rational, format_rational, parse_rational
+from .qcore import Deformation, Rational, _quoted, format_rational, parse_rational
 from .series import PowerSeries, make_series
 from .qspecial import (
     VacuumSpec,
@@ -109,7 +109,7 @@ def _rational_arg(text: str) -> Rational:
 def _positive_rational_arg(text: str) -> Rational:
     value = _rational_arg(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be positive, got {_quoted(text)}")
     return value
 
 
@@ -138,7 +138,7 @@ def _order_arg(text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer order: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not an integer order: {_quoted(text)}") from exc
     if value < MIN_ORDER:
         raise argparse.ArgumentTypeError(f"order must be >= {MIN_ORDER}, got {value}")
     return value
@@ -446,10 +446,11 @@ def _run_table(config: RunConfig) -> int:
         op = _operator_for(config, series)
         # the q-quotient degenerates at x = 0, and undeformed operators have
         # no pointwise form at all; only those points read the exact result
-        result = op.apply(series) if 0 in config.xs or not op.has_point_form else None
+        pointwise = op.has_point_form
+        result = op.apply(series) if 0 in config.xs or not pointwise else None
 
         def value_at(x: Rational) -> float:
-            if x == 0 or not op.has_point_form:
+            if x == 0 or not pointwise:
                 return result.evaluate_float(float(x))
             return op.apply_at(series.evaluate_float, float(x))
 

@@ -6,9 +6,10 @@ that multiply by a truncated series (``Mult``) or an exact polynomial
 f(q^k x) (``Shift``). Three interpreters read a tree:
 
 * series apply (``apply``), exact on Gaussian-rational coefficients;
-* pointwise apply (``apply_at``) on float evaluators, in a fixed float order.
-  It exists only for q != 1 (the classical derivative has no finite
-  q-quotient) and degenerates at x = 0; both answer through the series path;
+* pointwise apply (``apply_at``) on float evaluators, in a fixed float order,
+  walked on demand: nothing float is built with a node. It exists only for
+  q != 1 (the classical derivative has no finite q-quotient) and real
+  scalars, and degenerates at x = 0; both answer through the series path;
 * the term normal form (``normal_form``), op f = sum of a(x) (D_q^m f)(lam x),
   by D(FG) = (DF) G(qx) + F(x/q) DG and D[h(lam x)] = lam (Dh)(lam x).
   On a monomial each term is one integer row.
@@ -24,7 +25,7 @@ from math import lcm
 from operator import add as _add, mul as _mul
 from typing import Callable, Optional, Sequence
 
-from .qcore import Deformation, Rational, q_number, to_gauss
+from .qcore import Deformation, GaussRational, Rational, q_number, to_gauss
 from .series import PowerSeries, _canonical, constant_series, div, make_series
 from .qspecial import VacuumSpec, beta_q, delta_beta_q
 
@@ -44,17 +45,13 @@ _set = object.__setattr__
 
 
 class QOperator:
-    """A node of an immutable operator tree; a subclass's ``__slots__`` name its fields.
+    """A node of an immutable operator tree; a subclass's ``__slots__`` name its fields."""
 
-    The float form is built with the node, once: ``table`` reads it at many points.
-    """
-
-    __slots__ = ("_point",)
+    __slots__ = ()
 
     def __init__(self, *fields: object) -> None:
         for name, value in zip(self.__slots__, fields, strict=True):
             _set(self, name, value)
-        _set(self, "_point", _point_form(self))
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"QOperator is immutable; cannot set {name!r}")
@@ -73,13 +70,15 @@ class QOperator:
 
     @property
     def has_point_form(self) -> bool:
-        return self._point is not None
+        # any evaluator serves: whether a form exists depends on the nodes alone
+        return _point(self, float) is not None
 
     def apply_at(self, f: Evaluator, x: float) -> float:
         """Pointwise action on a float evaluator; x = 0 raises ZeroDivisionError."""
-        if self._point is None:
+        form = _point(self, f)
+        if form is None:
             raise ValueError(f"{self.name} has no pointwise form; use the series path")
-        return self._point(f, float(x))
+        return form(float(x))
 
     @property
     def order_cost(self) -> int:
@@ -150,37 +149,42 @@ def _series_leaf(op: QOperator, f: PowerSeries) -> PowerSeries:
     return f.scale_arg(op.d.q**op.k) if op.k else f
 
 
-def _point_form(op: QOperator) -> Optional[Callable[[Evaluator, float], float]]:
-    """(f, x) -> (op f)(x) on float evaluators, built from the children's; None if none.
+def _point(op: QOperator, f: Evaluator) -> Optional[Evaluator]:
+    """op f as a float evaluator, or None if op has no pointwise form.
 
     A sum adds left to right, a scale multiplies after its operand, and a
-    composition evaluates the inner form wherever the outer one reads f.
+    composition reads the inner form wherever the outer one reads f.
     """
+    return _run(op, f, _point_leaf, _point_sum, _point_scale)
+
+
+def _point_sum(a: Optional[Evaluator], b: Optional[Evaluator]) -> Optional[Evaluator]:
+    return None if a is None or b is None else lambda x: a(x) + b(x)
+
+
+def _point_scale(a: Optional[Evaluator], c: GaussRational) -> Optional[Evaluator]:
+    if a is None or c.im:
+        return None
+    cf = float(c.re)
+    return lambda x: cf * a(x)
+
+
+def _point_leaf(op: QOperator, f: Optional[Evaluator]) -> Optional[Evaluator]:
     kind = type(op)
-    if kind is Sum or kind is Compose:
-        a, b = (getattr(op, field)._point for field in op.__slots__)
-        if a is None or b is None:
-            return None
-        if kind is Sum:
-            return lambda f, x: a(f, x) + b(f, x)
-        return lambda f, x: a(lambda y: b(f, y), x)
-    if kind is Scale:
-        a, cf = op.op._point, float(op.c.re)
-        return None if a is None or op.c.im else lambda f, x: cf * a(f, x)
+    if f is None or kind is Jackson and op.d.is_classical:
+        return None
     if kind is Jackson:
-        if op.d.is_classical:
-            return None
         qf = float(op.d.q)
         iqf = 1.0 / qf
         span = qf - iqf
-        return lambda f, x: (f(qf * x) - f(iqf * x)) / (x * span)
+        return lambda x: (f(qf * x) - f(iqf * x)) / (x * span)
     if kind is Shift:
         lam = float(op.d.q**op.k)
-        return lambda f, x: f(lam * x)
+        return lambda x: f(lam * x)
     if kind is MultPoly and any(c.im for c in op.coeffs):
         return None
     g = op.g if kind is Mult else make_series(op.coeffs, max(len(op.coeffs) - 1, 0))
-    return lambda f, x: g.evaluate_float(x) * f(x)
+    return lambda x: g.evaluate_float(x) * f(x)
 
 
 def _order_leaf(op: QOperator, n: int) -> int:
@@ -447,7 +451,6 @@ class SweepRow:
 
     q: Rational
     deviation: Rational
-    deviation_float: float
 
 
 def limit_sweep(
@@ -460,7 +463,7 @@ def limit_sweep(
         qq = Fraction(q)
         got = builder(Deformation(qq)).apply(probe)
         dev = (got - target).max_abs_coeff()
-        rows.append(SweepRow(q=qq, deviation=dev, deviation_float=float(dev)))
+        rows.append(SweepRow(q=qq, deviation=dev))
     return rows
 
 

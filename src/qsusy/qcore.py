@@ -83,6 +83,11 @@ def _str_int(digits: str) -> int:
         return _str_int(digits[:-k]) * 10**k + _str_int(digits[-k:])
 
 
+def _quoted(text: str) -> str:
+    """repr(text) for an error message; past 64 characters, its start and its length."""
+    return repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Rational:
     """Parse "p/q", integer, or decimal strings to an exact rational.
 
@@ -97,14 +102,14 @@ def parse_rational(text: str) -> Rational:
         digits = exponent[1].replace("_", "").lstrip("+-").lstrip("0")
         if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
             raise ValueError(
-                f"exponent of {text!r} is past {_MAX_EXPONENT}, the int/str digit limit"
+                f"exponent of {_quoted(text)} is past {_MAX_EXPONENT}, the int/str digit limit"
             )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         plain = re.match(_PLAIN_RATIONAL, text)
         if plain is None or plain[3] is not None and not plain[3].strip("0"):
-            raise ValueError(f"not a rational: {text!r}") from exc
+            raise ValueError(f"not a rational: {_quoted(text)}") from exc
         sign, num, den, frac = plain.groups()
         if frac is not None:
             num, den = num + frac, 10 ** len(frac)

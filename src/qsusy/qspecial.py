@@ -19,14 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .qcore import Deformation, Rational, i_power, q_number_numerators
-from .series import (
-    PowerSeries,
-    _canonical,
-    constant_series,
-    linear_combination,
-    make_series,
-)
+from .qcore import Deformation, Rational, i_power, q_factorial, q_number_numerators
+from .series import PowerSeries, _canonical, constant_series, make_series
 
 __all__ = [
     "VacuumSpec",
@@ -115,19 +109,11 @@ def _q_exp_monomial(u: PowerSeries, m: int, d: Deformation) -> PowerSeries:
 
 def _q_exp_by_powers(u: PowerSeries, d: Deformation) -> PowerSeries:
     """sum u**n / [n]_q! by repeated products, for any u with u(0) = 0."""
-    return linear_combination(_q_exp_terms(u, d))
-
-
-def _q_exp_terms(u: PowerSeries, d: Deformation):
-    """(1/[n]_q!, u**n) for n = 0..order, one power alive at a time."""
-    power = constant_series(1, max(u.order, 0))
-    yield 1, power
-    ab = d.q.numerator * d.q.denominator
-    weight = Fraction(1)
-    for n, s in enumerate(q_number_numerators(u.order, d), 1):
+    power = total = constant_series(1, max(u.order, 0))
+    for n in range(1, u.order + 1):
         power = power * u
-        weight *= Fraction(ab ** (n - 1), s)
-        yield weight, power
+        total = total + power * (1 / q_factorial(n, d))
+    return total
 
 
 def _x_squared(scale: Rational, order: int) -> PowerSeries:
@@ -135,7 +121,6 @@ def _x_squared(scale: Rational, order: int) -> PowerSeries:
     return make_series(coeffs, order)
 
 
-@lru_cache(maxsize=None)
 def q_gauss(v: VacuumSpec) -> PowerSeries:
     """Deformed Gaussian vacuum e_q(beta x^2): an even series with constant 1."""
     return q_exp(_x_squared(v.beta, v.order), v.d)
@@ -179,7 +164,6 @@ def drift_deviations(v: VacuumSpec) -> tuple[Rational, Rational]:
     return beta0, delta_beta_q(v).max_abs_coeff()
 
 
-@lru_cache(maxsize=None)
 def q_hermite(n: int, d: Deformation, order: int) -> PowerSeries:
     """Deformed Hermite function (-1)**n e_q(x^2) D_q**n e_q(-x^2), truncated.
 

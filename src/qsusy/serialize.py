@@ -149,7 +149,10 @@ def series_to_csv(a: PowerSeries) -> str:
 
 
 def series_from_csv(text: str) -> PowerSeries:
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # e.g. a field past the csv module's size limit
+        raise ValueError(f"malformed series CSV: {exc}") from exc
     if not rows or rows[0] != ["n", "re", "im"]:
         raise ValueError("series CSV needs the header row n,re,im")
     if len(rows) == 1:

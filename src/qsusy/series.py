@@ -76,7 +76,6 @@ __all__ = [
     "zero_series",
     "constant_series",
     "monomial",
-    "linear_combination",
     "div",
 ]
 
@@ -684,33 +683,6 @@ def monomial(n: int, order: int, coeff: CoeffLike = 1) -> PowerSeries:
     if n < 0 or n > order:
         raise ValueError(f"monomial degree {n} must lie in 0..{order}")
     return make_series([0] * n + [coeff], order)
-
-
-def linear_combination(terms: Iterable[tuple[Rational, PowerSeries]]) -> PowerSeries:
-    """Sum of w * s over (rational weight, series) pairs, converted back once.
-
-    The terms are consumed one at a time, and only their nonzero entries are
-    added, as reduced rationals. A sum of sparse terms, such as the powers of
-    a monomial in ``q_exp``, so costs one rational product per nonzero entry,
-    and no numerator is padded to the lcm of every term's denominator, which
-    can be far longer than the reduced sum's. The order is the smallest among
-    the terms.
-    """
-    acc: list[Fraction] = []  # real and imaginary parts interleaved
-    for i, (w, s) in enumerate(terms):
-        if i == 0:
-            acc = [_FRACTION_ZERO] * (2 * (s.order + 1))
-        del acc[2 * (s.order + 1) :]
-        scale = Fraction(w) / s.den
-        ims = repeat(0) if s.num_im is None else s.num_im
-        for k, x, y in zip(range(0, len(acc), 2), s.num_re, ims):
-            if x:
-                acc[k] += x * scale
-            if y:
-                acc[k + 1] += y * scale
-    return _from_ratios(
-        len(acc) // 2 - 1, [c.numerator for c in acc], [c.denominator for c in acc]
-    )
 
 
 # -- division -----------------------------------------------------------------

@@ -335,25 +335,12 @@ def classical_suite(max_n: int = 6, order: int = 24) -> list[CheckResult]:
                 order - 2,
             )
         )
-        # the Rodrigues product loses n orders and the tail check reads two
-        # coefficients above degree n, so size the truncation per level
+        # the Rodrigues product loses n orders; sized per level, the residual
+        # runs to order >= n + 4, so it also finds a nonzero coefficient of
+        # the q = 1 product above degree n, where H_n has none
         h_order = max(order, 2 * n + 4)
-        deformed = q_hermite(n, d1, h_order)
-        residual = deformed - classical_hermite(n, h_order)
-        res = _residual_result(
-            "rodrigues_collapse", params, residual, h_order - n
-        )
-        # the q = 1 Rodrigues product must also be a genuine polynomial:
-        # the two coefficients above degree n must vanish
-        if res.passed and any(deformed.coeff(n + k) for k in (1, 2)):
-            res = CheckResult(
-                name="rodrigues_collapse",
-                params=params,
-                status="fail",
-                worst_deviation="nonzero tail coefficient",
-                first_failure_index=n + 1,
-            )
-        out.append(res)
+        residual = q_hermite(n, d1, h_order) - classical_hermite(n, h_order)
+        out.append(_residual_result("rodrigues_collapse", params, residual, h_order - n))
     return out
 
 

@@ -92,6 +92,17 @@ class TestParsing:
         assert (code, out) == (2, "")
         assert "past 4300, the int/str digit limit" in err
 
+    @pytest.mark.parametrize("argv, echo", [
+        (("hermite", "--q", "1" * 10**6 + "x"), "(1000001 characters)"),
+        (("hermite", "--q", "1" * 10**6 + "e5000"), "(1000005 characters) is past 4300"),
+        (("hermite", "--q", "-" + "1" * 10**6), "must be positive, got '-111"),
+        (("hermite", "--order", "1" * 10**6 + "x"), "not an integer order: '111"),
+    ])
+    def test_long_flag_is_not_echoed_in_full(self, capsys, argv, echo):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert echo in err and len(err.encode()) < 1024
+
     @pytest.mark.parametrize("argv", [
         ("hermite", "--n", "5", "--order", "6"),
         ("ufunc", "--p", "6", "--order", "7"),
@@ -259,6 +270,14 @@ class TestApply:
         assert code == 2
         assert out == ""
         assert err.startswith("qsusy: error:")
+
+    def test_long_coefficient_is_not_echoed_in_full(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"order": 1, "coeffs": [["1", "0"], ["1" * 10**6 + "x", "0"]]}))
+        code, out, err = run(capsys, "apply", "--op", "OH", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "not a rational: '1111" in err and "(1000001 characters)" in err
+        assert len(err.encode()) < 1024
 
     def test_deeply_nested_input_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -11,11 +11,13 @@ import pytest
 from qsusy import operators, verify
 from qsusy.cli import OPERATOR_NAMES, _build_operator, parse_args
 from qsusy.operators import (
+    QOperator,
     Shift,
     jackson_op,
     multiplication_op,
     normal_form,
     poly_multiplication_op,
+    scalar_op,
     second_order_composed,
     second_order_direct,
     susy_pair_limit,
@@ -23,7 +25,7 @@ from qsusy.operators import (
 )
 from qsusy.qcore import GaussRational, Deformation, format_rational
 from qsusy.qspecial import VacuumSpec, q_gauss
-from qsusy.series import constant_series, monomial, zero_series
+from qsusy.series import constant_series, make_series, monomial, zero_series
 
 D1 = Deformation(1)
 FORMS = OPERATOR_NAMES + ("direct[b]", "direct[f]")
@@ -124,6 +126,28 @@ class TestTree:
         assert not (jackson_op(d) * GaussRational(0, 1)).has_point_form
         assert not poly_multiplication_op([GaussRational(0, 1)]).has_point_form
         assert not (jackson_op(d) @ jackson_op(D1)).has_point_form
+
+    def test_a_node_holds_only_its_fields(self):
+        # nothing float is computed when a node is made, so a q or a scalar
+        # past the float range builds and applies exactly
+        assert QOperator.__slots__ == ()
+        big = 10**400
+        op = jackson_op(Deformation(big)) + scalar_op(big)
+        assert not hasattr(op, "__dict__")
+        assert op.apply(monomial(1, 4)) == make_series([1, big], 3)
+
+    def test_point_form_keeps_the_float_order(self):
+        # a sum adds left to right, a scale multiplies after its operand, and a
+        # composition reads the inner form wherever the outer one reads f
+        d = Deformation(F(3, 2))
+        g = make_series([F(1, 3), F(-2, 5), F(1, 7)], 2)
+        op = (jackson_op(d) @ multiplication_op(g)) * F(2, 3) + Shift(d, -1)
+        f = lambda x: 1.0 / (1.0 + x * x)
+        inner = lambda y: g.evaluate_float(y) * f(y)
+        qf, x = 1.5, 0.3
+        iqf = 1.0 / qf
+        want = float(F(2, 3)) * ((inner(qf * x) - inner(iqf * x)) / (x * (qf - iqf)))
+        assert op.apply_at(f, x) == want + f(float(F(2, 3)) * x)
 
     def test_name_shows_the_tree(self):
         op = jackson_op(Deformation(2)) - multiplication_op(constant_series(1, 4), "w")

@@ -223,6 +223,19 @@ class TestRationalStrings:
         assert parse_rational("0." + "5" * 40_000) == F((10**40_000 - 1) // 9 * 5, 10**40_000)
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("text, message", [
+        ("x/y", "not a rational: 'x/y'"),
+        ("1e4301", "exponent of '1e4301' is past 4300, the int/str digit limit"),
+        ("x" * 64, f"not a rational: {'x' * 64!r}"),
+        ("x" * 65, f"not a rational: {'x' * 64!r}... (65 characters)"),
+        ("1" * 70 + "e9999", f"exponent of {'1' * 64!r}... (75 characters) is past 4300, "
+         "the int/str digit limit"),
+    ])
+    def test_message_quotes_at_most_64_characters(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text", [
         "1" * 5000 + "/0", "1" * 5000 + "x", "1" * 5000 + "/-3",
         "1" * 5000 + ".5.5", "1" * 5000 + "./3", "1" * 5000 + ".5/3", "." * 5000,

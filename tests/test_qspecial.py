@@ -228,3 +228,12 @@ class TestUTransform:
             u_transform(1, D2, 12)
         with pytest.raises(ValueError):
             u_transform(-2, D2, 12)
+
+
+def test_only_beta_q_is_memoised():
+    # beta_q's cache serves every operator built on one vacuum; q_gauss and
+    # q_hermite are cheap to rebuild and their caches were rarely hit
+    from qsusy import qspecial
+
+    cached = [name for name, value in vars(qspecial).items() if hasattr(value, "cache_info")]
+    assert cached == ["beta_q"]

@@ -89,6 +89,16 @@ class TestCsv:
         series = PowerSeries(tuple(coeffs), len(coeffs) - 1)
         assert exact_equal(series_from_csv(series_to_csv(series)), series)
 
+    @pytest.mark.parametrize("field, echo", [
+        # past the csv module's field limit (128 KiB), which raises csv.Error
+        ("1" * 10**6 + "x", "malformed series CSV: field larger than field limit"),
+        ("1" * 10**5 + "x", "not a rational: '1111"),
+    ])
+    def test_long_field_is_not_echoed_in_full(self, field, echo):
+        with pytest.raises(ValueError) as info:
+            series_from_csv(f"n,re,im\n0,1,0\n1,{field},0\n")
+        assert echo in str(info.value) and len(str(info.value)) < 1024
+
 
 # -- the numerator reader and writer against the per-coefficient path -----------
 

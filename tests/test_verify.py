@@ -119,6 +119,21 @@ def test_perturbed_q1_hermite_fails_rodrigues_collapse(monkeypatch):
         assert (check.worst_deviation, check.first_failure_index) == ("1/3", n)
 
 
+def test_q1_hermite_with_a_tail_fails_rodrigues_collapse(monkeypatch):
+    # nonzero x^(n+1) and x^(n+2), where H_n has none: the residual reaches them
+    original = verify.q_hermite
+
+    def with_tail(n, d, order):
+        return original(n, d, order) + monomial(n + 1, order, F(1, 5)) + monomial(n + 2, order, F(-1, 7))
+
+    monkeypatch.setattr(verify, "q_hermite", with_tail)
+    checks = classical_checks("rodrigues_collapse")
+    assert len(checks) == 7
+    for n, check in enumerate(checks):
+        assert check.status == "fail"
+        assert (check.worst_deviation, check.first_failure_index) == ("1/5", n + 1)
+
+
 def test_classical_passes_unpatched():
     assert all(c.passed and c.worst_deviation == "0" for c in verify.classical_suite(order=24))
 
