@@ -33,14 +33,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .qcore import Deformation, Rational, _quoted, format_rational, parse_rational
-from .series import PowerSeries, make_series
+from .qcore import _QUOTE_LIMIT, Deformation, Rational, _quoted, format_rational, parse_rational
+from .series import PowerSeries
 from .qspecial import (
     VacuumSpec,
     beta_q,
     delta_beta_q,
     drift_deviations,
-    q_exp,
     q_gauss,
     q_hermite,
     u_transform,
@@ -69,8 +68,6 @@ DEFAULT_SWEEP: tuple[Rational, ...] = (
     Fraction(17, 16),
     Fraction(1),
 )
-OPERATOR_NAMES = ("Ob", "Of", "Tplus", "Tminus", "h0", "h1", "OH", "Ophi")
-TABLE_FUNCS = ("beta", "dbeta", "gauss", "hermite", "ufunc")
 
 
 @dataclass
@@ -134,6 +131,13 @@ def _positive_rational_list_arg(text: str) -> tuple[Rational, ...]:
     return values
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from exc
+
+
 def _order_arg(text: str) -> int:
     try:
         value = int(text)
@@ -195,52 +199,64 @@ def _build_parser() -> argparse.ArgumentParser:
         return sub
 
     def add_n(sub: argparse.ArgumentParser, **kwargs) -> None:
-        sub.add_argument("--n", type=int, dest="n_or_p", metavar="N", **kwargs)
+        sub.add_argument("--n", type=_int_arg, dest="n_or_p", metavar="N", **kwargs)
+
+    def add_choice(sub: argparse.ArgumentParser, name: str, choices: Sequence[str], **kwargs):
+        # argparse's own message echoes all of a refused value; no choice is
+        # longer than the quote limit, so a longer value is refused here
+        def choice(text: str) -> str:
+            if len(text) > _QUOTE_LIMIT:
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {_quoted(text)} (choose from {', '.join(choices)})"
+                )
+            return text
+
+        sub.add_argument(name, choices=choices, type=choice, **kwargs)
 
     p = add_parser("hermite", help="deformed Hermite function series")
     add_n(p, help="index n >= 0")
     _add_common(p, beta=False)
-    p.add_argument("--emit", choices=("json", "csv"))
+    add_choice(p, "--emit", ("json", "csv"))
 
     p = add_parser("beta", help="drift coefficient series beta_q(x^2)")
     _add_common(p)
     p.add_argument("--delta", action="store_true",
                    help="emit the q-increment beta_q(x^2) - (1/q) beta_q(x^2/q^2)")
-    p.add_argument("--emit", choices=("json", "csv"))
+    add_choice(p, "--emit", ("json", "csv"))
 
     p = add_parser("ufunc", help="nodeless transformation function series")
-    p.add_argument("--p", type=int, dest="n_or_p", metavar="P", help="even index p >= 0")
+    p.add_argument("--p", type=_int_arg, dest="n_or_p", metavar="P", help="even index p >= 0")
     _add_common(p, beta=False)
-    p.add_argument("--emit", choices=("json", "csv"))
+    add_choice(p, "--emit", ("json", "csv"))
 
     p = add_parser("apply", help="apply a named operator to a series file")
-    p.add_argument("--op", required=True, choices=OPERATOR_NAMES)
+    add_choice(p, "--op", OPERATOR_NAMES, required=True)
     add_n(p, help="index for OH/Ophi")
     _add_common(p)
     p.add_argument("--input", required=True, dest="input_path", metavar="INPUT",
                    help="input series JSON path")
-    p.add_argument("--emit", choices=("json", "csv"))
+    add_choice(p, "--emit", ("json", "csv"))
 
     p = add_parser("verify", help="run an identity suite")
-    p.add_argument("suite", choices=SUITES + ("all",))
+    add_choice(p, "suite", SUITES + ("all",))
     _add_common(p)
-    p.add_argument("--jobs", type=int, help="worker threads for cells")
+    p.add_argument("--jobs", type=_int_arg, help="worker threads for cells")
 
     p = add_parser("limit", help="deviation table along a q sweep")
     p.add_argument("--qs", type=_positive_rational_list_arg,
                    help="comma-separated sweep, e.g. 2,3/2,5/4 (default standard sweep)")
     _add_common(p)
-    p.add_argument("--emit", choices=("csv", "json"), default="csv")
+    add_choice(p, "--emit", ("csv", "json"), default="csv")
 
     p = add_parser("table", help="float samples of a series or operator")
-    p.add_argument("--func", choices=TABLE_FUNCS)
-    p.add_argument("--op", choices=OPERATOR_NAMES,
-                   help="sample an operator applied to --input instead of --func")
+    add_choice(p, "--func", TABLE_FUNCS)
+    add_choice(p, "--op", OPERATOR_NAMES,
+               help="sample an operator applied to --input instead of --func")
     p.add_argument("--input", dest="input_path", metavar="INPUT",
                    help="input series JSON for --op mode")
     add_n(p)
     # --func ufunc reads --p and every other function --n, so both are kept
-    p.add_argument("--p", type=int, dest="table_p", metavar="P", default=0)
+    p.add_argument("--p", type=_int_arg, dest="table_p", metavar="P", default=0)
     p.add_argument("--xs", type=_rational_list_arg, default="-1,-1/2,0,1/2,1",
                    help='comma-separated sample points (default "%(default)s")')
     _add_common(p)
@@ -310,24 +326,24 @@ def _vacuum(config: RunConfig, order: Optional[int] = None) -> VacuumSpec:
     )
 
 
+# each --op name and the operator it builds from a config and an order; OH and
+# Ophi read only n, so they build no vacuum
+_OPERATORS = {
+    "Ob": lambda c, order: second_order_composed(_vacuum(c, order), "b"),
+    "Of": lambda c, order: second_order_composed(_vacuum(c, order), "f"),
+    "Tplus": lambda c, order: t_plus_q(_vacuum(c, order)),
+    "Tminus": lambda c, order: t_minus_q(_vacuum(c, order)),
+    "h0": lambda c, order: susy_pair_limit(_vacuum(c, order))[0],
+    "h1": lambda c, order: susy_pair_limit(_vacuum(c, order))[1],
+    "OH": lambda c, order: classical_hermite_op(c.n_or_p),
+    "Ophi": lambda c, order: classical_schrodinger_op(c.n_or_p),
+}
+OPERATOR_NAMES = tuple(_OPERATORS)
+
+
 def _build_operator(config: RunConfig, min_order: int) -> QOperator:
     """Resolve an --op name; coefficient series are built long enough for the input."""
-    order = max(config.order, min_order)
-    name = config.op
-    if name in ("Ob", "Of"):
-        return second_order_composed(_vacuum(config, order), "b" if name == "Ob" else "f")
-    if name == "Tplus":
-        return t_plus_q(_vacuum(config, order))
-    if name == "Tminus":
-        return t_minus_q(_vacuum(config, order))
-    if name in ("h0", "h1"):
-        h0, h1 = susy_pair_limit(_vacuum(config, order))
-        return h0 if name == "h0" else h1
-    if name == "OH":
-        return classical_hermite_op(config.n_or_p)
-    if name == "Ophi":
-        return classical_schrodinger_op(config.n_or_p)
-    raise ValueError(f"unknown operator: {name!r}")
+    return _OPERATORS[config.op](config, max(config.order, min_order))
 
 
 def _operator_for(config: RunConfig, series: PowerSeries) -> QOperator:
@@ -341,26 +357,21 @@ def _operator_for(config: RunConfig, series: PowerSeries) -> QOperator:
     return op
 
 
-def _named_series(func: str, config: RunConfig) -> PowerSeries:
-    """The series a table --func name (or dbeta, for beta --delta) stands for."""
-    if func == "hermite":
-        return q_hermite(config.n_or_p, Deformation(config.q), config.order)
-    if func == "ufunc":
-        return u_transform(config.n_or_p, Deformation(config.q), config.order)
-    v = _vacuum(config)
-    if func == "beta":
-        return beta_q(v)
-    if func == "dbeta":
-        return delta_beta_q(v)
-    if func == "gauss":
-        return q_gauss(v)
-    raise ValueError(f"unknown table function: {func!r}")
+# each table --func name (and dbeta, for beta --delta) and the series it stands for
+_NAMED_SERIES = {
+    "beta": lambda c: beta_q(_vacuum(c)),
+    "dbeta": lambda c: delta_beta_q(_vacuum(c)),
+    "gauss": lambda c: q_gauss(_vacuum(c)),
+    "hermite": lambda c: q_hermite(c.n_or_p, Deformation(c.q), c.order),
+    "ufunc": lambda c: u_transform(c.n_or_p, Deformation(c.q), c.order),
+}
+TABLE_FUNCS = tuple(_NAMED_SERIES)
 
 
 def _run_series(config: RunConfig) -> int:
     """hermite, beta [--delta] and ufunc: the command names its series."""
     func = "dbeta" if config.delta else config.command
-    return _emit_series(_named_series(func, config), config)
+    return _emit_series(_NAMED_SERIES[func](config), config)
 
 
 def _load_series(path: str) -> PowerSeries:
@@ -413,7 +424,7 @@ def _run_verify(config: RunConfig) -> int:
 
 
 def _run_limit(config: RunConfig) -> int:
-    probe = q_exp(make_series([0, 0, Fraction(-1, 2)], config.order), Deformation(1))
+    probe = q_gauss(VacuumSpec(beta=Fraction(-1, 2), d=Deformation(1), order=config.order))
     vacuum = lambda d: VacuumSpec(beta=config.beta, d=d, order=config.order)
     rows = []
     for row in limit_sweep(lambda d: second_order_composed(vacuum(d), "b"), config.qs, probe):
@@ -455,7 +466,7 @@ def _run_table(config: RunConfig) -> int:
             return op.apply_at(series.evaluate_float, float(x))
 
     else:
-        series = _named_series(config.func, config)
+        series = _NAMED_SERIES[config.func](config)
 
         def value_at(x: Rational) -> float:
             return series.evaluate_float(float(x))

@@ -82,7 +82,8 @@ class QOperator:
 
     @property
     def order_cost(self) -> int:
-        return _run(self, 0, lambda op, n: n + (type(op) is Jackson), max, lambda n, c: n)
+        """The least input order n >= 0 for which op f has order >= 0."""
+        return max(0, -_run(self, 0, _order_leaf, min, lambda n, c: n))
 
     def __add__(self, other: "QOperator") -> "QOperator":
         return Sum(self, other) if isinstance(other, QOperator) else NotImplemented
@@ -162,16 +163,24 @@ def _point_sum(a: Optional[Evaluator], b: Optional[Evaluator]) -> Optional[Evalu
     return None if a is None or b is None else lambda x: a(x) + b(x)
 
 
-def _point_scale(a: Optional[Evaluator], c: GaussRational) -> Optional[Evaluator]:
-    if a is None or c.im:
+def _float(x: Rational) -> Optional[float]:
+    """x as a float, or None if x is past the float range or a nonzero below it."""
+    try:
+        xf = float(x)
+    except OverflowError:
         return None
-    cf = float(c.re)
-    return lambda x: cf * a(x)
+    return xf if xf or not x else None
+
+
+def _point_scale(a: Optional[Evaluator], c: GaussRational) -> Optional[Evaluator]:
+    cf = None if a is None or c.im else _float(c.re)
+    return None if cf is None else lambda x: cf * a(x)
 
 
 def _point_leaf(op: QOperator, f: Optional[Evaluator]) -> Optional[Evaluator]:
+    # a q or shift factor with no float value leaves no point form
     kind = type(op)
-    if f is None or kind is Jackson and op.d.is_classical:
+    if f is None or kind is Jackson and (op.d.is_classical or _float(op.d.q) is None):
         return None
     if kind is Jackson:
         qf = float(op.d.q)
@@ -179,8 +188,8 @@ def _point_leaf(op: QOperator, f: Optional[Evaluator]) -> Optional[Evaluator]:
         span = qf - iqf
         return lambda x: (f(qf * x) - f(iqf * x)) / (x * span)
     if kind is Shift:
-        lam = float(op.d.q**op.k)
-        return lambda x: f(lam * x)
+        lam = _float(op.d.q**op.k)
+        return None if lam is None else lambda x: f(lam * x)
     if kind is MultPoly and any(c.im for c in op.coeffs):
         return None
     g = op.g if kind is Mult else make_series(op.coeffs, max(len(op.coeffs) - 1, 0))

@@ -83,9 +83,21 @@ def _str_int(digits: str) -> int:
         return _str_int(digits[:-k]) * 10**k + _str_int(digits[-k:])
 
 
+#: How much of a refused value an error message shows.
+_QUOTE_LIMIT = 64
+
+
 def _quoted(text: str) -> str:
     """repr(text) for an error message; past 64 characters, its start and its length."""
-    return repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
+def _shown(value: object) -> str:
+    """repr(value) for an error message, past 64 characters cut as _quoted cuts a text."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_LIMIT else f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
 def parse_rational(text: str) -> Rational:

@@ -19,7 +19,7 @@ import json
 from math import gcd
 from typing import Any, Iterable, Iterator, Sequence
 
-from .qcore import GaussRational, _int_str, format_rational, parse_rational
+from .qcore import GaussRational, _int_str, _shown, format_rational, parse_rational
 from .series import PowerSeries, _from_ratios
 
 __all__ = [
@@ -45,7 +45,7 @@ def gauss_from_pair(pair: Any) -> GaussRational:
 
 def _checked_pair(pair: Any) -> Any:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"expected a [re, im] pair, got {pair!r}")
+        raise ValueError(f"expected a [re, im] pair, got {_shown(pair)}")
     return pair
 
 
@@ -122,9 +122,9 @@ def series_from_dict(data: Any) -> PowerSeries:
     order, pairs = data["order"], data["coeffs"]
     # a JSON true is a Python int too, so it has to be refused by name
     if isinstance(order, bool) or not isinstance(order, int) or order < 0:
-        raise ValueError(f"bad series order: {order!r}")
+        raise ValueError(f"bad series order: {_shown(order)}")
     if not isinstance(pairs, list):
-        raise ValueError(f"series 'coeffs' must be a list of [re, im] pairs, got {pairs!r}")
+        raise ValueError(f"series 'coeffs' must be a list of [re, im] pairs, got {_shown(pairs)}")
     return _read(order, map(_checked_pair, pairs))
 
 
@@ -162,5 +162,5 @@ def series_from_csv(text: str) -> PowerSeries:
 
 def _checked_row(i: int, row: list[str]) -> list[str]:
     if len(row) != 3 or int(row[0]) != i:
-        raise ValueError(f"bad CSV coefficient row {row!r} at position {i}")
+        raise ValueError(f"bad CSV coefficient row {_shown(row)} at position {i}")
     return row[1:]

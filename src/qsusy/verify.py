@@ -1,9 +1,11 @@
 """Identity suites: the machine-checkable claims behind the construction.
 
-Each suite returns a list of CheckResult records, one per (identity, cell).
-Everything except the float cross-check is exact: a check passes only when
-the residual series is zero in every valid coefficient, and the reported
-worst deviation is an exact rational (so "0" really means zero).
+Each suite checks one cell of the (suite, q, beta) grid that ``cells`` owns
+and returns a list of CheckResult records, one per identity; its fixed sizes
+are module constants. Everything except the float cross-check is exact: a
+check passes only when the residual series is zero in every valid
+coefficient, and the reported worst deviation is an exact rational (so "0"
+really means zero).
 
 Suites:
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .qcore import Deformation, Rational, format_rational
 from .series import PowerSeries, make_series
@@ -33,7 +35,6 @@ from .qspecial import (
     drift_deviations,
     q_gauss,
     q_hermite,
-    q_exp,
 )
 from .operators import (
     NormalForm,
@@ -66,7 +67,12 @@ DEFAULT_QS: tuple[Rational, ...] = (Fraction(2), Fraction(3, 2), Fraction(5, 4))
 DEFAULT_BETAS: tuple[Rational, ...] = (Fraction(-1, 2), Fraction(1, 2))
 #: The q values the leibniz suite sweeps when no --q is pinned.
 LEIBNIZ_QS: tuple[Rational, ...] = (Fraction(2), Fraction(3, 2))
+# the fixed sizes of the suites; a run sets only q, beta and order
+LEIBNIZ_PAIRS = 200
+LEIBNIZ_MAX_DEGREE = 10
 LEIBNIZ_SEED = 0x5EED
+LIMITS_TOP_DEGREE = 20
+CLASSICAL_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -129,48 +135,31 @@ def _cell_params(v: VacuumSpec) -> dict[str, str]:
 # -- suites -------------------------------------------------------------------
 
 
-def kernel_suite(
-    qs: Iterable[Rational] = DEFAULT_QS,
-    betas: Iterable[Rational] = DEFAULT_BETAS,
-    order: int = 40,
-) -> list[CheckResult]:
+def kernel_suite(q: Rational, beta: Rational, order: int = 40) -> list[CheckResult]:
     """Tplus annihilates e_q(beta x^2), exactly, in every valid coefficient."""
-    out = []
-    for q in qs:
-        for beta in betas:
-            v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
-            residual = t_plus_q(v).apply(q_gauss(v))
-            out.append(
-                _residual_result("kernel", _cell_params(v), residual, order - 1)
-            )
-    return out
+    v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
+    residual = t_plus_q(v).apply(q_gauss(v))
+    return [_residual_result("kernel", _cell_params(v), residual, order - 1)]
 
 
-def factorization_suite(
-    qs: Iterable[Rational] = DEFAULT_QS,
-    betas: Iterable[Rational] = DEFAULT_BETAS,
-    order: int = 32,
-) -> list[CheckResult]:
+def factorization_suite(q: Rational, beta: Rational, order: int = 32) -> list[CheckResult]:
     """Expanded five-term partner operators equal the composed products.
 
     Checked on the complete monomial basis x^0..x^order, which settles the
     operator identity on the whole truncated space by linearity. Both sides
     are read through the term normal form of their difference.
     """
-    out = []
-    for q in qs:
-        for beta in betas:
-            v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
-            for which in ("b", "f"):
-                diff = second_order_direct(v, which) - second_order_composed(v, which)
-                out.append(_probe_result(
-                    f"factorization[{which}]",
-                    _cell_params(v),
-                    normal_form(diff, order),
-                    range(order + 1),
-                    order - 2,
-                ))
-    return out
+    v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
+    return [
+        _probe_result(
+            f"factorization[{which}]",
+            _cell_params(v),
+            normal_form(second_order_direct(v, which) - second_order_composed(v, which), order),
+            range(order + 1),
+            order - 2,
+        )
+        for which in ("b", "f")
+    ]
 
 
 def _random_polynomial(rng: random.Random, max_degree: int, order: int) -> PowerSeries:
@@ -184,37 +173,27 @@ def _random_polynomial(rng: random.Random, max_degree: int, order: int) -> Power
     return make_series(coeffs, order)
 
 
-def leibniz_suite(
-    qs: Iterable[Rational] = LEIBNIZ_QS,
-    pairs: int = 200,
-    max_degree: int = 10,
-    seed: int = LEIBNIZ_SEED,
-) -> list[CheckResult]:
-    """Product rule D_q(FG) = (D_q F) G(qx) + F(x/q) (D_q G), exactly."""
-    out = []
-    order = 2 * max_degree + 2
-    for q in qs:
-        d = Deformation(q)
-        rng = random.Random(seed)
-        worst = CheckResult(
-            name="leibniz",
-            params={"q": format_rational(q), "pairs": str(pairs), "seed": str(seed)},
-        )
-        for _ in range(pairs):
-            f = _random_polynomial(rng, max_degree, order)
-            g = _random_polynomial(rng, max_degree, order)
-            lhs = (f * g).jackson_derivative(d)
-            rhs = f.jackson_derivative(d) * g.scale_arg(q) + f.scale_arg(
-                1 / Fraction(q)
-            ) * g.jackson_derivative(d)
-            res = _residual_result(
-                "leibniz", dict(worst.params), lhs - rhs, order - 1
-            )
-            if not res.passed:
-                worst = res
-                break
-        out.append(worst)
-    return out
+def leibniz_suite(q: Rational) -> list[CheckResult]:
+    """Product rule D_q(FG) = (D_q F) G(qx) + F(x/q) (D_q G), exactly.
+
+    Checked on LEIBNIZ_PAIRS seeded random polynomial pairs of degree at most
+    LEIBNIZ_MAX_DEGREE; one result, the first failing pair's if any.
+    """
+    d = Deformation(q)
+    rng = random.Random(LEIBNIZ_SEED)
+    order = 2 * LEIBNIZ_MAX_DEGREE + 2
+    params = {"q": format_rational(q), "pairs": str(LEIBNIZ_PAIRS), "seed": str(LEIBNIZ_SEED)}
+    for _ in range(LEIBNIZ_PAIRS):
+        f = _random_polynomial(rng, LEIBNIZ_MAX_DEGREE, order)
+        g = _random_polynomial(rng, LEIBNIZ_MAX_DEGREE, order)
+        lhs = (f * g).jackson_derivative(d)
+        rhs = f.jackson_derivative(d) * g.scale_arg(q) + f.scale_arg(
+            1 / Fraction(q)
+        ) * g.jackson_derivative(d)
+        res = _residual_result("leibniz", dict(params), lhs - rhs, order - 1)
+        if not res.passed:
+            return [res]
+    return [CheckResult(name="leibniz", params=params)]
 
 
 def _ratio_band_result(
@@ -244,11 +223,11 @@ def _ratio_band_result(
     )
 
 
-def limits_suite(order: int = 24, top_degree: int = 20) -> list[CheckResult]:
+def limits_suite(order: int = 24) -> list[CheckResult]:
     """Undeformed reduction at q = 1 and convergence of the drift data.
 
     * At q = 1 exactly, the composed partner operators act on monomials
-      x^0..x^top_degree identically to -D^2 + b1^2 x^2 +- b1, b1 = 2 beta.
+      x^0..x^LIMITS_TOP_DEGREE identically to -D^2 + b1^2 x^2 +- b1, b1 = 2 beta.
     * Along q = 1 + 2**-k the deviation beta_q(0) - 2 beta is second order
       in (q - 1), successive ratios inside 1/4 +- 1/20.
     * The drift series beta_q(x^2) - (1/q) beta_q(x^2/q^2) goes to zero at
@@ -256,8 +235,10 @@ def limits_suite(order: int = 24, top_degree: int = 20) -> list[CheckResult]:
       ratios converge to 1/2, checked inside 1/2 +- 1/20.
     """
     out = []
-    need = max(order, top_degree + 4)
-    for beta in DEFAULT_BETAS:
+    need = max(order, LIMITS_TOP_DEGREE + 4)
+    # one cell that takes no pin: it covers the betas of the default grid
+    betas = dict.fromkeys(beta for _, _, beta in cells("kernel"))
+    for beta in betas:
         v1 = VacuumSpec(beta=beta, d=Deformation(1), order=need)
         h0, h1 = susy_pair_limit(v1)
         for which, target in (("b", h0), ("f", h1)):
@@ -265,12 +246,12 @@ def limits_suite(order: int = 24, top_degree: int = 20) -> list[CheckResult]:
                 f"undeformed_reduction[{which}]",
                 {"beta": format_rational(beta), "order": str(need)},
                 normal_form(second_order_composed(v1, which) - target, need),
-                range(top_degree + 1),
+                range(LIMITS_TOP_DEGREE + 1),
                 need - 2,
             ))
 
     sweep = [1 + Fraction(1, 2**k) for k in range(1, 7)]
-    for beta in DEFAULT_BETAS:
+    for beta in betas:
         beta0_devs = []
         drift_devs = []
         for q in sweep:
@@ -310,12 +291,12 @@ def limits_suite(order: int = 24, top_degree: int = 20) -> list[CheckResult]:
     return out
 
 
-def classical_suite(max_n: int = 6, order: int = 24) -> list[CheckResult]:
+def classical_suite(order: int = 24) -> list[CheckResult]:
     """q = 1 oracles: operator annihilation and Rodrigues/recurrence agreement."""
     out = []
     d1 = Deformation(1)
-    gauss = q_exp(make_series([0, 0, Fraction(-1, 2)], order), d1)
-    for n in range(max_n + 1):
+    gauss = q_gauss(VacuumSpec(beta=Fraction(-1, 2), d=d1, order=order))
+    for n in range(CLASSICAL_MAX_N + 1):
         params = {"n": str(n), "order": str(order)}
         hn = classical_hermite(n, order)
         out.append(
@@ -355,10 +336,10 @@ def cells(
     """The (suite, q, beta) cells that a run of one suite, or of "all", covers.
 
     kernel and factorization sweep DEFAULT_QS x DEFAULT_BETAS, leibniz sweeps
-    LEIBNIZ_QS, and limits and classical are one cell each. A pinned q or beta
-    replaces its sweep. "all" is the union of the suites, so it keeps a pin
-    that some suite takes; a pin that no cell carries would be silently
-    ignored, so it raises ``ValueError``.
+    LEIBNIZ_QS, and limits (over that grid's betas) and classical are one cell
+    each. A pinned q or beta replaces its sweep. "all" is the union of the
+    suites, so it keeps a pin that some suite takes; a pin that no cell
+    carries would be silently ignored, so it raises ``ValueError``.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown verification suite: {suite!r}")
@@ -394,14 +375,11 @@ def run_suite(
 def _run_cell(
     suite: str, q: Optional[Rational], beta: Optional[Rational], order: Optional[int]
 ) -> list[CheckResult]:
-    # the suites are looked up at call time, so a wrapper put on the module's
-    # names (a tracer, a test's fault) is the one that runs
-    if suite == "kernel":
-        return kernel_suite((q,), (beta,), order or 40)
-    if suite == "factorization":
-        return factorization_suite((q,), (beta,), order or 32)
-    if suite == "leibniz":
-        return leibniz_suite((q,))
-    if suite == "limits":
-        return limits_suite(order or 24)
-    return classical_suite(order=order or 24)
+    # the suite is looked up by its module name at call time, so a wrapper put
+    # on that name (a tracer, a test's fault) is the one that runs; a suite's
+    # default order is written only in its signature
+    run = globals()[f"{suite}_suite"]
+    pins = [pin for pin in (q, beta) if pin is not None]
+    if order is None or suite == "leibniz":
+        return run(*pins)
+    return run(*pins, order=order)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -7,12 +8,13 @@ from fractions import Fraction as F
 import pytest
 
 from qsusy import __version__
-from qsusy.cli import DEFAULT_SWEEP, main, parse_args
+from qsusy.cli import DEFAULT_SWEEP, OPERATOR_NAMES, main, parse_args
 from qsusy.operators import QOperator
 from qsusy.qcore import Deformation
 from qsusy.qspecial import VacuumSpec, beta_q, delta_beta_q, q_gauss, q_hermite, u_transform
 from qsusy.serialize import series_from_csv, series_from_json, series_to_json
 from qsusy.series import make_series
+from qsusy.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -97,11 +99,39 @@ class TestParsing:
         (("hermite", "--q", "1" * 10**6 + "e5000"), "(1000005 characters) is past 4300"),
         (("hermite", "--q", "-" + "1" * 10**6), "must be positive, got '-111"),
         (("hermite", "--order", "1" * 10**6 + "x"), "not an integer order: '111"),
+        (("hermite", "--n", "1" * 10**6 + "x"), "--n: invalid int value: '111"),
+        (("ufunc", "--p", "1" * 10**6 + "x"), "--p: invalid int value: '111"),
+        (("table", "--func", "ufunc", "--p", "1" * 10**6), "--p: invalid int value: '111"),
+        (("verify", "all", "--jobs", "1" * 10**6 + "x"), "--jobs: invalid int value: '111"),
+        (("apply", "--op", "O" * 10**6, "--input", "x"), "--op: invalid choice: 'OOO"),
+        (("table", "--op", "O" * 10**6, "--input", "x"), "--op: invalid choice: 'OOO"),
+        (("table", "--func", "b" * 10**6), "--func: invalid choice: 'bbb"),
+        (("hermite", "--emit", "j" * 10**6), "--emit: invalid choice: 'jjj"),
+        (("limit", "--emit", "c" * 10**6), "--emit: invalid choice: 'ccc"),
+        (("verify", "k" * 10**6), "suite: invalid choice: 'kkk"),
     ])
     def test_long_flag_is_not_echoed_in_full(self, capsys, argv, echo):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert echo in err and len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("argv, label, kwargs", [
+        (("hermite", "--n"), "--n", {"type": int}),
+        (("table", "--func", "ufunc", "--p"), "--p", {"type": int}),
+        (("apply", "--input", "x", "--op"), "--op", {"choices": OPERATOR_NAMES}),
+        (("verify",), "suite", {"choices": SUITES + ("all",)}),
+    ])
+    def test_refused_value_keeps_argparse_message_to_64_characters(self, capsys, argv, label, kwargs):
+        value = "x" * 64
+        plain = argparse.ArgumentParser(exit_on_error=False)
+        plain.add_argument("--x", **kwargs)
+        with pytest.raises(argparse.ArgumentError) as info:
+            plain.parse_args(["--x", value])
+        code, _, err = run(capsys, *argv, value)
+        assert code == 2 and err.endswith(f"error: argument {label}: {info.value.message}\n")
+        code, _, err = run(capsys, *argv, value + "y")
+        assert code == 2 and f"argument {label}: invalid " in err
+        assert f"{value!r}... (65 characters)" in err
 
     @pytest.mark.parametrize("argv", [
         ("hermite", "--n", "5", "--order", "6"),
@@ -278,6 +308,18 @@ class TestApply:
         assert (code, out) == (2, "")
         assert "not a rational: '1111" in err and "(1000001 characters)" in err
         assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("doc, echo", [
+        ({"order": 0, "coeffs": [["1"] * 200_000]}, "expected a [re, im] pair, got ['1', '1'"),
+        ({"order": "1" * 10**6, "coeffs": []}, "bad series order: '111"),
+        ({"order": 0, "coeffs": "1" * 10**6}, "must be a list of [re, im] pairs, got '111"),
+    ])
+    def test_long_document_part_is_not_echoed_in_full(self, capsys, tmp_path, doc, echo):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "apply", "--op", "OH", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert echo in err and "characters)" in err and len(err.encode()) < 1024
 
     def test_deeply_nested_input_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -539,6 +581,22 @@ class TestTable:
         assert code == 2
         assert out == ""
         assert "outside the float range" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("q, err", [
+        ("3/2", ""),
+        ("1e400", "qsusy: error: table point x = -1 is outside the float range\n"),
+        ("1e-400", "qsusy: error: table point x = -1 is outside the float range\n"),
+    ])
+    def test_operator_q_without_a_float_value(self, capsys, tmp_path, q, err):
+        # such a q leaves no point form, so the exact series path answers
+        path = tmp_path / "h2.json"
+        path.write_text(series_to_json(q_hermite(2, Deformation(F(3, 2)), 8)))
+        argv = ("table", "--op", "Tplus", "--q", q, "--order", "8", "--input", str(path))
+        expected = (
+            "x,value\n-1,-17.462667807574604\n-1/2,-4.6928385557726005\n0,0.0\n"
+            "1/2,4.6928385557726005\n1,17.462667807574604\n"
+        )
+        assert run(capsys, *argv) == ((0, expected, "") if not err else (2, "", err))
 
     def test_non_finite_function_value_is_usage_error(self, capsys):
         # beta_q(x^2) overflows to inf at x = 1e100 without raising

@@ -127,6 +127,16 @@ class TestTree:
         assert not poly_multiplication_op([GaussRational(0, 1)]).has_point_form
         assert not (jackson_op(d) @ jackson_op(D1)).has_point_form
 
+    def test_no_point_form_without_float_values(self):
+        # a q, a shift factor q^k or a scalar past the float range, or a
+        # nonzero below it, leaves the series path to answer
+        for big in (10**400, F(1, 10**400)):
+            assert not jackson_op(Deformation(big)).has_point_form
+            assert not (jackson_op(Deformation(2)) * big).has_point_form
+        assert not Shift(Deformation(10**200), 2).has_point_form
+        assert Shift(Deformation(10**200), 1).has_point_form
+        assert (jackson_op(Deformation(2)) * 0).has_point_form
+
     def test_a_node_holds_only_its_fields(self):
         # nothing float is computed when a node is made, so a q or a scalar
         # past the float range builds and applies exactly
@@ -174,7 +184,7 @@ def test_wrong_five_term_table_fails_factorization(monkeypatch, fault):
     table = operators.five_term_table
     monkeypatch.setattr(operators, "five_term_table", lambda v, which: fault(table(v, which)))
     q, beta, order = CELL["q"], CELL["beta"], CELL["order"]
-    checks = verify.factorization_suite([q], [beta], order)
+    checks = verify.factorization_suite(q, beta, order)
     assert [c.name for c in checks] == ["factorization[b]", "factorization[f]"]
     v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
     for check in checks:
@@ -188,7 +198,7 @@ def test_wrong_five_term_table_fails_factorization(monkeypatch, fault):
 
 
 def test_factorization_passes_unpatched():
-    checks = verify.factorization_suite([CELL["q"]], [CELL["beta"]], CELL["order"])
+    checks = verify.factorization_suite(CELL["q"], CELL["beta"], CELL["order"])
     assert all(c.passed and c.worst_deviation == "0" for c in checks)
 
 
@@ -213,3 +223,28 @@ def test_wrong_h0_constant_fails_undeformed_reduction(monkeypatch):
         )
         assert (bad.worst_deviation, bad.first_failure_index) == expected
         assert checks["undeformed_reduction[f]", format_rational(beta)].passed
+
+
+# -- order cost -----------------------------------------------------------------
+
+
+def least_input_order(op, limit=8):
+    """The least n >= 0 for which op applied to a series of order n has order >= 0."""
+    return next(n for n in range(limit) if op.apply(make_series(range(1, n + 2), n)).order >= 0)
+
+
+@pytest.mark.parametrize("q", [F(1), F(3, 2), F(2, 3)])
+@pytest.mark.parametrize("name", OPERATOR_NAMES)
+def test_order_cost_of_the_cli_operators(name, q):
+    assert build(name, q, 16).order_cost == least_input_order(build(name, q, 16))
+
+
+def test_order_cost_is_read_off_the_order_walk():
+    d = Deformation(F(3, 2))
+    x_dq = poly_multiplication_op([0, 1]) @ jackson_op(d)
+    # x D_q c = 0 holds to order 0, so a constant is long enough
+    assert x_dq.order_cost == least_input_order(x_dq) == 0
+    result = x_dq.apply(constant_series(5, 0))
+    assert (result.order, result.is_zero) == (0, True)
+    for op, cost in ((jackson_op(d) @ jackson_op(d), 2), (jackson_op(d) + jackson_op(d), 1)):
+        assert op.order_cost == least_input_order(op) == cost

@@ -100,6 +100,35 @@ class TestCsv:
         assert echo in str(info.value) and len(str(info.value)) < 1024
 
 
+@pytest.mark.parametrize("read, text, echo", [
+    (series_from_json, json.dumps({"order": 0, "coeffs": [["1"] * 200_000]}),
+     "expected a [re, im] pair, got ['1', '1', "),
+    (series_from_json, json.dumps({"order": "1" * 10**6, "coeffs": []}), "bad series order: '111"),
+    (series_from_json, json.dumps({"order": 0, "coeffs": "1" * 10**6}),
+     "'coeffs' must be a list of [re, im] pairs, got '111"),
+    (series_from_csv, "n,re,im\n0,1,0," + "x" * 100_000 + "\n", "bad CSV coefficient row ['0', '1', "),
+], ids=["pair", "order", "coeffs", "row"])
+def test_long_document_part_is_not_echoed_in_full(read, text, echo):
+    with pytest.raises(ValueError) as info:
+        read(text)
+    message = str(info.value)
+    assert echo in message and "characters)" in message and len(message) < 1024
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (series_from_json, '{"order": 0, "coeffs": [["1", "0", "2"]]}',
+     "expected a [re, im] pair, got ['1', '0', '2']"),
+    (series_from_json, '{"order": -1, "coeffs": []}', "bad series order: -1"),
+    (series_from_json, '{"order": 0, "coeffs": {"a": 1}}',
+     "series 'coeffs' must be a list of [re, im] pairs, got {'a': 1}"),
+    (series_from_csv, "n,re,im\n0,1,0,2\n", "bad CSV coefficient row ['0', '1', '0', '2'] at position 0"),
+], ids=["pair", "order", "coeffs", "row"])
+def test_short_document_part_keeps_its_message(read, text, message):
+    with pytest.raises(ValueError) as info:
+        read(text)
+    assert str(info.value) == message
+
+
 # -- the numerator reader and writer against the per-coefficient path -----------
 
 HUGE = F(-(10**5000 // 7), 3**11)

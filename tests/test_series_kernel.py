@@ -547,8 +547,8 @@ class TestKaratsuba:
     def test_dense_path_below_the_gate(self, monkeypatch):
         # the products of the small default cells never reach the new path
         monkeypatch.setattr(kernel, "_short_product", None)
-        assert all(c.passed for c in verify.kernel_suite(order=40))
-        assert verify.leibniz_suite()[0].passed
+        assert all(c.passed for c in verify.run_suite("kernel", order=40))
+        assert verify.leibniz_suite(F(2))[0].passed
 
 
 def full_product_without_cross_term(a, b):
@@ -573,11 +573,11 @@ class TestKaratsubaFaults:
         v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
         w, g = beta_q(v).mul_poly([0, 1]), q_gauss(v)
         assert takes_karatsuba(list(w.num_re), list(g.num_re), order)
-        [check] = verify.kernel_suite([q], [beta], order)
+        [check] = verify.kernel_suite(q, beta, order)
         assert check.passed
         good = w * g
         monkeypatch.setattr(kernel, "_full_product", full_product_without_cross_term)
-        [check] = verify.kernel_suite([q], [beta], order)
+        [check] = verify.kernel_suite(q, beta, order)
         # D_q g = w g, so the residual is the product's error, negated
         error = (w * g - good).truncated(order - 1)
         assert not error.is_zero
@@ -590,7 +590,7 @@ class TestKaratsubaFaults:
         monkeypatch.setattr(kernel, "_KARATSUBA_MIN_BITS", 0)
         q = F(3, 2)
         d = Deformation(q)
-        assert verify.leibniz_suite([q])[0].passed
+        assert verify.leibniz_suite(q)[0].passed
 
         rng = random.Random(verify.LEIBNIZ_SEED)
         pairs = [(verify._random_polynomial(rng, 10, 22), verify._random_polynomial(rng, 10, 22))
@@ -602,7 +602,7 @@ class TestKaratsubaFaults:
 
         good = [products(f, g) for f, g in pairs]
         monkeypatch.setattr(kernel, "_full_product", full_product_without_cross_term)
-        [check] = verify.leibniz_suite([q])
+        [check] = verify.leibniz_suite(q)
         assert check.status == "fail"
         # the suite stops at the first pair whose residual is not zero
         for (f, g), (g1, g2, g3) in zip(pairs, good):

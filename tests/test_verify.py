@@ -40,9 +40,47 @@ def test_run_suite_refuses_an_unknown_suite():
 
 
 def test_run_suite_covers_the_default_grid():
-    assert verify.run_suite("kernel", order=12) == verify.kernel_suite(order=12)
-    assert verify.run_suite("kernel", q=F(3, 2), order=12) == verify.kernel_suite([F(3, 2)], order=12)
-    assert verify.run_suite("leibniz", q=2) == verify.leibniz_suite([F(2)])
+    grid = [(q, beta) for q in verify.DEFAULT_QS for beta in verify.DEFAULT_BETAS]
+    assert verify.run_suite("kernel", order=12) == [
+        c for q, beta in grid for c in verify.kernel_suite(q, beta, order=12)
+    ]
+    assert verify.run_suite("kernel", q=F(3, 2), order=12) == [
+        c for beta in verify.DEFAULT_BETAS for c in verify.kernel_suite(F(3, 2), beta, order=12)
+    ]
+    assert verify.run_suite("leibniz", q=2) == verify.leibniz_suite(F(2))
+
+
+def one_cell(suite, q, beta, order):
+    """The suite's one-cell call, written out here, not read off run_suite."""
+    sized = {} if order is None else {"order": order}
+    if suite in ("kernel", "factorization"):
+        return getattr(verify, f"{suite}_suite")(q, beta, **sized)
+    if suite == "leibniz":
+        return verify.leibniz_suite(q)
+    return getattr(verify, f"{suite}_suite")(**sized)
+
+
+PINS = {"kernel": {"q": F(3, 2)}, "factorization": {"beta": F(1, 3)}, "leibniz": {"q": F(5, 4)}}
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("order", [None, 28])
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_run_suite_is_its_cells_one_by_one(suite, order, pinned):
+    pins = PINS.get(suite, {}) if pinned else {}
+    expected = [
+        check
+        for _, q, beta in verify.cells(suite, **pins)
+        for check in one_cell(suite, q, beta, order)
+    ]
+    assert verify.run_suite(suite, order=order, **pins) == expected
+    assert expected and all(c.passed for c in expected)
+
+
+def test_each_default_order_is_its_suite_signature():
+    orders = {"kernel": "40", "factorization": "32", "limits": "24", "classical": "24"}
+    for suite, order in orders.items():
+        assert {c.params.get("order", order) for c in verify.run_suite(suite)} == {order}
 
 
 def test_cells():
