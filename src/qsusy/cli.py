@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .qcore import _QUOTE_LIMIT, Deformation, Rational, _quoted, format_rational, parse_rational
+from .qcore import _QUOTE_LIMIT, Deformation, Rational, _quoted, _shown, format_rational, parse_rational
 from .series import PowerSeries
 from .qspecial import (
     VacuumSpec,
@@ -93,6 +93,7 @@ class RunConfig:
     xs: tuple[Rational, ...] = ()
     q_given: bool = False
     beta_given: bool = False
+    order_given: bool = False
     jobs: int = 4
 
 
@@ -268,7 +269,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     parser = _parser()
     args = vars(parser.parse_args(argv))
     table_p = args.pop("table_p", None)
-    config = RunConfig(**args, q_given="q" in args, beta_given="beta" in args)
+    given = {f"{name}_given": name in args for name in ("q", "beta", "order")}
+    config = RunConfig(**args, **given)
     env_order = os.environ.get("QSUSY_ORDER")
     if "order" not in args and env_order is not None:
         try:
@@ -282,12 +284,12 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
         if table_p is not None:
             config.n_or_p = table_p
         if config.n_or_p < 0 or config.n_or_p % 2:
-            parser.error(f"--p must be even and >= 0, got {config.n_or_p}")
+            parser.error(f"--p must be even and >= 0, got {_shown(config.n_or_p)}")
     elif config.n_or_p < 0:
-        parser.error(f"--n must be >= 0, got {config.n_or_p}")
+        parser.error(f"--n must be >= 0, got {_shown(config.n_or_p)}")
     if func in ("hermite", "ufunc") and config.order < config.n_or_p + 2:
         parser.error(
-            f"order {config.order} too small for index {config.n_or_p} (needs index + 2)"
+            f"order {config.order} too small for index {_shown(config.n_or_p)} (needs index + 2)"
         )
     if config.command == "table" and config.op is not None and config.input_path is None:
         parser.error("table --op needs --input")
@@ -398,9 +400,8 @@ def _check_to_dict(check: CheckResult) -> dict:
 
 def _run_verify(config: RunConfig) -> int:
     # each (suite, q, beta) cell is an independent, pure computation
-    grid = cells(
-        config.suite, config.q if config.q_given else None, config.beta if config.beta_given else None
-    )
+    pins = ((config.q, config.q_given), (config.beta, config.beta_given), (config.order, config.order_given))
+    grid = cells(config.suite, *(value if given else None for value, given in pins))
 
     def one(cell: tuple) -> list[CheckResult]:
         suite, q, beta = cell

@@ -26,8 +26,8 @@ from operator import add as _add, mul as _mul
 from typing import Callable, Optional, Sequence
 
 from .qcore import Deformation, GaussRational, Rational, q_number, to_gauss
-from .series import PowerSeries, _canonical, constant_series, div, make_series
-from .qspecial import VacuumSpec, beta_q, delta_beta_q
+from .series import PowerSeries, _canonical, constant_series, make_series
+from .qspecial import VacuumSpec, _log_derivative, beta_q, delta_beta_q
 
 __all__ = [
     "QOperator", "Sum", "Scale", "Compose", "Mult", "MultPoly", "Jackson", "Shift", "NormalForm",
@@ -330,7 +330,7 @@ def classical_darboux(u: PowerSeries, sign: int = 1) -> QOperator:
 
 def darboux_potential_difference(u: PowerSeries) -> PowerSeries:
     """Partner potential shift -2 (ln u)'' computed as -2 D(u'/u)."""
-    ratio = div(u.jackson_derivative(_CLASSICAL), u)
+    ratio = _log_derivative(u, _CLASSICAL)
     return ratio.jackson_derivative(_CLASSICAL) * -2
 
 
@@ -420,7 +420,7 @@ def susy_pair_limit(v: VacuumSpec) -> tuple[QOperator, QOperator]:
 
 def t_generalized(u: PowerSeries, d: Deformation, sign: int = 1) -> QOperator:
     """Intertwiner sign*D_q - (D_q u)/u, u(0) != 0; scale invariant in u, kills u at sign=+1."""
-    return _intertwiner(d, sign, div(u.jackson_derivative(d), u))
+    return _intertwiner(d, sign, _log_derivative(u, d))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qcore import Deformation, Rational, i_power, q_factorial, q_number_numerators
-from .series import PowerSeries, _canonical, constant_series, make_series
+from .series import PowerSeries, _canonical, constant_series, div, make_series
 
 __all__ = [
     "VacuumSpec",
@@ -130,16 +130,22 @@ def q_gauss(v: VacuumSpec) -> PowerSeries:
 def beta_q(v: VacuumSpec) -> PowerSeries:
     """Drift coefficient series of the vacuum's logarithmic q-derivative.
 
+    beta_q(x^2) is the even series with D_q e_q(beta x^2) = x * beta_q(x^2) * e_q(beta x^2),
+    computed as that quotient (D_q e) / (x e) with the vacuum e built at
+    order N + 2: D_q e and the quotient keep order N + 1, and beta_q order N.
+    In closed form,
     beta_q(x^2) = beta * (q e_q(q beta x^2) + (1/q) e_q(beta x^2 / q)) / e_q(beta x^2),
-    the even series with D_q e_q(beta x^2) = x * beta_q(x^2) * e_q(beta x^2).
-    Its constant term is beta * [2]_q, and at q = 1 it collapses to the
+    so its constant term is beta * [2]_q, and at q = 1 it collapses to the
     constant 2 beta.
     """
-    q = v.d.q
-    # one q_exp at a time: at high order each holds long numerators
-    numerator = q_exp(_x_squared(q * v.beta, v.order), v.d) * q
-    numerator = numerator + q_exp(_x_squared(v.beta / q, v.order), v.d) * (1 / q)
-    return (numerator / q_gauss(v)) * v.beta
+    w = _log_derivative(q_gauss(VacuumSpec(v.beta, v.d, v.order + 2)), v.d)
+    # w = x * beta_q(x^2) is odd: dividing by x drops its zero constant term
+    return _canonical(v.order, w.num_re[1:], None, w.den)
+
+
+def _log_derivative(u: PowerSeries, d: Deformation) -> PowerSeries:
+    """(D_q u) / u, for u(0) != 0; one order shorter than u."""
+    return div(u.jackson_derivative(d), u)
 
 
 def delta_beta_q(v: VacuumSpec) -> PowerSeries:

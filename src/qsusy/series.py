@@ -19,21 +19,21 @@ multi-argument gcd, so the kernels run on plain integers. ``GaussRational``
 is the scalar type at the boundary: ``coeffs`` and ``coeff`` build it on
 demand.
 
-A product of two series convolves integer vectors (``_convolve``) by one of
-three paths, chosen from the operands alone. The operand with more zeros
-goes on the left.
+A product of two series convolves integer vectors (``_convolve``) by one
+rule. When each operand is even or odd, only every second entry is convolved
+(the vectors are folded): a = x^pa A(x^2) and b = x^pb B(x^2) give
+a * b = x^(pa + pb) (A B)(x^2), so no path multiplies the zeros in between.
+Then the operand with fewer nonzero entries goes on the left, and one of
+three paths runs, chosen from the operands alone:
 
 * Sparse rows: when at most a quarter of its entries are nonzero (a monomial
   probe, a short polynomial), one row of the schoolbook product is added
   per nonzero entry.
-* Karatsuba short product: when the folded vectors have at least 16
-  entries and the smaller operand's largest numerator has at least 2,100
-  bits. When each operand is even or odd, only every second entry is
-  convolved (the vectors are folded), so Karatsuba's sums mix no zeros
-  into nonzero entries; otherwise the vectors are used whole. The short
-  product computes coefficients 0..n only: it splits into one full product
-  and two short products of half the length, and a full product splits
-  into three (Karatsuba & Ofman, 1963), down to single entries.
+* Karatsuba short product: when the vectors have at least 16 entries and
+  the smaller operand's largest numerator has at least 2,100 bits. The
+  short product computes coefficients 0..n only: it splits into one full
+  product and two short products of half the length, and a full product
+  splits into three (Karatsuba & Ofman, 1963), down to single entries.
 * Dense dot products otherwise: one per output coefficient, skipping the
   left operand's zeros.
 
@@ -45,6 +45,10 @@ with CPython 3.11 on a 2-CPU x86-64 host, on 16 entries of random integers
 the Karatsuba path takes 1.4x the time of the dot products at 1,000 bits
 and 0.9x at 2,100 bits; on 65 entries, 0.9x and 0.55x. All three paths give
 the same integers.
+
+Division (``div``) runs one exact loop on a real divisor. A complex divisor
+b is first made real through its conjugate: a / b = (a conj(b)) / (b conj(b)),
+two products of the kernel above.
 
 There is no epsilon anywhere in this module; the float entry point is the
 single evaluator ``evaluate_float`` used at the grid/plotting boundary.
@@ -200,13 +204,20 @@ def _weigh(
 def _convolve(a: IntVector, b: IntVector, n: int) -> list[int]:
     """Coefficients 0..n of the product of integer vectors a and b.
 
-    The operand with more zeros goes on the left, and one of three paths
-    runs (see the module docstring): the sparse rows, the Karatsuba short
-    product when both operands are long and hold big integers, or the dense
-    dot products.
+    Even or odd operands are folded first; then the sparser operand goes on
+    the left, and one of three paths runs (see the module docstring): the
+    sparse rows, the Karatsuba short product when both operands are long and
+    hold big integers, or the dense dot products.
     """
     a, b = list(islice(a, n + 1)), list(islice(b, n + 1))
-    if a.count(0) < b.count(0):
+    # at n = 0 every vector is even and the fold keeps n = 0, so it would never end
+    pa, pb = (_parity(a), _parity(b)) if n >= 1 else (None, None)
+    if pa is not None and pb is not None:
+        out = [0] * (n + 1)
+        if pa + pb <= n:
+            out[pa + pb :: 2] = _convolve(a[pa::2], b[pb::2], (n - pa - pb) // 2)
+        return out
+    if len(a) - a.count(0) > len(b) - b.count(0):
         a, b = b, a
     nonzero = [bool(x) for x in a]
     if 4 * sum(nonzero) <= n + 1:
@@ -217,8 +228,11 @@ def _convolve(a: IntVector, b: IntVector, n: int) -> list[int]:
                 end = i + len(row)
                 out[i:end] = map(_add, out[i:end], map(_mul, repeat(x), row))
         return out
-    out = _folded_karatsuba(a, b, n)
-    return _dense(a, b, n, nonzero) if out is None else out
+    if n + 1 >= _KARATSUBA_MIN_LEN and min(max(map(int.bit_length, v)) for v in (a, b)) >= _KARATSUBA_MIN_BITS:
+        a += [0] * (n + 1 - len(a))  # an operand may end before index n
+        b += [0] * (n + 1 - len(b))
+        return _short_product(a, b)
+    return _dense(a, b, n, nonzero)
 
 
 def _dense(a: list[int], b: list[int], n: int, nonzero: Sequence[bool]) -> list[int]:
@@ -249,30 +263,6 @@ def _parity(v: list[int]) -> Optional[int]:
     if not any(islice(v, 0, None, 2)):
         return 1
     return None
-
-
-def _folded_karatsuba(a: list[int], b: list[int], n: int) -> Optional[list[int]]:
-    """Coefficients 0..n of a * b by a Karatsuba short product; None below its gate.
-
-    When each operand is even or odd, a = x^pa A(x^2) and b = x^pb B(x^2),
-    so a * b = x^(pa + pb) (A B)(x^2), and A B is the product convolved.
-    """
-    pa, pb = _parity(a), _parity(b)
-    step = 1 if pa is None or pb is None else 2
-    if step == 1:
-        pa = pb = 0
-    shift = pa + pb
-    m = (n - shift) // step + 1  # output entries the folded product fills
-    if m < _KARATSUBA_MIN_LEN:
-        return None
-    fa, fb = a[pa::step][:m], b[pb::step][:m]
-    fa += [0] * (m - len(fa))  # an operand may end before index n
-    fb += [0] * (m - len(fb))
-    if min(max(map(int.bit_length, fa)), max(map(int.bit_length, fb))) < _KARATSUBA_MIN_BITS:
-        return None
-    out = [0] * (n + 1)
-    out[shift::step] = _short_product(fa, fb)
-    return out
 
 
 def _short_product(a: list[int], b: list[int]) -> list[int]:
@@ -693,51 +683,45 @@ def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
     The divisor's constant term must be invertible; a zero constant term
     (a function vanishing at the origin) raises NonInvertibleSeriesError.
+    A complex divisor is made real first: a / b = (a conj(b)) / (b conj(b)).
 
     The quotient's numerators N_k are kept over a running denominator L,
     the lcm of the reduced denominators of c_0..c_(k-1). With a = A / Da and
-    b = B / Db, c_k = (A_k Db L - Da sum_j B_j N_(k-j)) / (Da B_0 L). B_0 is
-    divided out through its conjugate, so c_k = T / (K L) with K = Da |B_0|
-    (Da |B_0|**2 for a complex B_0) and T a Gaussian integer. The smallest
-    multiple of L that clears c_k is L * K / g with g = gcd(T, K): that is
-    one gcd per output, and when K / g > 1 the earlier numerators are scaled
-    up by it. L then ends as the canonical denominator, with no final pass.
+    a real b = B / Db, c_k = (A_k Db L - Da sum_j B_j N_(k-j)) / (Da B_0 L),
+    so c_k = T / (K L) with K = Da |B_0| and T an integer for each part of a.
+    The smallest multiple of L that clears c_k is L * K / g with
+    g = gcd(T, K): that is one gcd per output, and when K / g > 1 the
+    earlier numerators are scaled up by it. L then ends as the canonical
+    denominator, with no final pass.
     """
     if b.order < 0 or not b._nonzero_at(0):
         raise NonInvertibleSeriesError(
             "non-invertible divisor: constant term is zero"
         )
+    if b.num_im is not None:
+        conj = _make(b.order, b.num_re, [-x for x in b.num_im], b.den)
+        a, b = a * conj, b * conj  # b conj(b) is real: its imaginary part cancels
     n = min(a.order, b.order)
     if n < 0:
         return _make(-1, (), None, 1)
-    da, db = a.den, b.den
-    are, bre = list(islice(a.num_re, n + 1)), list(islice(b.num_re, n + 1))
-    aim = list(islice(a.num_im or repeat(0), n + 1))
-    bim = None if b.num_im is None else list(islice(b.num_im, n + 1))
-    p, q = bre[0], 0 if bim is None else bim[0]
-    # 1 / B_0 = (cp - i cq) / k0
-    cp, cq, k0 = (1 if p > 0 else -1, 0, abs(p)) if not q else (p, q, p * p + q * q)
-    big_k = da * k0
+    bre = list(islice(b.num_re, n + 1))
+    big_k = a.den * abs(bre[0])
+    # the sign of B_0 goes into the two factors of T
+    sa, sb = (a.den, b.den) if bre[0] > 0 else (-a.den, -b.den)
     # B_n..B_1 and where they are nonzero, read from the right for output k
-    rre = bre[:0:-1]
-    rim = None if bim is None else bim[:0:-1]
-    nonzero = [bool(x) for x in rre] if rim is None else [bool(x or y) for x, y in zip(rre, rim)]
-    re, im, big_l = [], None if a.num_im is None and bim is None else [], 1
+    rb = bre[:0:-1]
+    nonzero = [bool(x) for x in rb]
+    are = list(islice(a.num_re, n + 1))
+    aim = None if a.num_im is None else list(islice(a.num_im, n + 1))
+    re, im, big_l = [], None if aim is None else [], 1
     for k in range(n + 1):
         lo = n - k
         mask = nonzero[lo:]
-        sr = _dot(rre[lo:], re, mask)
+        tr = are[k] * sb * big_l - sa * _dot(rb[lo:], re, mask)
         if im is None:
-            tr = cp * (are[k] * db * big_l - da * sr)
             g = gcd(tr, big_k)
         else:
-            si = _dot(rre[lo:], im, mask)
-            if rim is not None:
-                sr -= _dot(rim[lo:], im, mask)
-                si += _dot(rim[lo:], re, mask)
-            u = are[k] * db * big_l - da * sr
-            v = aim[k] * db * big_l - da * si
-            tr, ti = cp * u + cq * v, cp * v - cq * u
+            ti = aim[k] * sb * big_l - sa * _dot(rb[lo:], im, mask)
             g = gcd(tr, ti, big_k)
         m = big_k // g
         if m != 1:

@@ -328,18 +328,21 @@ def classical_suite(order: int = 24) -> list[CheckResult]:
 SUITES = ("kernel", "factorization", "leibniz", "limits", "classical")
 
 Cell = tuple[str, Optional[Rational], Optional[Rational]]
+# the suites whose sizes are all fixed: they take no order
+_FIXED_SIZE = ("leibniz",)
 
 
 def cells(
-    suite: str, q: Optional[Rational] = None, beta: Optional[Rational] = None
+    suite: str, q: Optional[Rational] = None, beta: Optional[Rational] = None, order: Optional[int] = None
 ) -> list[Cell]:
     """The (suite, q, beta) cells that a run of one suite, or of "all", covers.
 
     kernel and factorization sweep DEFAULT_QS x DEFAULT_BETAS, leibniz sweeps
     LEIBNIZ_QS, and limits (over that grid's betas) and classical are one cell
-    each. A pinned q or beta replaces its sweep. "all" is the union of the
-    suites, so it keeps a pin that some suite takes; a pin that no cell
-    carries would be silently ignored, so it raises ``ValueError``.
+    each. A pinned q or beta replaces its sweep; a pinned order is read by
+    every suite but leibniz. "all" is the union of the suites, so it keeps a
+    pin that some suite takes; a pin that no cell takes would be silently
+    ignored, so it raises ``ValueError``.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown verification suite: {suite!r}")
@@ -355,6 +358,8 @@ def cells(
             out.append((name, None, None))
     ignored = [flag for k, (flag, pin) in enumerate((("--q", q), ("--beta", beta)), 1)
                if pin is not None and all(cell[k] is None for cell in out)]
+    if order is not None and all(cell[0] in _FIXED_SIZE for cell in out):
+        ignored.append("--order")
     if ignored:
         raise ValueError(f"verify {suite} does not take {' or '.join(ignored)}")
     return out
@@ -380,6 +385,6 @@ def _run_cell(
     # default order is written only in its signature
     run = globals()[f"{suite}_suite"]
     pins = [pin for pin in (q, beta) if pin is not None]
-    if order is None or suite == "leibniz":
+    if order is None or suite in _FIXED_SIZE:
         return run(*pins)
     return run(*pins, order=order)

@@ -109,6 +109,12 @@ class TestParsing:
         (("hermite", "--emit", "j" * 10**6), "--emit: invalid choice: 'jjj"),
         (("limit", "--emit", "c" * 10**6), "--emit: invalid choice: 'ccc"),
         (("verify", "k" * 10**6), "suite: invalid choice: 'kkk"),
+        # an index is read as an int (up to 4,300 digits) and refused after parsing
+        (("hermite", "--n", "1" * 4000), "too small for index 1111111111"),
+        (("ufunc", "--p", "1" * 4000), "--p must be even and >= 0, got 1111111111"),
+        (("ufunc", "--p", "-" + "2" * 4000), "--p must be even and >= 0, got -2222222222"),
+        (("hermite", "--n", "-" + "1" * 4000), "--n must be >= 0, got -1111111111"),
+        (("apply", "--op", "OH", "--n", "-" + "1" * 4000, "--input", "x"), "--n must be >= 0, got -1111111111"),
     ])
     def test_long_flag_is_not_echoed_in_full(self, capsys, argv, echo):
         code, out, err = run(capsys, *argv)
@@ -167,7 +173,7 @@ class TestParsing:
         q=F(1), beta=F(-1, 2), order=32, n_or_p=0, input_path=None, output_path=None,
         emit="json", suite=None, op=None, func="beta", delta=False,
         qs=(F(2), F(3, 2), F(5, 4), F(9, 8), F(17, 16), F(1)), xs=(),
-        q_given=False, beta_given=False, jobs=4,
+        q_given=False, beta_given=False, order_given=False, jobs=4,
     )
 
     @pytest.mark.parametrize("argv, fields", [
@@ -397,12 +403,21 @@ class TestVerify:
         (("classical", "--q", "2"), "--q"),
         (("classical", "--beta", "-1/2"), "--beta"),
         (("leibniz", "--q", "2", "--beta", "1/3"), "--beta"),
+        (("leibniz", "--order", "64"), "--order"),
+        (("leibniz", "--beta", "1/3", "--order", "8"), "--beta or --order"),
     ])
     def test_ignored_pins_rejected(self, capsys, argv, flags):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
         assert f"verify {argv[0]} does not take {flags}" in err
+
+    def test_env_order_is_a_default_not_a_pin(self, capsys, monkeypatch):
+        code, plain, _ = run(capsys, "verify", "leibniz", "--q", "2")
+        monkeypatch.setenv("QSUSY_ORDER", "64")
+        code_env, with_env, err = run(capsys, "verify", "leibniz", "--q", "2")
+        assert (code, code_env, err) == (0, 0, "")
+        assert json.loads(with_env)["checks"] == json.loads(plain)["checks"]
 
     def test_all_keeps_its_pins(self, capsys):
         code, out, err = run(capsys, "verify", "all", "--q", "2", "--beta", "1/3", "--order", "12")

@@ -125,6 +125,13 @@ _add("table", "--op", "Ob", "--q", "3/2", "--input", "real.json", "--xs", "1/2,1
 _add("beta", QSUSY_ORDER="3")
 _add("beta", QSUSY_ORDER="many")
 _add("beta", "--q", "3/2", QSUSY_ORDER="12")
+_add("verify", "leibniz", "--order", "64")
+# an index of 4,000 digits, refused after parsing, is quoted to 64 characters
+_add("hermite", "--n", "1" * 4000)
+_add("ufunc", "--p", "1" * 4000)
+_add("ufunc", "--p", "-" + "2" * 4000)
+_add("hermite", "--n", "-" + "1" * 4000)
+_add("apply", "--op", "OH", "--n", "-" + "1" * 4000, "--input", "real.json")
 
 _GENERATED_AT = re.compile(r'^  "generated_at": "[^"]*",\n', re.MULTILINE)
 # argparse's invalid-choice error quotes each choice up to Python 3.12.7 and
@@ -133,8 +140,9 @@ _CHOICES = re.compile(r"\(choose from [^)]*\)")
 
 
 def key(argv: tuple[str, ...], env: dict[str, str]) -> str:
+    """The command as one line; an argument past 64 characters is cut to 16."""
     prefix = "".join(f"{name}={value} " for name, value in sorted(env.items()))
-    return prefix + " ".join(argv)
+    return prefix + " ".join(a if len(a) <= 64 else f"{a[:16]}...({len(a)} characters)" for a in argv)
 
 
 def run(argv: tuple[str, ...]) -> dict[str, object]:

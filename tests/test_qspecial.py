@@ -85,7 +85,28 @@ class TestQGauss:
         assert all(not g.coeff(n) for n in range(1, g.order + 1, 2))
 
 
+def closed_form_beta_q(v):
+    """beta (q e_q(q beta x^2) + (1/q) e_q(beta x^2 / q)) / e_q(beta x^2), at v's order."""
+    q = v.d.q
+    grow = q_gauss(VacuumSpec(beta=q * v.beta, d=v.d, order=v.order)) * q
+    shrink = q_gauss(VacuumSpec(beta=v.beta / q, d=v.d, order=v.order)) * (1 / q)
+    return (grow + shrink) / q_gauss(v) * v.beta
+
+
+def stored(s):
+    return s.order, s.num_re, s.num_im, s.den
+
+
 class TestBetaQ:
+    @pytest.mark.parametrize("order", [0, 1, 2, 9, 32])
+    @pytest.mark.parametrize("q", [F(1), F(3, 2), F(2, 3), F(2), F(5, 4)])
+    @pytest.mark.parametrize("beta", [F(3), F(-2, 3), F(1, 2)])
+    def test_closed_form(self, beta, q, order):
+        # built as (D_q e) / e over x, the series equals the closed form to the
+        # stored integers, at q = 1 (the constant 2 beta) and order 0 included
+        v = vac(beta, q, order)
+        assert stored(beta_q.__wrapped__(v)) == stored(closed_form_beta_q(v))
+
     def test_constant_term(self):
         # beta * [2]_q at the origin
         assert beta_q(vac(F(-1, 2), 2)).coeff(0) == F(-5, 4)

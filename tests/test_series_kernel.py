@@ -217,9 +217,10 @@ class TestRing:
 
 
 class TestDivision:
-    @given(series(), series(), st.sampled_from([F(1), F(-2, 3)]))
+    @given(series(), series(), st.sampled_from([F(1), F(-2, 3), GaussRational(0, F(-3, 4))]))
     @settings(max_examples=80)
     def test_div(self, a, b, b0):
+        # b0 = -3i/4: a complex divisor whose constant term is purely imaginary
         b = b - make_series([b.coeff(0) - b0], b.order)  # an invertible divisor
         assert exact(div(a, b)) == ref_div(a, b)
         assert exact(a / b) == ref_div(a, b)
@@ -244,11 +245,13 @@ class TestDivision:
 
     def test_div_long_growing_denominator(self):
         # an order-24 quotient whose denominator grows at most steps
-        a = make_series([F(1, k + 2) for k in range(25)], 24)
         b = make_series([F(-3, 2)] + [F((-1) ** k, 3 * k + 1) for k in range(1, 25)], 24)
-        assert exact(div(a, b)) == ref_div(a, b)
-        c = div(a, b)
-        assert c * b == a
+        # a real and a complex dividend over the real divisor
+        for a in (make_series([F(1, k + 2) for k in range(25)], 24),
+                  make_series([GaussRational(F(1, k + 2), F(k - 3, 2 * k + 5)) for k in range(25)], 24)):
+            assert exact(div(a, b)) == ref_div(a, b)
+            c = div(a, b)
+            assert c * b == a
 
     @given(series())
     @settings(max_examples=20)
@@ -463,9 +466,30 @@ def reference(a, b, n):
     return [c.re.numerator for c in got]
 
 
+def outer_short_products(run):
+    """The length of each outermost _short_product call made while run() runs."""
+    original, lengths, depth = kernel._short_product, [], [0]
+
+    def spy(a, b):
+        if not depth[0]:
+            lengths.append(len(a))
+        depth[0] += 1
+        try:
+            return original(a, b)
+        finally:
+            depth[0] -= 1
+
+    kernel._short_product = spy
+    try:
+        run()
+    finally:
+        kernel._short_product = original
+    return lengths
+
+
 def takes_karatsuba(a, b, n):
-    """Whether _convolve(a, b, n) runs the Karatsuba path (a must be the sparser)."""
-    return kernel._folded_karatsuba(a[: n + 1], b[: n + 1], n) is not None
+    """Whether _convolve(a, b, n) runs the Karatsuba path."""
+    return bool(outer_short_products(lambda: kernel._convolve(a, b, n)))
 
 
 MIN_BITS = kernel._KARATSUBA_MIN_BITS
@@ -521,7 +545,7 @@ class TestKaratsuba:
             assert takes_karatsuba(a, b, n)
 
     @pytest.mark.parametrize("parities", [(0, 0), (0, 1), (None, 1)])
-    def test_complex_operands_through_the_product(self, parities, monkeypatch):
+    def test_complex_operands_through_the_product(self, parities):
         rng = random.Random(str(parities))
         pa, pb = parities
         bits = (2200, 5000, 12000)
@@ -535,12 +559,14 @@ class TestKaratsuba:
 
         a, b = big_series(pa), big_series(pb)
         real = make_series([F(x, 3) for x in big_vector(rng, 41, 6000, pa)], 40)
-        taken = []
-        folded = kernel._folded_karatsuba
-        monkeypatch.setattr(kernel, "_folded_karatsuba",
-                            lambda *args: taken.append(1) or folded(*args))
-        for x, y in ((a, b), (a, real), (real, b)):
-            got = x * y
+        products = []
+
+        def run():
+            for x, y in ((a, b), (a, real), (real, b)):
+                products.append((x, y, x * y))
+
+        taken = outer_short_products(run)
+        for x, y, got in products:
             assert exact(got) == expect(ref_product(x.coeffs, y.coeffs, 40), 40)
         assert len(taken) == 4 + 2 + 2
 
@@ -549,6 +575,57 @@ class TestKaratsuba:
         monkeypatch.setattr(kernel, "_short_product", None)
         assert all(c.passed for c in verify.run_suite("kernel", order=40))
         assert verify.leibniz_suite(F(2))[0].passed
+
+
+def schoolbook(a, b, n):
+    """Coefficients 0..n of a * b over plain integers; missing entries are zeros."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1) if i < len(a) and k - i < len(b))
+            for k in range(n + 1)]
+
+
+class TestProductRule:
+    """Even and odd operands are folded before the sparser one picks a path."""
+
+    @pytest.mark.parametrize("poly", [[0, 1], [0, 0, 1]])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_monomial_times_an_even_or_odd_series_is_one_row(self, poly, parity, monkeypatch):
+        v = VacuumSpec(beta=F(-1, 2), d=Deformation(F(3, 2)), order=48)
+        s = beta_q(v) if parity == 0 else beta_q(v).mul_poly([0, 1])
+        want = expect(ref_product([GaussRational(F(c)) for c in poly], s.coeffs, s.order + len(poly) - 1),
+                      s.order + len(poly) - 1)
+
+        def no_dense(*args):
+            raise AssertionError("a monomial times an even or odd series took the dense products")
+
+        monkeypatch.setattr(kernel, "_dense", no_dense)
+        assert exact(s.mul_poly(poly)) == want
+
+    @pytest.mark.parametrize("n", [30, 31])
+    def test_even_times_even_below_the_gate_is_dense_on_folded_vectors(self, n, monkeypatch):
+        rng = random.Random(n)
+        a, b = big_vector(rng, n + 1, 64, 0), big_vector(rng, n + 1, 60, 0)
+        seen, dense = [], kernel._dense
+        monkeypatch.setattr(kernel, "_dense",
+                            lambda a, b, m, mask: seen.append((len(a), len(b), m)) or dense(a, b, m, mask))
+        assert kernel._convolve(a, b, n) == reference(a, b, n)
+        assert seen == [(n // 2 + 1, n // 2 + 1, n // 2)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_zero_and_single_entry_operands(self, n):
+        operands = [[0], [0] * (n + 1), [3], [-5], [0, 7], [4, 0, -2], [0, 0, 6]]
+        for a in operands:
+            for b in operands:
+                assert kernel._convolve(a, b, n) == schoolbook(a, b, n), (a, b)
+
+    @pytest.mark.parametrize("n", [5, 17, 40])
+    @pytest.mark.parametrize("bits", [8, 3000])
+    def test_operands_shorter_than_n_plus_one(self, n, bits):
+        rng = random.Random(f"{n} {bits}")
+        for parities in ((0, 0), (0, 1), (1, 1), (None, 0), (None, None)):
+            for la, lb in ((1, n), (n // 2, n + 1), (n, n // 3 + 1), (2, 3)):
+                a, b = big_vector(rng, la, bits, parities[0]), big_vector(rng, lb, bits, parities[1])
+                assert kernel._convolve(a, b, n) == schoolbook(a, b, n)
+                assert kernel._convolve(b, a, n) == schoolbook(a, b, n)
 
 
 def full_product_without_cross_term(a, b):

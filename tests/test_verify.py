@@ -33,6 +33,15 @@ def test_run_suite_refuses_a_pin_it_would_ignore(suite, pins, flags):
         verify.run_suite(suite, **pins)
 
 
+def test_cells_refuse_an_order_that_no_cell_reads():
+    with pytest.raises(ValueError, match="^verify leibniz does not take --order$"):
+        verify.cells("leibniz", order=64)
+    with pytest.raises(ValueError, match="^verify leibniz does not take --beta or --order$"):
+        verify.cells("leibniz", beta=5, order=64)
+    for suite in ("all", "kernel", "factorization", "limits", "classical"):
+        assert verify.cells(suite, order=64) == verify.cells(suite)
+
+
 def test_run_suite_refuses_an_unknown_suite():
     for suite in ("all", "kernels"):
         with pytest.raises(ValueError, match="unknown verification suite"):
