@@ -5,123 +5,20 @@ q-exponential) over exact Gaussian rationals, the deformed Gaussian vacua and
 their drift series, first-order intertwiners and the second-order q-nonlocal
 partner operators they factorize, plus the classical (q = 1) oracles used to
 verify every identity coefficient-exactly.
+
+The package exports every name of its five library modules; each module's
+``__all__`` is the one list of its public names. ``verify`` and ``cli`` are
+imported by name: ``qsusy.verify``, ``qsusy.cli``.
 """
 
 __version__ = "0.1.0"
 
-from .qcore import (
-    Deformation,
-    GaussRational,
-    Rational,
-    format_rational,
-    i_power,
-    parse_rational,
-    q_factorial,
-    q_number,
-)
-from .series import (
-    NonInvertibleSeriesError,
-    PowerSeries,
-    constant_series,
-    div,
-    make_series,
-    monomial,
-    zero_series,
-)
-from .qspecial import (
-    VacuumSpec,
-    beta_q,
-    classical_hermite,
-    classical_norm,
-    delta_beta_q,
-    q_exp,
-    q_gauss,
-    q_hermite,
-    u_transform,
-)
-from .operators import (
-    FactorizationPair,
-    QOperator,
-    SweepRow,
-    classical_darboux,
-    classical_hermite_op,
-    classical_schrodinger_op,
-    convergence_ratios,
-    darboux_potential_difference,
-    generalized_pair,
-    identity_op,
-    jackson_op,
-    limit_sweep,
-    multiplication_op,
-    poly_multiplication_op,
-    second_order_composed,
-    second_order_direct,
-    susy_pair_limit,
-    t_generalized,
-    t_minus_q,
-    t_plus_q,
-    vacuum_pair,
-)
-from .serialize import (
-    series_from_csv,
-    series_from_dict,
-    series_from_json,
-    series_to_csv,
-    series_to_dict,
-    series_to_json,
-)
+from . import operators, qcore, qspecial, serialize, series
+from .qcore import *
+from .series import *
+from .qspecial import *
+from .operators import *
+from .serialize import *
 
-__all__ = [
-    "__version__",
-    "Rational",
-    "GaussRational",
-    "Deformation",
-    "q_number",
-    "q_factorial",
-    "parse_rational",
-    "format_rational",
-    "i_power",
-    "PowerSeries",
-    "NonInvertibleSeriesError",
-    "make_series",
-    "zero_series",
-    "constant_series",
-    "monomial",
-    "div",
-    "VacuumSpec",
-    "q_exp",
-    "q_gauss",
-    "beta_q",
-    "delta_beta_q",
-    "q_hermite",
-    "classical_hermite",
-    "classical_norm",
-    "u_transform",
-    "QOperator",
-    "FactorizationPair",
-    "SweepRow",
-    "identity_op",
-    "jackson_op",
-    "multiplication_op",
-    "poly_multiplication_op",
-    "classical_darboux",
-    "darboux_potential_difference",
-    "t_plus_q",
-    "t_minus_q",
-    "second_order_composed",
-    "second_order_direct",
-    "classical_hermite_op",
-    "classical_schrodinger_op",
-    "susy_pair_limit",
-    "t_generalized",
-    "vacuum_pair",
-    "generalized_pair",
-    "limit_sweep",
-    "convergence_ratios",
-    "series_to_dict",
-    "series_from_dict",
-    "series_to_json",
-    "series_from_json",
-    "series_to_csv",
-    "series_from_csv",
-]
+__all__ = ["__version__", *qcore.__all__, *series.__all__, *qspecial.__all__,
+           *operators.__all__, *serialize.__all__]

@@ -5,7 +5,8 @@ Commands:
 * ``hermite``, ``beta``, ``ufunc``: build the named series and emit JSON/CSV.
 * ``apply``: apply a named operator to a series file.
 * ``verify``: run an identity suite; exit 0 when every check passes, 1 on the
-  first identity failure, 2 on usage errors.
+  first identity failure, 2 on usage errors. Every cell runs at the command's
+  order (``--order``, QSUSY_ORDER or 32), never at a suite's own default.
 * ``limit``: deviation table of the deformed data from the q = 1 limit along
   a q sweep.
 * ``table``: float samples (x, value) of a named series, or of an operator
@@ -19,9 +20,6 @@ The environment variable QSUSY_ORDER overrides the default truncation order.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import os
 import re
@@ -33,7 +31,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .qcore import _QUOTE_LIMIT, Deformation, Rational, _quoted, _shown, format_rational, parse_rational
+from .qcore import (_QUOTE_LIMIT, Deformation, Rational, _clipped, _quoted, _shown, format_rational,
+                    parse_rational)
 from .series import PowerSeries
 from .qspecial import (
     VacuumSpec,
@@ -54,8 +53,8 @@ from .operators import (
     t_minus_q,
     t_plus_q,
 )
-from .serialize import series_from_json, series_to_csv, series_to_json
-from .verify import SUITES, CheckResult, cells, run_suite
+from .serialize import _csv_text, _json_text, series_from_json, series_to_csv, series_to_json
+from .verify import SUITES, Cell, CheckResult, cells, run_cell
 
 __all__ = ["RunConfig", "parse_args", "main"]
 
@@ -145,7 +144,14 @@ def _order_arg(text: str) -> int:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer order: {_quoted(text)}") from exc
     if value < MIN_ORDER:
-        raise argparse.ArgumentTypeError(f"order must be >= {MIN_ORDER}, got {value}")
+        raise argparse.ArgumentTypeError(f"order must be >= {MIN_ORDER}, got {_shown(value)}")
+    return value
+
+
+def _jobs_arg(text: str) -> int:
+    value = _int_arg(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {_shown(value)}")
     return value
 
 
@@ -241,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("verify", help="run an identity suite")
     add_choice(p, "suite", SUITES + ("all",))
     _add_common(p)
-    p.add_argument("--jobs", type=_int_arg, help="worker threads for cells")
+    p.add_argument("--jobs", type=_jobs_arg, help="worker threads for cells")
 
     p = add_parser("limit", help="deviation table along a q sweep")
     p.add_argument("--qs", type=_positive_rational_list_arg,
@@ -289,7 +295,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
         parser.error(f"--n must be >= 0, got {_shown(config.n_or_p)}")
     if func in ("hermite", "ufunc") and config.order < config.n_or_p + 2:
         parser.error(
-            f"order {config.order} too small for index {_shown(config.n_or_p)} (needs index + 2)"
+            f"order {_shown(config.order)} too small for index {_shown(config.n_or_p)} (needs index + 2)"
         )
     if config.command == "table" and config.op is not None and config.input_path is None:
         parser.error("table --op needs --input")
@@ -310,10 +316,7 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 def _emit_series(series: PowerSeries, config: RunConfig) -> int:
-    if config.emit == "csv":
-        _write(series_to_csv(series), config.output_path)
-    else:
-        _write(series_to_json(series), config.output_path)
+    _write((series_to_csv if config.emit == "csv" else series_to_json)(series), config.output_path)
     return 0
 
 
@@ -399,19 +402,20 @@ def _check_to_dict(check: CheckResult) -> dict:
 
 
 def _run_verify(config: RunConfig) -> int:
-    # each (suite, q, beta) cell is an independent, pure computation
+    # each (suite, q, beta) cell is an independent, pure computation; every
+    # cell runs at config.order, so never at a suite's own default order
     pins = ((config.q, config.q_given), (config.beta, config.beta_given), (config.order, config.order_given))
     grid = cells(config.suite, *(value if given else None for value, given in pins))
 
-    def one(cell: tuple) -> list[CheckResult]:
-        suite, q, beta = cell
-        return run_suite(suite, q=q, beta=beta, order=config.order)
+    def one(cell: Cell) -> list[CheckResult]:
+        return run_cell(cell, config.order)
 
     if config.jobs > 1 and len(grid) > 1:
         with ThreadPoolExecutor(max_workers=min(config.jobs, len(grid))) as pool:
-            results = [c for batch in pool.map(one, grid) for c in batch]
+            batches = list(pool.map(one, grid))
     else:
-        results = [c for cell in grid for c in one(cell)]
+        batches = map(one, grid)
+    results = [c for batch in batches for c in batch]
 
     # sorting fixes the output bytes no matter how the cells were scheduled
     results.sort(key=lambda c: (c.name, sorted(c.params.items())))
@@ -420,7 +424,7 @@ def _run_verify(config: RunConfig) -> int:
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "checks": [_check_to_dict(c) for c in results],
     }
-    _write(json.dumps(report, indent=2), config.output_path)
+    _write(_json_text(report), config.output_path)
     return 0 if all(c.passed for c in results) else 1
 
 
@@ -431,24 +435,12 @@ def _run_limit(config: RunConfig) -> int:
     for row in limit_sweep(lambda d: second_order_composed(vacuum(d), "b"), config.qs, probe):
         rows.append((row.q, *drift_deviations(vacuum(Deformation(row.q))), row.deviation))
 
+    header = ("q", "beta0_deviation", "drift_deviation", "partner_deviation")
     if config.emit == "json":
-        payload = [
-            {
-                "q": format_rational(q),
-                "beta0_deviation": format_rational(a),
-                "drift_deviation": format_rational(b),
-                "partner_deviation": format_rational(c),
-            }
-            for q, a, b, c in rows
-        ]
-        _write(json.dumps(payload, indent=2), config.output_path)
+        text = _json_text([dict(zip(header, map(format_rational, row))) for row in rows])
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["q", "beta0_deviation", "drift_deviation", "partner_deviation"])
-        for q, a, b, c in rows:
-            writer.writerow([format_rational(q), float(a), float(b), float(c)])
-        _write(buf.getvalue(), config.output_path)
+        text = _csv_text(header, ([format_rational(q), *map(float, devs)] for q, *devs in rows))
+    _write(text, config.output_path)
     return 0
 
 
@@ -472,20 +464,17 @@ def _run_table(config: RunConfig) -> int:
         def value_at(x: Rational) -> float:
             return series.evaluate_float(float(x))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "value"])
-    for x in config.xs:
+    def row(x: Rational) -> list[str]:
+        text = format_rational(x)
         try:
             value = value_at(x)
         except OverflowError as exc:
-            raise ValueError(
-                f"table point x = {format_rational(x)} is outside the float range"
-            ) from exc
+            raise ValueError(f"table point x = {_clipped(text)} is outside the float range") from exc
         if not math.isfinite(value):
-            raise ValueError(f"table point x = {format_rational(x)} has no finite value ({value!r})")
-        writer.writerow([format_rational(x), repr(value)])
-    _write(buf.getvalue(), config.output_path)
+            raise ValueError(f"table point x = {_clipped(text)} has no finite value ({value!r})")
+        return [text, repr(value)]
+
+    _write(_csv_text(["x", "value"], map(row, config.xs)), config.output_path)
     return 0
 
 

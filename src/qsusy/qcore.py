@@ -94,10 +94,14 @@ def _quoted(text: str) -> str:
     return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
-def _shown(value: object) -> str:
-    """repr(value) for an error message, past 64 characters cut as _quoted cuts a text."""
-    text = repr(value)
+def _clipped(text: str) -> str:
+    """text for an error message; past 64 characters, its start and its length."""
     return text if len(text) <= _QUOTE_LIMIT else f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
+def _shown(value: object) -> str:
+    """repr(value) for an error message, cut by _clipped."""
+    return _clipped(repr(value))
 
 
 def parse_rational(text: str) -> Rational:

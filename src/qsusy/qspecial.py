@@ -116,14 +116,9 @@ def _q_exp_by_powers(u: PowerSeries, d: Deformation) -> PowerSeries:
     return total
 
 
-def _x_squared(scale: Rational, order: int) -> PowerSeries:
-    coeffs = [Fraction(0), Fraction(0), Fraction(scale)][: order + 1]
-    return make_series(coeffs, order)
-
-
 def q_gauss(v: VacuumSpec) -> PowerSeries:
     """Deformed Gaussian vacuum e_q(beta x^2): an even series with constant 1."""
-    return q_exp(_x_squared(v.beta, v.order), v.d)
+    return q_exp(make_series([0, 0, v.beta][: v.order + 1], v.order), v.d)
 
 
 @lru_cache(maxsize=None)
@@ -185,10 +180,10 @@ def q_hermite(n: int, d: Deformation, order: int) -> PowerSeries:
         raise ValueError(
             f"q_hermite(n={n}) needs order >= {n + 2} to keep exact coefficients, got {order}"
         )
-    decay = q_exp(_x_squared(Fraction(-1), order), d)
+    decay = q_gauss(VacuumSpec(Fraction(-1), d, order))
     for _ in range(n):
         decay = decay.jackson_derivative(d)
-    grow = q_exp(_x_squared(Fraction(1), order), d)
+    grow = q_gauss(VacuumSpec(Fraction(1), d, order))
     out = grow * decay
     if n % 2:
         out = -out
@@ -244,5 +239,5 @@ def u_transform(p: int, d: Deformation, order: int) -> PowerSeries:
     if p < 0 or p % 2:
         raise ValueError(f"u_transform needs even p >= 0, got {p}")
     rotated = q_hermite(p, d, order).i_rotate()
-    grow = q_exp(_x_squared(Fraction(1, 2), order), d)
+    grow = q_gauss(VacuumSpec(Fraction(1, 2), d, order))
     return (rotated * grow) * i_power(-p)

@@ -107,7 +107,8 @@ def _read(order: int, rows: Iterable[Sequence[Any]]) -> PowerSeries:
             dens.append(den)
     if len(nums) != 2 * (order + 1):
         raise ValueError(
-            f"series of order {order} needs {order + 1} coefficients, got {len(nums) // 2}"
+            f"series of order {_shown(order)} needs {_shown(order + 1)} coefficients, "
+            f"got {len(nums) // 2}"
         )
     return _from_ratios(order, nums, dens)
 
@@ -128,8 +129,22 @@ def series_from_dict(data: Any) -> PowerSeries:
     return _read(order, map(_checked_pair, pairs))
 
 
+def _json_text(document: Any) -> str:
+    """The program's one JSON form: indented by two spaces, keys in the order given."""
+    return json.dumps(document, indent=2)
+
+
+def _csv_text(header: Sequence[Any], rows: Iterable[Sequence[Any]]) -> str:
+    """The program's one CSV form: the header row, then the rows, each ended by a newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def series_to_json(a: PowerSeries) -> str:
-    return json.dumps(series_to_dict(a), indent=2)
+    return _json_text(series_to_dict(a))
 
 
 def series_from_json(text: str) -> PowerSeries:
@@ -140,12 +155,7 @@ def series_from_json(text: str) -> PowerSeries:
 
 
 def series_to_csv(a: PowerSeries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "re", "im"])
-    for n, pair in enumerate(_text_pairs(a)):
-        writer.writerow([n, *pair])
-    return buf.getvalue()
+    return _csv_text(["n", "re", "im"], ([n, *pair] for n, pair in enumerate(_text_pairs(a))))
 
 
 def series_from_csv(text: str) -> PowerSeries:

@@ -2,10 +2,15 @@
 
 Each suite checks one cell of the (suite, q, beta) grid that ``cells`` owns
 and returns a list of CheckResult records, one per identity; its fixed sizes
-are module constants. Everything except the float cross-check is exact: a
-check passes only when the residual series is zero in every valid
-coefficient, and the reported worst deviation is an exact rational (so "0"
-really means zero).
+are module constants. ``run_cell`` is the one code that runs a cell, for
+``run_suite`` and for ``qsusy verify`` alike. A suite's default order, in its
+signature, is the library's: ``qsusy verify`` always passes an order
+(``--order``, QSUSY_ORDER or 32), so ``verify kernel`` reports order 32 where
+``run_suite("kernel")`` reports 40.
+
+Everything except the float cross-check is exact: a check passes only when
+the residual series is zero in every valid coefficient, and the reported
+worst deviation is an exact rational (so "0" really means zero).
 
 Suites:
 
@@ -60,6 +65,7 @@ __all__ = [
     "limits_suite",
     "classical_suite",
     "cells",
+    "run_cell",
     "run_suite",
 ]
 
@@ -371,18 +377,21 @@ def run_suite(
     beta: Optional[Rational] = None,
     order: Optional[int] = None,
 ) -> list[CheckResult]:
-    """Run one named suite over its ``cells``, optionally pinned to one q or beta."""
+    """Run one named suite over its ``cells``, optionally pinned to one q, beta or order."""
     if suite not in SUITES:
         raise ValueError(f"unknown verification suite: {suite!r}")
-    return [check for _, qq, bb in cells(suite, q, beta) for check in _run_cell(suite, qq, bb, order)]
+    return [check for cell in cells(suite, q, beta, order) for check in run_cell(cell, order)]
 
 
-def _run_cell(
-    suite: str, q: Optional[Rational], beta: Optional[Rational], order: Optional[int]
-) -> list[CheckResult]:
+def run_cell(cell: Cell, order: Optional[int] = None) -> list[CheckResult]:
+    """The checks of one cell of ``cells``, at ``order`` when its suite reads one.
+
+    Without an order a suite runs at the default of its signature; a fixed-size
+    suite (leibniz) ignores the order, so that "all" can carry one.
+    """
+    suite, q, beta = cell
     # the suite is looked up by its module name at call time, so a wrapper put
-    # on that name (a tracer, a test's fault) is the one that runs; a suite's
-    # default order is written only in its signature
+    # on that name (a tracer, a test's fault) is the one that runs
     run = globals()[f"{suite}_suite"]
     pins = [pin for pin in (q, beta) if pin is not None]
     if order is None or suite in _FIXED_SIZE:

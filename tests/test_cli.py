@@ -115,8 +115,18 @@ class TestParsing:
         (("ufunc", "--p", "-" + "2" * 4000), "--p must be even and >= 0, got -2222222222"),
         (("hermite", "--n", "-" + "1" * 4000), "--n must be >= 0, got -1111111111"),
         (("apply", "--op", "OH", "--n", "-" + "1" * 4000, "--input", "x"), "--n must be >= 0, got -1111111111"),
+        # so is an order, and a table point that has no float value
+        (("hermite", "--order", "-" + "1" * 4000), "order must be >= 4, got -1111111111"),
+        (("QSUSY_ORDER=-" + "1" * 4000, "hermite"), "QSUSY_ORDER: order must be >= 4, got -1111111111"),
+        (("hermite", "--order", "1" * 4000, "--n", "2" * 4000), "order 1111111111"),
+        (("table", "--func", "beta", "--q", "3/2", "--xs", "1e4000"), "table point x = 1000000000"),
     ])
-    def test_long_flag_is_not_echoed_in_full(self, capsys, argv, echo):
+    def test_long_flag_is_not_echoed_in_full(self, capsys, monkeypatch, argv, echo):
+        # a leading NAME=value sets the environment, as in a shell
+        if "=" in argv[0]:
+            name, _, value = argv[0].partition("=")
+            monkeypatch.setenv(name, value)
+            argv = argv[1:]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert echo in err and len(err.encode()) < 1024
@@ -319,6 +329,7 @@ class TestApply:
         ({"order": 0, "coeffs": [["1"] * 200_000]}, "expected a [re, im] pair, got ['1', '1'"),
         ({"order": "1" * 10**6, "coeffs": []}, "bad series order: '111"),
         ({"order": 0, "coeffs": "1" * 10**6}, "must be a list of [re, im] pairs, got '111"),
+        ({"order": 10**4000, "coeffs": [["1", "0"]]}, "series of order 1000000000"),
     ])
     def test_long_document_part_is_not_echoed_in_full(self, capsys, tmp_path, doc, echo):
         path = tmp_path / "long.json"
@@ -446,10 +457,16 @@ class TestVerify:
         a.pop("generated_at"), b.pop("generated_at")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_fewer_than_one_job_is_usage_error(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "limits", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --jobs: jobs must be >= 1, got {jobs}\n")
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         from qsusy.verify import CheckResult
 
-        def fake(suite, q=None, beta=None, order=None):
+        def fake(cell, order=None):
             return [
                 CheckResult(
                     name="kernel",
@@ -459,7 +476,7 @@ class TestVerify:
                 )
             ]
 
-        monkeypatch.setattr("qsusy.cli.run_suite", fake)
+        monkeypatch.setattr("qsusy.cli.run_cell", fake)
         code, out, _ = run(capsys, "verify", "kernel", "--q", "2", "--beta", "1/2")
         assert code == 1
         report = json.loads(out)

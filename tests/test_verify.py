@@ -27,6 +27,7 @@ SWEEP = [1 + F(1, 2**k) for k in range(1, 7)]
     ("leibniz", {"beta": 5}, "--beta"),
     ("classical", {"q": 3}, "--q"),
     ("classical", {"q": 3, "beta": 5}, "--q or --beta"),
+    ("leibniz", {"order": 28}, "--order"),
 ])
 def test_run_suite_refuses_a_pin_it_would_ignore(suite, pins, flags):
     with pytest.raises(ValueError, match=f"^verify {suite} does not take {flags}$"):
@@ -77,6 +78,11 @@ PINS = {"kernel": {"q": F(3, 2)}, "factorization": {"beta": F(1, 3)}, "leibniz":
 @pytest.mark.parametrize("suite", verify.SUITES)
 def test_run_suite_is_its_cells_one_by_one(suite, order, pinned):
     pins = PINS.get(suite, {}) if pinned else {}
+    if suite == "leibniz" and order is not None:
+        # leibniz reads no order, so a run of it alone refuses one
+        with pytest.raises(ValueError, match="^verify leibniz does not take --order$"):
+            verify.run_suite(suite, order=order, **pins)
+        return
     expected = [
         check
         for _, q, beta in verify.cells(suite, **pins)
