@@ -24,15 +24,12 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .qcore import (_QUOTE_LIMIT, Deformation, Rational, _clipped, _quoted, _shown, format_rational,
-                    parse_rational)
+from .qcore import (_QUOTE_LIMIT, Deformation, Rational, _Record, _clipped, _quoted, _shown,
+                    format_rational, parse_rational)
 from .series import PowerSeries
 from .qspecial import (
     VacuumSpec,
@@ -69,31 +66,52 @@ DEFAULT_SWEEP: tuple[Rational, ...] = (
 )
 
 
-@dataclass
-class RunConfig:
+class RunConfig(_Record):
     """Validated run parameters; construction implies the flags parsed cleanly.
 
     The field defaults are the flags' defaults (see ``_build_parser``).
     """
 
-    command: str
-    q: Rational = Fraction(1)
-    beta: Rational = Fraction(-1, 2)
-    order: int = 32
-    n_or_p: int = 0
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    emit: str = "json"
-    suite: Optional[str] = None
-    op: Optional[str] = None
-    func: str = "beta"
-    delta: bool = False
-    qs: tuple[Rational, ...] = DEFAULT_SWEEP
-    xs: tuple[Rational, ...] = ()
-    q_given: bool = False
-    beta_given: bool = False
-    order_given: bool = False
-    jobs: int = 4
+    __slots__ = ("command", "q", "beta", "order", "n_or_p", "input_path", "output_path", "emit",
+                 "suite", "op", "func", "delta", "qs", "xs", "q_given", "beta_given", "order_given",
+                 "jobs")
+
+    def __init__(
+        self,
+        command: str,
+        q: Rational = Fraction(1),
+        beta: Rational = Fraction(-1, 2),
+        order: int = 32,
+        n_or_p: int = 0,
+        input_path: Optional[str] = None,
+        output_path: Optional[str] = None,
+        emit: str = "json",
+        suite: Optional[str] = None,
+        op: Optional[str] = None,
+        func: str = "beta",
+        delta: bool = False,
+        qs: tuple[Rational, ...] = DEFAULT_SWEEP,
+        xs: tuple[Rational, ...] = (),
+        q_given: bool = False,
+        beta_given: bool = False,
+        order_given: bool = False,
+        jobs: int = 4,
+    ) -> None:
+        super().__init__(command, q, beta, order, n_or_p, input_path, output_path, emit, suite, op,
+                         func, delta, qs, xs, q_given, beta_given, order_given, jobs)
+
+
+def ThreadPoolExecutor(max_workers: int):
+    """A ``concurrent.futures`` thread pool, its module imported on first use.
+
+    Only a multi-cell ``verify --jobs`` run needs a pool, so importing this
+    module loads none of ``concurrent.futures``, ``logging``, ``queue`` and
+    ``threading``. ``_run_verify`` reads this name when it runs, so a
+    replacement put on it (a tracer's pool) is the one it calls.
+    """
+    import concurrent.futures
+
+    return concurrent.futures.ThreadPoolExecutor(max_workers=max_workers)
 
 
 def _rational_arg(text: str) -> Rational:
@@ -156,13 +174,14 @@ def _jobs_arg(text: str) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, *, beta: bool = True) -> None:
+    default = RunConfig(command="")  # the defaults of its signature
     sub.add_argument("--q", type=_positive_rational_arg,
-                     help=f"deformation parameter, exact rational (default {RunConfig.q})")
+                     help=f"deformation parameter, exact rational (default {default.q})")
     if beta:
         sub.add_argument("--beta", type=_nonzero_rational_arg,
-                         help=f"vacuum coefficient, exact rational (default {RunConfig.beta})")
+                         help=f"vacuum coefficient, exact rational (default {default.beta})")
     sub.add_argument("--order", type=_order_arg,
-                     help=f"truncation order (default {RunConfig.order}, env QSUSY_ORDER)")
+                     help=f"truncation order (default {default.order}, env QSUSY_ORDER)")
     sub.add_argument("--output", dest="output_path", metavar="OUTPUT",
                      help="output path (default stdout)")
 
@@ -419,6 +438,9 @@ def _run_verify(config: RunConfig) -> int:
 
     # sorting fixes the output bytes no matter how the cells were scheduled
     results.sort(key=lambda c: (c.name, sorted(c.params.items())))
+    # only this report reads the clock, so only verify imports datetime
+    from datetime import datetime, timezone
+
     report = {
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),

@@ -17,7 +17,6 @@ f(q^k x) (``Shift``). Three interpreters read a tree:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import islice, repeat
@@ -25,7 +24,7 @@ from math import lcm
 from operator import add as _add, mul as _mul
 from typing import Callable, Optional, Sequence
 
-from .qcore import Deformation, GaussRational, Rational, q_number, to_gauss
+from .qcore import Deformation, GaussRational, Rational, _Frozen, q_number, to_gauss
 from .series import PowerSeries, _canonical, constant_series, make_series
 from .qspecial import VacuumSpec, _log_derivative, beta_q, delta_beta_q
 
@@ -423,21 +422,19 @@ def t_generalized(u: PowerSeries, d: Deformation, sign: int = 1) -> QOperator:
     return _intertwiner(d, sign, _log_derivative(u, d))
 
 
-@dataclass(frozen=True)
-class FactorizationPair:
+class FactorizationPair(_Frozen):
     """An intertwiner pair; ``epsilon`` is the exact eigenvalue of the
     transformation function under h0 (0 for the vacuum, negative otherwise)."""
 
-    t_plus: QOperator
-    t_minus: QOperator
-    epsilon: Rational
-    source: str
+    __slots__ = ("t_plus", "t_minus", "epsilon", "source")
 
-    def __post_init__(self) -> None:
-        eps = Fraction(self.epsilon)
+    def __init__(
+        self, t_plus: QOperator, t_minus: QOperator, epsilon: Rational, source: str
+    ) -> None:
+        eps = Fraction(epsilon)
         if eps > 0:
             raise ValueError(f"factorization energy must be <= 0, got {eps}")
-        object.__setattr__(self, "epsilon", eps)
+        super().__init__(t_plus, t_minus, eps, source)
 
 
 def vacuum_pair(v: VacuumSpec) -> FactorizationPair:
@@ -454,12 +451,13 @@ def generalized_pair(
     return FactorizationPair(t_generalized(u, d, 1), t_generalized(u, d, -1), epsilon, source)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Frozen):
     """One row of a limit sweep: deviation from the undeformed target at q."""
 
-    q: Rational
-    deviation: Rational
+    __slots__ = ("q", "deviation")
+
+    def __init__(self, q: Rational, deviation: Rational) -> None:
+        super().__init__(q, deviation)
 
 
 def limit_sweep(

@@ -11,7 +11,6 @@ coefficient with no epsilon.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -46,6 +45,54 @@ def _as_fraction(value: RationalLike) -> Fraction:
             f"refusing float {value!r}: floats are not exact, pass a Fraction or a string"
         )
     return Fraction(value)
+
+
+class _Record:
+    """A value class whose fields are the names in its ``__slots__``, in order.
+
+    Equality, repr and copying read the fields as a dataclass's methods
+    would: records are equal when their classes and their fields are, and
+    repr reads ``Name(field=value, ...)``. A record can change, so it has no
+    hash; a ``_Frozen`` one cannot, and hashes by its fields.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        # a subclass's __init__ checks its arguments, then passes every field
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self) -> tuple:
+        # every record's constructor takes its fields in __slots__ order
+        return type(self), self._fields()
+
+
+class _Frozen(_Record):
+    """A record whose fields are set once, by ``_Record.__init__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # "p", "p/q" or a plain decimal "p.f", in digits. Left for re to compile on
@@ -146,8 +193,7 @@ def format_rational(value: RationalLike) -> str:
     return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
-@dataclass(frozen=True, slots=True)
-class GaussRational:
+class GaussRational(_Frozen):
     """A Gaussian rational re + im*i with exact rational parts.
 
     Field arithmetic is exact and multiplication satisfies i*i = -1. A value
@@ -155,17 +201,15 @@ class GaussRational:
     real results can be used interchangeably with Rational.
     """
 
-    re: Rational = Fraction(0)
-    im: Rational = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re: RationalLike = Fraction(0), im: RationalLike = Fraction(0)) -> None:
+        super().__init__(_as_fraction(re), _as_fraction(im))
 
     @classmethod
     def _raw(cls, re: Fraction, im: Fraction) -> "GaussRational":
         # arithmetic-internal constructor: operands are already Fractions,
-        # so the coercion in __post_init__ would only burn time
+        # so the coercion in __init__ would only burn time
         out = object.__new__(cls)
         object.__setattr__(out, "re", re)
         object.__setattr__(out, "im", im)
@@ -306,8 +350,7 @@ def to_gauss(value: object) -> GaussRational:
     return NotImplemented
 
 
-@dataclass(frozen=True, slots=True)
-class Deformation:
+class Deformation(_Frozen):
     """The deformation parameter: an exact positive rational q.
 
     q = 1 is the undeformed (classical) point. Because every construction in
@@ -315,13 +358,13 @@ class Deformation:
     deformation; ``reciprocal`` returns the mirror value for symmetry tests.
     """
 
-    q: Rational = Fraction(1)
+    __slots__ = ("q",)
 
-    def __post_init__(self) -> None:
-        q = _as_fraction(self.q)
+    def __init__(self, q: RationalLike = Fraction(1)) -> None:
+        q = _as_fraction(q)
         if q <= 0:
             raise ValueError(f"deformation parameter must be positive, got {q}")
-        object.__setattr__(self, "q", q)
+        super().__init__(q)
 
     @property
     def is_classical(self) -> bool:

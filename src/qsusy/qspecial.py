@@ -15,11 +15,10 @@ collapses to the classical Hermite polynomial of degree n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .qcore import Deformation, Rational, i_power, q_factorial, q_number_numerators
+from .qcore import Deformation, Rational, _Frozen, i_power, q_factorial, q_number_numerators
 from .series import PowerSeries, _canonical, constant_series, div, make_series
 
 __all__ = [
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class VacuumSpec:
+class VacuumSpec(_Frozen):
     """Parameters of a deformed Gaussian vacuum e_q(beta x^2).
 
     beta = -1/2 is the regular (normalizable) vacuum, beta = +1/2 the
@@ -45,17 +43,15 @@ class VacuumSpec:
     truncation order used for every series derived from this vacuum.
     """
 
-    beta: Rational
-    d: Deformation
-    order: int
+    __slots__ = ("beta", "d", "order")
 
-    def __post_init__(self) -> None:
-        beta = Fraction(self.beta)
+    def __init__(self, beta: Rational, d: Deformation, order: int) -> None:
+        beta = Fraction(beta)
         if beta == 0:
             raise ValueError("vacuum coefficient beta must be nonzero")
-        if self.order < 0:
-            raise ValueError(f"vacuum order must be >= 0, got {self.order}")
-        object.__setattr__(self, "beta", beta)
+        if order < 0:
+            raise ValueError(f"vacuum order must be >= 0, got {order}")
+        super().__init__(beta, d, order)
 
 
 def q_exp(u: PowerSeries, d: Deformation) -> PowerSeries:

@@ -28,11 +28,10 @@ Suites:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .qcore import Deformation, Rational, format_rational
+from .qcore import Deformation, Rational, _Frozen, _shown, format_rational
 from .series import PowerSeries, make_series
 from .qspecial import (
     VacuumSpec,
@@ -81,13 +80,21 @@ LIMITS_TOP_DEGREE = 20
 CLASSICAL_MAX_N = 6
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    params: dict[str, str] = field(default_factory=dict)
-    status: str = "pass"
-    worst_deviation: str = "0"
-    first_failure_index: Optional[int] = None
+class CheckResult(_Frozen):
+    """One identity's outcome; ``params`` is a new empty dict when not given."""
+
+    __slots__ = ("name", "params", "status", "worst_deviation", "first_failure_index")
+
+    def __init__(
+        self,
+        name: str,
+        params: Optional[dict[str, str]] = None,
+        status: str = "pass",
+        worst_deviation: str = "0",
+        first_failure_index: Optional[int] = None,
+    ) -> None:
+        params = {} if params is None else params
+        super().__init__(name, params, status, worst_deviation, first_failure_index)
 
     @property
     def passed(self) -> bool:
@@ -348,7 +355,9 @@ def cells(
     each. A pinned q or beta replaces its sweep; a pinned order is read by
     every suite but leibniz. "all" is the union of the suites, so it keeps a
     pin that some suite takes; a pin that no cell takes would be silently
-    ignored, so it raises ``ValueError``.
+    ignored, so it raises ``ValueError``. So does an order below
+    CLASSICAL_MAX_N for a run with the classical cell, which checks H_0
+    through H_CLASSICAL_MAX_N.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown verification suite: {suite!r}")
@@ -368,6 +377,8 @@ def cells(
         ignored.append("--order")
     if ignored:
         raise ValueError(f"verify {suite} does not take {' or '.join(ignored)}")
+    if order is not None and order < CLASSICAL_MAX_N and ("classical", None, None) in out:
+        raise ValueError(f"verify {suite} needs --order >= {CLASSICAL_MAX_N}, got {_shown(order)}")
     return out
 
 

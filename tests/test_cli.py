@@ -1,8 +1,9 @@
 import argparse
 import csv
-import dataclasses
 import io
 import json
+import re
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction as F
 
 import pytest
@@ -197,7 +198,9 @@ class TestParsing:
     ], ids=lambda v: v[0] if isinstance(v, list) else "")
     def test_defaults_without_optional_flags(self, monkeypatch, argv, fields):
         monkeypatch.delenv("QSUSY_ORDER", raising=False)
-        config = dataclasses.asdict(parse_args(argv))
+        parsed = parse_args(argv)
+        # every field of the record, which are the names in its __slots__
+        config = {name: getattr(parsed, name) for name in type(parsed).__slots__}
         assert config == {"command": argv[0], **self.COMMON, **fields}
 
     @pytest.mark.parametrize("command, metavars", [
@@ -422,6 +425,22 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert f"verify {argv[0]} does not take {flags}" in err
+
+    @pytest.mark.parametrize("argv", [("classical", "--order", "4"), ("classical", "--order", "5"),
+                                      ("all", "--order", "5")])
+    def test_order_too_small_for_the_classical_cell(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"qsusy: error: verify {argv[0]} needs --order >= 6, got {argv[2]}\n"
+
+    def test_generated_at_is_iso_utc_now(self, capsys):
+        _, out, _ = run(capsys, "verify", "limits", "--order", "12")
+        stamp = json.loads(out)["generated_at"]
+        # the form datetime.isoformat() writes for an aware UTC time
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?\+00:00", stamp)
+        when = datetime.fromisoformat(stamp)
+        assert when.utcoffset() == timedelta(0)
+        assert abs(datetime.now(timezone.utc) - when) < timedelta(minutes=1)
 
     def test_env_order_is_a_default_not_a_pin(self, capsys, monkeypatch):
         code, plain, _ = run(capsys, "verify", "leibniz", "--q", "2")

@@ -43,6 +43,19 @@ def test_cells_refuse_an_order_that_no_cell_reads():
         assert verify.cells(suite, order=64) == verify.cells(suite)
 
 
+@pytest.mark.parametrize("suite, order", [("classical", 4), ("classical", 5), ("all", 5)])
+def test_a_run_with_the_classical_cell_refuses_an_order_below_6(suite, order):
+    # the classical cell checks H_0 through H_6, so order 6 is the least it takes
+    refusal = f"^verify {suite} needs --order >= 6, got {order}$"
+    with pytest.raises(ValueError, match=refusal):
+        verify.cells(suite, order=order)
+    if suite != "all":
+        with pytest.raises(ValueError, match=refusal):
+            verify.run_suite(suite, order=order)
+    assert verify.cells(suite, order=6) == verify.cells(suite)
+    assert verify.cells("kernel", order=order) == verify.cells("kernel")
+
+
 def test_run_suite_refuses_an_unknown_suite():
     for suite in ("all", "kernels"):
         with pytest.raises(ValueError, match="unknown verification suite"):
