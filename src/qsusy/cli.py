@@ -51,7 +51,7 @@ from .operators import (
     t_plus_q,
 )
 from .serialize import _csv_text, _json_text, series_from_json, series_to_csv, series_to_json
-from .verify import SUITES, Cell, CheckResult, cells, run_cell
+from .verify import CLASSICAL_MAX_N, SUITES, Cell, CheckResult, cells, run_cell
 
 __all__ = ["RunConfig", "parse_args", "main"]
 
@@ -425,6 +425,11 @@ def _run_verify(config: RunConfig) -> int:
     # cell runs at config.order, so never at a suite's own default order
     pins = ((config.q, config.q_given), (config.beta, config.beta_given), (config.order, config.order_given))
     grid = cells(config.suite, *(value if given else None for value, given in pins))
+    # cells checks a pinned --order; an order from QSUSY_ORDER is checked here
+    if not config.order_given and config.order < CLASSICAL_MAX_N and ("classical", None, None) in grid:
+        raise ValueError(
+            f"verify {config.suite} needs QSUSY_ORDER >= {CLASSICAL_MAX_N}, got {_shown(config.order)}"
+        )
 
     def one(cell: Cell) -> list[CheckResult]:
         return run_cell(cell, config.order)

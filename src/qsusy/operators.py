@@ -5,11 +5,17 @@ that multiply by a truncated series (``Mult``) or an exact polynomial
 (``MultPoly``), take the symmetric q-derivative (``Jackson``) or map f to
 f(q^k x) (``Shift``). Three interpreters read a tree:
 
-* series apply (``apply``), exact on Gaussian-rational coefficients;
+* series apply (``apply``), exact on Gaussian-rational coefficients. The
+  nodes call the series kernel's bodies and pass their results on unreduced
+  (a valid denominator, not always the least); one gcd reduces the result,
+  so a walk of any size costs one reduction;
 * pointwise apply (``apply_at``) on float evaluators, in a fixed float order,
-  walked on demand: nothing float is built with a node. It exists only for
-  q != 1 (the classical derivative has no finite q-quotient) and real
-  scalars, and degenerates at x = 0; both answer through the series path;
+  walked on demand: nothing float is built with a node. A ``Mult`` leaf reads
+  its coefficient through ``evaluate_float``, which divides each series into
+  floats once and keeps the table, so repeated points run Horner on floats.
+  The form exists only for q != 1 (the classical derivative has no finite
+  q-quotient) and real scalars, and degenerates at x = 0; both answer
+  through the series path;
 * the term normal form (``normal_form``), op f = sum of a(x) (D_q^m f)(lam x),
   by D(FG) = (DF) G(qx) + F(x/q) DG and D[h(lam x)] = lam (Dh)(lam x).
   On a monomial each term is one integer row.
@@ -25,7 +31,7 @@ from operator import add as _add, mul as _mul
 from typing import Callable, Optional, Sequence
 
 from .qcore import Deformation, GaussRational, Rational, _Frozen, q_number, to_gauss
-from .series import PowerSeries, _canonical, constant_series, make_series
+from .series import Parts, PowerSeries, _canonical, _make, _unreduced, constant_series, make_series
 from .qspecial import VacuumSpec, _log_derivative, beta_q, delta_beta_q
 
 __all__ = [
@@ -63,7 +69,9 @@ class QOperator:
         return f"{type(self).__name__}({', '.join(str(getattr(v, 'name', v)) for v in fields)})"
 
     def apply(self, f: PowerSeries) -> PowerSeries:
-        return _run(self, f, _series_leaf, _add, _mul)
+        """op f, in canonical form; the nodes between pass their results on unreduced."""
+        out = _run(self, f, _unreduced_leaf, _unreduced_sum, _unreduced_scale)
+        return _canonical(out.order, out.num_re, out.num_im, out.den)
 
     __call__ = apply
 
@@ -138,15 +146,28 @@ def _run(op: QOperator, x, leaf: Callable, add: Callable, scale: Callable):
     return leaf(op, x)
 
 
-def _series_leaf(op: QOperator, f: PowerSeries) -> PowerSeries:
+def _leaf_parts(op: QOperator, f: PowerSeries) -> Parts:
+    """A leaf applied to f by the series kernel's bodies, unreduced."""
     kind = type(op)
     if kind is Mult:
-        return op.g * f
+        return op.g._times(f)
     if kind is MultPoly:
-        return f.mul_poly(op.coeffs)
+        return f._mul_poly(op.coeffs)
     if kind is Jackson:
-        return f.jackson_derivative(op.d)
-    return f.scale_arg(op.d.q**op.k) if op.k else f
+        return f._jackson(op.d)
+    return f._scale_arg(op.d.q**op.k) if op.k else (f.order, f.num_re, f.num_im, f.den)
+
+
+def _unreduced_leaf(op: QOperator, f: PowerSeries) -> PowerSeries:
+    return _unreduced(*_leaf_parts(op, f))
+
+
+def _unreduced_sum(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    return _unreduced(*a._combine(b, _add))
+
+
+def _unreduced_scale(a: PowerSeries, c: GaussRational) -> PowerSeries:
+    return _unreduced(*a._scaled(c))
 
 
 def _point(op: QOperator, f: Evaluator) -> Optional[Evaluator]:
@@ -218,7 +239,7 @@ def _terms_leaf(op: QOperator, terms: Terms) -> Terms:
         step = op.d.q**op.k
         return {(m, lam * step): a.scale_arg(step) for (m, lam), a in terms.items()}
     # a multiplication acts on the coefficient a alone
-    return {key: _series_leaf(op, a) for key, a in terms.items()}
+    return {key: _canonical(*_leaf_parts(op, a)) for key, a in terms.items()}
 
 
 def _put(terms: Terms, key: tuple[int, Fraction], a: PowerSeries) -> None:
@@ -344,8 +365,14 @@ def t_minus_q(v: VacuumSpec) -> QOperator:
 
 
 def _vacuum_intertwiners(v: VacuumSpec) -> tuple[QOperator, QOperator]:
-    """(D_q - w, -D_q - w) with w = beta_q(x^2) x, built once for both."""
-    w = beta_q(v).mul_poly([0, 1])
+    """(D_q - w, -D_q - w) with w = beta_q(x^2) x, built once for both.
+
+    x times a canonical series is its numerators one place up over the same
+    denominator, which is canonical too: the order rises by one, as in mul_poly.
+    """
+    b = beta_q(v)
+    up = lambda nums: None if nums is None else (0, *nums)
+    w = _make(b.order + 1, up(b.num_re), up(b.num_im), b.den)
     return _intertwiner(v.d, 1, w), _intertwiner(v.d, -1, w)
 
 

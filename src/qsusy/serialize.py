@@ -9,6 +9,11 @@ reproduces the series exactly.
 Both directions work on the stored numerators: the writer reduces each one
 against the common denominator, and the reader puts what it parses over one
 lcm, with no GaussRational per coefficient.
+
+A series document has its own writer, ``series_to_json``, which writes the
+indent-2 layout directly: its texts need no JSON escape, and the stdlib's
+indenting encoder runs in pure Python. ``_json_text`` writes every other
+JSON document (verify reports, ``limit --emit json``) with the same layout.
 """
 
 from __future__ import annotations
@@ -144,7 +149,14 @@ def _csv_text(header: Sequence[Any], rows: Iterable[Sequence[Any]]) -> str:
 
 
 def series_to_json(a: PowerSeries) -> str:
-    return _json_text(series_to_dict(a))
+    """``_json_text(series_to_dict(a))``, written straight from the coefficient texts.
+
+    Those hold only ASCII "-", digits and "/", which JSON writes as they
+    are, so the fixed indent-2 layout is all there is to write.
+    """
+    rows = ",\n".join(f'    [\n      "{re}",\n      "{im}"\n    ]' for re, im in _text_pairs(a))
+    coeffs = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{{\n  "order": {a.order},\n  "coeffs": {coeffs}\n}}'
 
 
 def series_from_json(text: str) -> PowerSeries:

@@ -13,11 +13,15 @@ always names the highest coefficient that is exact:
 
 Storage follows FLINT's ``fmpq_poly`` layout: c_n = (num_re[n] + i num_im[n]) /
 den with integer numerators and one positive common denominator. ``num_im`` is
-None when every imaginary part is zero, and every result is brought back to
-this canonical form (gcd of den and all numerators equal to 1) by a single
-multi-argument gcd, so the kernels run on plain integers. ``GaussRational``
-is the scalar type at the boundary: ``coeffs`` and ``coeff`` build it on
-demand.
+None when every imaginary part is zero, and every result of a public
+operation is brought back to this canonical form (gcd of den and all
+numerators equal to 1) by a single multi-argument gcd, so the kernels run on
+plain integers. Each kernel operation has one body that returns its result
+unreduced, over a valid denominator that need not be the least (``Parts``);
+the public method is that body plus ``_canonical``. The operator walk
+(``operators.QOperator.apply``) chains the bodies and reduces its result
+alone. ``GaussRational`` is the scalar type at the boundary: ``coeffs`` and
+``coeff`` build it on demand.
 
 A product of two series convolves integer vectors (``_convolve``) by one
 rule. When each operand is even or odd, only every second entry is convolved
@@ -51,7 +55,8 @@ b is first made real through its conjugate: a / b = (a conj(b)) / (b conj(b)),
 two products of the kernel above.
 
 There is no epsilon anywhere in this module; the float entry point is the
-single evaluator ``evaluate_float`` used at the grid/plotting boundary.
+single evaluator ``evaluate_float`` used at the grid/plotting boundary. It
+divides the numerators into floats once per series and keeps them.
 """
 
 from __future__ import annotations
@@ -89,6 +94,9 @@ CoeffLike = Union[GaussRational, Fraction, int]
 # each one would sit on the tuple free list (up to 2000 of them) until a full
 # garbage collection.
 IntVector = Sequence[int]
+# (order, re, im, den): a kernel's result, (re + i im) / den with den > 0 valid
+# but not necessarily the least; ``_canonical`` reduces it
+Parts = tuple[int, IntVector, Optional[IntVector], int]
 
 _FRACTION_ZERO = Fraction(0)
 
@@ -116,6 +124,12 @@ def _ratios(values: Iterable[CoeffLike]) -> tuple[list[int], list[int]]:
     return nums, dens
 
 
+def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[int], int]:
+    """The ratios nums[k] / dens[k], dens[k] > 0, as numerators over the lcm of dens."""
+    den = lcm(*dens)
+    return [x * (den // d) if x else 0 for x, d in zip(nums, dens)], den
+
+
 def _from_ratios(order: int, nums: Sequence[int], dens: Sequence[int]) -> "PowerSeries":
     """The series with c_n = nums[2n] / dens[2n] + i nums[2n + 1] / dens[2n + 1].
 
@@ -123,8 +137,7 @@ def _from_ratios(order: int, nums: Sequence[int], dens: Sequence[int]) -> "Power
     over the lcm of all denominators, and ``_canonical``'s one gcd takes out
     any factor that unreduced input leaves.
     """
-    den = lcm(*dens)
-    scaled = [x * (den // d) if x else 0 for x, d in zip(nums, dens)]
+    scaled, den = _over_lcm(nums, dens)
     return _canonical(order, scaled[0::2], scaled[1::2], den)
 
 
@@ -141,6 +154,16 @@ def _canonical(
         if im is not None:
             im = _divided(im, g)
     return _make(order, re, im, den)
+
+
+def _unreduced(
+    order: int, re: IntVector, im: Optional[IntVector], den: int
+) -> "PowerSeries":
+    """The series (re + i im) / den, den > 0, with no gcd: den need not be the least.
+
+    Only the operator walk holds such a series; it reduces its result alone.
+    """
+    return _make(order, re, im if im is not None and any(im) else None, den)
 
 
 def _divided(values: IntVector, g: int) -> list[int]:
@@ -160,6 +183,7 @@ def _make(
     _set(out, "num_re", tuple(re))
     _set(out, "num_im", None if im is None else tuple(im))
     _set(out, "den", den)
+    _set(out, "_floats", None)
     return out
 
 
@@ -344,7 +368,8 @@ class PowerSeries:
     The coefficients are stored as integer numerators over one common
     denominator (see the module docstring); ``PowerSeries(coeffs, order)``
     builds that form from GaussRational, Fraction or int coefficients, and
-    ``coeffs`` gives them back. Instances are immutable.
+    ``coeffs`` gives them back. Instances are immutable; the only state
+    added later is ``evaluate_float``'s float table, a function of the rest.
 
     ``order`` may be -1 for the degenerate series with no retained
     coefficients (the result of differentiating a bare constant); such a
@@ -352,12 +377,13 @@ class PowerSeries:
     order they expect alongside coefficient assertions.
     """
 
-    __slots__ = ("order", "num_re", "num_im", "den")
+    __slots__ = ("order", "num_re", "num_im", "den", "_floats")
 
     order: int
     num_re: tuple[int, ...]
     num_im: Optional[tuple[int, ...]]
     den: int
+    _floats: Optional[list[float]]  # evaluate_float's quotients, once taken
 
     def __init__(self, coeffs: Iterable[CoeffLike], order: int) -> None:
         if order < -1:
@@ -468,7 +494,7 @@ class PowerSeries:
             self.den,
         )
 
-    def _combine(self, other: "PowerSeries", op) -> "PowerSeries":
+    def _combine(self, other: "PowerSeries", op) -> Parts:
         """self op other (op is + or -) over the lcm of the two denominators."""
         m = min(self.order, other.order) + 1
         da, db = self.den, other.den
@@ -483,37 +509,41 @@ class PowerSeries:
         re = part(self.num_re, other.num_re)
         ai, bi = self.num_im, other.num_im
         im = None if ai is None and bi is None else part(ai, bi)
-        return _canonical(m - 1, re, im, den)
+        return m - 1, re, im, den
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return self._combine(other, _add)
+        return _canonical(*self._combine(other, _add))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return self._combine(other, _sub)
+        return _canonical(*self._combine(other, _sub))
 
-    def _scaled(self, c: GaussRational) -> "PowerSeries":
+    def _scaled(self, c: GaussRational) -> Parts:
         """Every coefficient times the scalar c: one integer product each."""
         cre, cim, cden = _scalar_parts(c)
         re, im = _weigh(
             self.num_re, self.num_im, repeat(cre), repeat(cim) if cim else None
         )
-        return _canonical(self.order, re, im, self.den * cden)
+        return self.order, re, im, self.den * cden
+
+    def _times(self, other: "PowerSeries") -> Parts:
+        """The product of two series, to the lower of their orders."""
+        n = min(self.order, other.order)
+        if n < 0:
+            return -1, [], None, 1
+        re, im = _product(self.num_re, self.num_im, other.num_re, other.num_im, n)
+        return n, re, im, self.den * other.den
 
     def __mul__(self, other: object) -> "PowerSeries":
         if isinstance(other, PowerSeries):
-            n = min(self.order, other.order)
-            if n < 0:
-                return _make(-1, (), None, 1)
-            re, im = _product(self.num_re, self.num_im, other.num_re, other.num_im, n)
-            return _canonical(n, re, im, self.den * other.den)
+            return _canonical(*self._times(other))
         scalar = to_gauss(other)
         if scalar is NotImplemented:
             return NotImplemented
-        return self._scaled(scalar)
+        return _canonical(*self._scaled(scalar))
 
     __rmul__ = __mul__
 
@@ -523,7 +553,7 @@ class PowerSeries:
         scalar = to_gauss(other)
         if scalar is NotImplemented:
             return NotImplemented
-        return self._scaled(GAUSS_ONE / scalar)
+        return _canonical(*self._scaled(GAUSS_ONE / scalar))
 
     # -- calculus and substitutions -----------------------------------------
 
@@ -535,17 +565,22 @@ class PowerSeries:
         lowest nonzero degree. Multiplying by x (poly [0, 1]) therefore
         raises the order by one instead of truncating.
         """
+        return _canonical(*self._mul_poly(poly))
+
+    def _mul_poly(self, poly: Sequence[CoeffLike]) -> Parts:
         nums, dens = _ratios(poly)
-        p = _from_ratios(len(nums) // 2 - 1, nums, dens)
-        val = p.first_nonzero_index()
+        scaled, pden = _over_lcm(nums, dens)
+        val = next((k // 2 for k, x in enumerate(scaled) if x), None)
         if val is None:
             # the zero polynomial: the product is identically zero
-            return zero_series(max(self.order, 0))
+            n = max(self.order, 0)
+            return n, [0] * (n + 1), None, 1
         n = self.order + val
         if n < 0:
-            return _make(-1, (), None, 1)
-        re, im = _product(p.num_re, p.num_im, self.num_re, self.num_im, n)
-        return _canonical(n, re, im, self.den * p.den)
+            return -1, [], None, 1
+        pim = scaled[1::2]
+        re, im = _product(scaled[0::2], pim if any(pim) else None, self.num_re, self.num_im, n)
+        return n, re, im, self.den * pden
 
     def scale_arg(self, lam: CoeffLike) -> "PowerSeries":
         """Substitute x -> lam*x, i.e. c_n -> lam**n c_n, exactly.
@@ -553,6 +588,9 @@ class PowerSeries:
         With lam = (a + ib) / r over integers, term n is multiplied by
         (a + ib)**n r**(N - n) and the denominator by r**N.
         """
+        return _canonical(*self._scale_arg(lam))
+
+    def _scale_arg(self, lam: CoeffLike) -> Parts:
         lam = to_gauss(lam)
         if lam is NotImplemented:
             raise TypeError("scale factor must be an exact scalar")
@@ -571,7 +609,7 @@ class PowerSeries:
             else:
                 x *= a
         re, im = _weigh(self.num_re, self.num_im, wre, wim)
-        return _canonical(top, re, im, self.den * (rpow[0] if top >= 0 else 1))
+        return top, re, im, self.den * (rpow[0] if top >= 0 else 1)
 
     def i_rotate(self) -> "PowerSeries":
         """Substitute x -> ix (c_n -> i**n c_n); four applications are the identity."""
@@ -586,6 +624,9 @@ class PowerSeries:
         With q = a/b and [n]_q = s_n / (ab)**(n-1), term n is weighted by
         s_n (ab)**(N-n) over the common (ab)**(N-1).
         """
+        return _canonical(*self._jackson(d))
+
+    def _jackson(self, d: Deformation) -> Parts:
         top = self.order
         ab = d.q.numerator * d.q.denominator
         weights = q_number_numerators(top, d)
@@ -600,7 +641,7 @@ class PowerSeries:
             weights,
             None,
         )
-        return _canonical(max(top - 1, -1), re, im, self.den * (ab_pow if top >= 1 else 1))
+        return max(top - 1, -1), re, im, self.den * (ab_pow if top >= 1 else 1)
 
     def _require_value(self) -> None:
         if self.order < 0:
@@ -621,17 +662,25 @@ class PowerSeries:
         """Float Horner evaluation; requires purely real coefficients.
 
         Each coefficient is the correctly rounded quotient num / den, the
-        same float its reduced Fraction gives.
+        same float its reduced Fraction gives. The quotients are taken on the
+        first evaluation that gets that far and kept with the series, so later
+        ones run Horner on floats alone, in the same order, to the same bits.
         """
         self._require_value()
         if self.num_im is not None:
             raise ValueError("series has imaginary coefficients; no float value")
         acc = 0.0
         x0 = float(x0)
-        den = self.den
-        for c in reversed(self.num_re):
-            acc = acc * x0 + c / den
+        for c in self._floats or self._float_table():
+            acc = acc * x0 + c
         return acc
+
+    def _float_table(self) -> list[float]:
+        """The real coefficients as floats, highest first; an OverflowError keeps none."""
+        den = self.den
+        table = [c / den for c in reversed(self.num_re)]
+        _set(self, "_floats", table)
+        return table
 
     def __str__(self) -> str:
         if self.order < 0:

@@ -14,7 +14,7 @@ from qsusy.operators import QOperator
 from qsusy.qcore import Deformation
 from qsusy.qspecial import VacuumSpec, beta_q, delta_beta_q, q_gauss, q_hermite, u_transform
 from qsusy.serialize import series_from_csv, series_from_json, series_to_json
-from qsusy.series import make_series
+from qsusy.series import PowerSeries, make_series
 from qsusy.verify import SUITES
 
 
@@ -433,6 +433,22 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"qsusy: error: verify {argv[0]} needs --order >= 6, got {argv[2]}\n"
 
+    @pytest.mark.parametrize("suite", ["classical", "all"])
+    @pytest.mark.parametrize("order", ["4", "5"])
+    def test_env_order_too_small_for_the_classical_cell(self, capsys, monkeypatch, suite, order):
+        monkeypatch.setenv("QSUSY_ORDER", order)
+        code, out, err = run(capsys, "verify", suite)
+        assert (code, out) == (2, "")
+        assert err == f"qsusy: error: verify {suite} needs QSUSY_ORDER >= 6, got {order}\n"
+
+    @pytest.mark.parametrize("suite", ["leibniz", "kernel", "classical"])
+    def test_env_order_that_a_run_can_hold(self, capsys, monkeypatch, suite):
+        # leibniz reads no order, kernel holds order 5, and classical needs 6
+        monkeypatch.setenv("QSUSY_ORDER", "6" if suite == "classical" else "5")
+        code, out, err = run(capsys, "verify", suite)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["checks"]
+
     def test_generated_at_is_iso_utc_now(self, capsys):
         _, out, _ = run(capsys, "verify", "limits", "--order", "12")
         stamp = json.loads(out)["generated_at"]
@@ -697,3 +713,17 @@ class TestTableExactApply:
         assert code == 0
         assert len(calls) == applies
         assert out == expected
+
+    @pytest.mark.parametrize("op", ["Ob", "Of", "Tplus", "Tminus"])
+    def test_each_series_is_divided_once(self, capsys, tmp_path, monkeypatch, op):
+        # the input, the operator's coefficient series and, for x = 0, the exact result
+        path = tmp_path / "probe.json"
+        path.write_text(series_to_json(make_series([1, F(-1, 2), 0, F(1, 3), 0, 2], 12)))
+        divided = []
+        table = PowerSeries._float_table
+        monkeypatch.setattr(PowerSeries, "_float_table", lambda s: divided.append(id(s)) or table(s))
+        xs = "1/4,-1/2,1/8,0,1/2"
+        code, out, _ = run(capsys, "table", "--op", op, "--q", "3/2", "--beta", "-1/2",
+                           "--input", str(path), "--xs", xs)
+        assert code == 0 and len(out.splitlines()) == 6
+        assert len(divided) == len(set(divided)) == 3

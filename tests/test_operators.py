@@ -2,14 +2,24 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsusy.qcore import Deformation, q_number
+from qsusy import operators, series
+from qsusy.cli import _OPERATORS, RunConfig
+from qsusy.qcore import Deformation, GaussRational, q_number
 from qsusy.series import constant_series, make_series, monomial
 from qsusy.qspecial import VacuumSpec, beta_q, classical_hermite, q_exp, q_gauss, u_transform
 from qsusy.operators import (
+    Compose,
     FactorizationPair,
+    Jackson,
     Mult,
+    MultPoly,
     QOperator,
+    Scale,
+    Shift,
+    Sum,
     classical_darboux,
     classical_hermite_op,
     classical_schrodinger_op,
@@ -18,6 +28,7 @@ from qsusy.operators import (
     generalized_pair,
     jackson_op,
     limit_sweep,
+    multiplication_op,
     poly_multiplication_op,
     second_order_composed,
     second_order_direct,
@@ -385,3 +396,88 @@ class TestPointwiseConsistency:
         assert not h0.has_point_form
         with pytest.raises(ValueError):
             h0.apply_at(lambda x: x, 0.5)
+
+
+def node_by_node(op, f):
+    """op f through the public series operations, each of which reduces its result."""
+    kind = type(op)
+    if kind is Sum:
+        return node_by_node(op.left, f) + node_by_node(op.right, f)
+    if kind is Scale:
+        return node_by_node(op.op, f) * op.c
+    if kind is Compose:
+        return node_by_node(op.outer, node_by_node(op.inner, f))
+    if kind is Mult:
+        return op.g * f
+    if kind is MultPoly:
+        return f.mul_poly(op.coeffs)
+    if kind is Jackson:
+        return f.jackson_derivative(op.d)
+    return f.scale_arg(op.d.q**op.k) if op.k else f
+
+
+def stored(a):
+    return a.order, a.num_re, a.num_im, a.den
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+gauss = st.builds(GaussRational, small, small)
+real_or_gauss = st.one_of(small.map(GaussRational), gauss)
+
+
+@st.composite
+def series_of(draw, max_order=10):
+    order = draw(st.integers(0, max_order))
+    return make_series(draw(st.lists(real_or_gauss, max_size=order + 1)), order)
+
+
+deformations = st.sampled_from([D1, D32, Deformation(F(4, 5)), Deformation(F(5, 3))])
+leaves = st.one_of(
+    st.builds(multiplication_op, series_of()),
+    st.builds(poly_multiplication_op, st.lists(real_or_gauss, max_size=4)),
+    st.builds(jackson_op, deformations),
+    st.builds(Shift, deformations, st.integers(-2, 2)),
+)
+trees = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.builds(lambda a, b: a + b, inner, inner),
+        st.builds(lambda a, c: a * c, inner, gauss),
+        st.builds(lambda a, b: a @ b, inner, inner),
+    ),
+    max_leaves=6,
+)
+
+
+class TestOneReductionPerApplication:
+    """apply walks on unreduced series; its result is the node-by-node one, stored form included."""
+
+    @pytest.mark.parametrize("name", sorted(_OPERATORS))
+    @pytest.mark.parametrize("q, beta", [(F(3, 2), F(-1, 2)), (F(4, 5), F(1, 2)), (F(1), F(-1, 2))])
+    def test_every_op_operator(self, name, q, beta):
+        config = RunConfig("apply", q=q, beta=beta, n_or_p=3)
+        op = _OPERATORS[name](config, 14)
+        for f in (q_gauss(vac(F(-1, 2), F(5, 4), 14)), make_series([1, F(1, 3), 0, F(-2, 7), 5], 12),
+                  make_series([GaussRational(1, F(1, 2)), 0, GaussRational(F(-1, 3), 2)], 9)):
+            assert stored(op.apply(f)) == stored(node_by_node(op, f))
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees, series_of(max_order=12))
+    def test_random_trees(self, op, f):
+        assert stored(op.apply(f)) == stored(node_by_node(op, f))
+
+    def test_a_composed_partner_reduces_once(self, monkeypatch):
+        op = second_order_composed(vac(F(-1, 2), F(3, 2), 24), "f")
+        f = q_gauss(vac(F(1, 2), F(5, 4), 24))
+        want = stored(node_by_node(op, f))
+        calls = []
+        real = series._canonical
+
+        def counted(*parts):
+            calls.append(parts[0])
+            return real(*parts)
+
+        monkeypatch.setattr(series, "_canonical", counted)
+        monkeypatch.setattr(operators, "_canonical", counted)
+        assert stored(op.apply(f)) == want
+        assert calls == [22]

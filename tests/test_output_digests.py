@@ -129,6 +129,8 @@ _add("verify", "leibniz", "--order", "64")
 # the classical cell checks H_0 through H_6, so it refuses an order below 6
 _add("verify", "classical", "--order", "5")
 _add("verify", "all", "--order", "5")
+_add("verify", "classical", QSUSY_ORDER="5")
+_add("verify", "all", QSUSY_ORDER="5")
 # an index of 4,000 digits, refused after parsing, is quoted to 64 characters
 _add("hermite", "--n", "1" * 4000)
 _add("ufunc", "--p", "1" * 4000)

@@ -250,3 +250,31 @@ class TestNumeratorWriter:
     @given(coeffs=st.lists(coefficients, min_size=1, max_size=9))
     def test_matches_per_coefficient_pairs(self, coeffs):
         self.check(PowerSeries(tuple(coeffs), len(coeffs) - 1))
+
+
+huge_parts = st.integers(min_value=4301, max_value=4400).flatmap(
+    lambda digits: st.integers(min_value=10 ** (digits - 1), max_value=10**digits - 1)
+).flatmap(lambda n: st.sampled_from([n, -n, F(n, 7), F(-3, n)]))
+real_parts = st.one_of(small_fractions, huge_parts)
+
+
+class TestDirectJsonWriter:
+    """series_to_json writes the bytes of json.dumps(series_to_dict(a), indent=2)."""
+
+    @given(st.one_of(
+        st.lists(real_parts.map(GaussRational), min_size=1, max_size=6),
+        st.lists(st.builds(GaussRational, real_parts, real_parts), min_size=1, max_size=6),
+    ))
+    def test_random_real_and_complex(self, coeffs):
+        a = PowerSeries(tuple(coeffs), len(coeffs) - 1)
+        assert series_to_json(a) == json.dumps(series_to_dict(a), indent=2)
+
+    @pytest.mark.parametrize("a", [
+        PowerSeries([], -1),
+        make_series([], 0),
+        make_series([F(-1, 2)], 0),
+        make_series([GaussRational(0, 1)], 0),
+        make_series([HUGE, GaussRational(F(1, 2), -HUGE)], 3),
+    ])
+    def test_examples(self, a):
+        assert series_to_json(a) == json.dumps(series_to_dict(a), indent=2)

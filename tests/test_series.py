@@ -1,3 +1,4 @@
+import struct
 from fractions import Fraction as F
 
 import pytest
@@ -262,3 +263,66 @@ class TestEquality:
         assert a.truncated(1) == make_series([1, 2], 1)
         with pytest.raises(ValueError):
             a.truncated(3)
+
+
+def divided_each_time(a: PowerSeries, x0: float) -> float:
+    """The float Horner evaluation that divides every numerator at every call."""
+    if a.order < 0:
+        raise ValueError("series has no retained coefficients; no value")
+    if a.num_im is not None:
+        raise ValueError("series has imaginary coefficients; no float value")
+    acc = 0.0
+    for c in reversed(a.num_re):
+        acc = acc * x0 + c / a.den
+    return acc
+
+
+def outcome(evaluate, *args):
+    """The float's bits, or the error's type and message."""
+    try:
+        return struct.pack("<d", evaluate(*args))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+big_ints = st.integers(min_value=-(2**5000), max_value=2**5000)
+points = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, 2.0**600, -(2.0**-600)]),
+    st.floats(allow_nan=False),
+)
+
+
+class TestFloatTable:
+    """evaluate_float divides once per series, to the bits of dividing at every call."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data(), st.integers(min_value=0, max_value=64))
+    def test_same_bits_and_errors_as_dividing_each_time(self, data, order):
+        nums = data.draw(st.lists(big_ints, min_size=order + 1, max_size=order + 1))
+        den = data.draw(st.integers(min_value=1, max_value=2**5000))
+        a = make_series([F(x, den) for x in nums], order)
+        for x0 in data.draw(st.lists(points, min_size=1, max_size=4)):
+            assert outcome(a.evaluate_float, x0) == outcome(divided_each_time, a, x0)
+
+    def test_errors(self):
+        empty = PowerSeries([], -1)
+        rotated = make_series([1, GAUSS_I], 1)
+        for a in (empty, rotated):
+            first, again = outcome(a.evaluate_float, 0.5), outcome(a.evaluate_float, 0.5)
+            assert first == again == outcome(divided_each_time, a, 0.5)
+            assert first[0] is ValueError
+
+    def test_overflow_on_first_use_keeps_no_table(self):
+        a = make_series([1, 10**400], 1)
+        for _ in range(2):
+            assert outcome(a.evaluate_float, 0.5) == outcome(divided_each_time, a, 0.5)
+            assert a._floats is None
+
+    def test_one_division_per_series(self, monkeypatch):
+        a = make_series([1, F(1, 3), F(-2, 7)], 2)
+        calls = []
+        table = PowerSeries._float_table
+        monkeypatch.setattr(PowerSeries, "_float_table", lambda s: calls.append(s) or table(s))
+        values = [a.evaluate_float(x) for x in (0.5, -0.25, 3.0)]
+        assert values == [divided_each_time(a, x) for x in (0.5, -0.25, 3.0)]
+        assert len(calls) == 1 and calls[0] is a
