@@ -463,10 +463,18 @@ def _run_limit(config: RunConfig) -> int:
         rows.append((row.q, *drift_deviations(vacuum(Deformation(row.q))), row.deviation))
 
     header = ("q", "beta0_deviation", "drift_deviation", "partner_deviation")
+
+    def csv_row(row: tuple) -> list:
+        text = format_rational(row[0])
+        try:
+            return [text, *map(float, row[1:])]
+        except OverflowError as exc:
+            raise ValueError(f"limit row q = {_clipped(text)} has a deviation outside the float range") from exc
+
     if config.emit == "json":
         text = _json_text([dict(zip(header, map(format_rational, row))) for row in rows])
     else:
-        text = _csv_text(header, ([format_rational(q), *map(float, devs)] for q, *devs in rows))
+        text = _csv_text(header, map(csv_row, rows))
     _write(text, config.output_path)
     return 0
 

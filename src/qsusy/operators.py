@@ -25,13 +25,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, repeat
 from math import lcm
-from operator import add as _add, mul as _mul
+from operator import add as _add
 from typing import Callable, Optional, Sequence
 
-from .qcore import Deformation, GaussRational, Rational, _Frozen, q_number, to_gauss
-from .series import Parts, PowerSeries, _canonical, _make, _unreduced, constant_series, make_series
+from .qcore import Deformation, GaussRational, Rational, _Frozen, _Sealed, q_number, to_gauss
+from .series import Parts, PowerSeries, _add_row, _canonical, _make, constant_series, make_series
 from .qspecial import VacuumSpec, _log_derivative, beta_q, delta_beta_q
 
 __all__ = [
@@ -49,7 +48,7 @@ Terms = dict[tuple[int, Fraction], PowerSeries]
 _set = object.__setattr__
 
 
-class QOperator:
+class QOperator(_Sealed):
     """A node of an immutable operator tree; a subclass's ``__slots__`` name its fields."""
 
     __slots__ = ()
@@ -58,11 +57,6 @@ class QOperator:
         for name, value in zip(self.__slots__, fields, strict=True):
             _set(self, name, value)
 
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"QOperator is immutable; cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
     @property
     def name(self) -> str:
         fields = (getattr(self, s) for s in self.__slots__)
@@ -70,7 +64,8 @@ class QOperator:
 
     def apply(self, f: PowerSeries) -> PowerSeries:
         """op f, in canonical form; the nodes between pass their results on unreduced."""
-        out = _run(self, f, _unreduced_leaf, _unreduced_sum, _unreduced_scale)
+        leaf = lambda op, g: _make(*_leaf_parts(op, g))
+        out = _run(self, f, leaf, lambda a, b: _make(*a._combine(b, _add)), lambda a, c: _make(*a._scaled(c)))
         return _canonical(out.order, out.num_re, out.num_im, out.den)
 
     __call__ = apply
@@ -156,18 +151,6 @@ def _leaf_parts(op: QOperator, f: PowerSeries) -> Parts:
     if kind is Jackson:
         return f._jackson(op.d)
     return f._scale_arg(op.d.q**op.k) if op.k else (f.order, f.num_re, f.num_im, f.den)
-
-
-def _unreduced_leaf(op: QOperator, f: PowerSeries) -> PowerSeries:
-    return _unreduced(*_leaf_parts(op, f))
-
-
-def _unreduced_sum(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return _unreduced(*a._combine(b, _add))
-
-
-def _unreduced_scale(a: PowerSeries, c: GaussRational) -> PowerSeries:
-    return _unreduced(*a._scaled(c))
 
 
 def _point(op: QOperator, f: Evaluator) -> Optional[Evaluator]:
@@ -281,10 +264,9 @@ class NormalForm:
         im = [0] * (n + 1) if any(a.num_im for _, a, _ in parts) else None
         for p, a, s in parts:
             w = s.numerator * (den // (a.den * s.denominator))
-            for acc, row in ((re, a.num_re), (im, a.num_im)):
-                if row is not None:
-                    end = min(n + 1, p + len(row))
-                    acc[p:end] = map(_add, acc[p:end], map(_mul, repeat(w), islice(row, end - p)))
+            _add_row(re, p, w, a.num_re)
+            if a.num_im is not None:
+                _add_row(im, p, w, a.num_im)
         return re, im, den
 
     def apply_monomial(self, j: int) -> PowerSeries:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 __all__ = [
@@ -80,19 +81,25 @@ class _Record:
         return type(self), self._fields()
 
 
-class _Frozen(_Record):
+class _Sealed:
+    """An object whose attributes are set once, through ``object.__setattr__``,
+    when it is made; setting or deleting one later raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class _Frozen(_Sealed, _Record):
     """A record whose fields are set once, by ``_Record.__init__``."""
 
     __slots__ = ()
 
     def __hash__(self) -> int:
         return hash(self._fields())
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # "p", "p/q" or a plain decimal "p.f", in digits. Left for re to compile on
@@ -188,9 +195,15 @@ def format_rational(value: RationalLike) -> str:
     Numerators and denominators of any length are written in full.
     """
     value = _as_fraction(value)
-    if value.denominator == 1:
-        return _int_str(value.numerator)
-    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+    return _ratio_text(value.numerator, value.denominator)
+
+
+def _ratio_text(x: int, den: int) -> str:
+    """The rational x / den, den > 0, as "p/q" in lowest terms, or "p" when q is 1."""
+    g = gcd(x, den)
+    if g == den:
+        return _int_str(x // g)
+    return f"{_int_str(x // g)}/{_int_str(den // g)}"
 
 
 class GaussRational(_Frozen):

@@ -117,7 +117,8 @@ def q_gauss(v: VacuumSpec) -> PowerSeries:
     return q_exp(make_series([0, 0, v.beta][: v.order + 1], v.order), v.d)
 
 
-@lru_cache(maxsize=None)
+# bounded, so a sweep over many q, beta or orders keeps at most 64 series alive
+@lru_cache(maxsize=64)
 def beta_q(v: VacuumSpec) -> PowerSeries:
     """Drift coefficient series of the vacuum's logarithmic q-derivative.
 

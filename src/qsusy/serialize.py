@@ -21,10 +21,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from math import gcd
 from typing import Any, Iterable, Iterator, Sequence
 
-from .qcore import GaussRational, _int_str, _shown, format_rational, parse_rational
+from .qcore import GaussRational, _ratio_text, _shown, format_rational, parse_rational
 from .series import PowerSeries, _from_ratios
 
 __all__ = [
@@ -55,14 +54,6 @@ def _checked_pair(pair: Any) -> Any:
 
 
 # -- writer: straight from the stored numerators ---------------------------------
-
-
-def _ratio_text(x: int, den: int) -> str:
-    """format_rational(Fraction(x, den)) for den > 0, with no Fraction built."""
-    g = gcd(x, den)
-    if g == den:
-        return _int_str(x // g)
-    return f"{_int_str(x // g)}/{_int_str(den // g)}"
 
 
 def _text_pairs(a: PowerSeries) -> Iterator[list[str]]:

@@ -18,9 +18,11 @@ operation is brought back to this canonical form (gcd of den and all
 numerators equal to 1) by a single multi-argument gcd, so the kernels run on
 plain integers. Each kernel operation has one body that returns its result
 unreduced, over a valid denominator that need not be the least (``Parts``);
-the public method is that body plus ``_canonical``. The operator walk
-(``operators.QOperator.apply``) chains the bodies and reduces its result
-alone. ``GaussRational`` is the scalar type at the boundary: ``coeffs`` and
+the public method is that body plus ``_canonical``, one gcd. One wrapper,
+``_make``, turns parts into a series with no gcd and stores an all-zero
+imaginary part as None. The operator walk (``operators.QOperator.apply``)
+chains the bodies through ``_make`` and reduces its result alone.
+``GaussRational`` is the scalar type at the boundary: ``coeffs`` and
 ``coeff`` build it on demand.
 
 A product of two series convolves integer vectors (``_convolve``) by one
@@ -38,8 +40,7 @@ three paths runs, chosen from the operands alone:
   short product computes coefficients 0..n only: it splits into one full
   product and two short products of half the length, and a full product
   splits into three (Karatsuba & Ofman, 1963), down to single entries.
-* Dense dot products otherwise: one per output coefficient, skipping the
-  left operand's zeros.
+* Dense dot products otherwise: one per output coefficient.
 
 Karatsuba trades one product of two numerators for a few additions. CPython
 multiplies integers of fewer than 70 digits of 30 bits (2,100 bits) by
@@ -62,7 +63,7 @@ divides the numerators into floats once per series and keeps them.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import add as _add, eq as _eq, mul as _mul, sub as _sub
 from typing import Iterable, Optional, Sequence, Union
@@ -74,6 +75,7 @@ from .qcore import (
     Deformation,
     GaussRational,
     Rational,
+    _Sealed,
     q_number_numerators,
     to_gauss,
 )
@@ -141,47 +143,26 @@ def _from_ratios(order: int, nums: Sequence[int], dens: Sequence[int]) -> "Power
     return _canonical(order, scaled[0::2], scaled[1::2], den)
 
 
-def _canonical(
-    order: int, re: IntVector, im: Optional[IntVector], den: int
-) -> "PowerSeries":
+def _canonical(order: int, re: IntVector, im: Optional[IntVector], den: int) -> "PowerSeries":
     """The series (re + i im) / den, den > 0, reduced by one gcd over everything."""
-    if im is not None and not any(im):
-        im = None
     g = gcd(den, *re) if im is None else gcd(den, *re, *im)
     if g != 1:
         den //= g
-        re = _divided(re, g)
+        re = [x // g for x in re]
         if im is not None:
-            im = _divided(im, g)
+            im = [x // g for x in im]
     return _make(order, re, im, den)
 
 
-def _unreduced(
-    order: int, re: IntVector, im: Optional[IntVector], den: int
-) -> "PowerSeries":
-    """The series (re + i im) / den, den > 0, with no gcd: den need not be the least.
-
-    Only the operator walk holds such a series; it reduces its result alone.
+def _make(order: int, re: IntVector, im: Optional[IntVector], den: int) -> "PowerSeries":
+    """The series (re + i im) / den, den > 0, as given: no gcd, so den need not be
+    the least. An all-zero ``im`` is stored as None; this is the one place that
+    does so.
     """
-    return _make(order, re, im if im is not None and any(im) else None, den)
-
-
-def _divided(values: IntVector, g: int) -> list[int]:
-    # in place, so the unreduced and reduced numerators are never all alive
-    values = list(values)
-    for k, x in enumerate(values):
-        values[k] = x // g
-    return values
-
-
-def _make(
-    order: int, re: IntVector, im: Optional[IntVector], den: int
-) -> "PowerSeries":
-    """Wrap numerators that are already canonical."""
     out = object.__new__(PowerSeries)
     _set(out, "order", order)
     _set(out, "num_re", tuple(re))
-    _set(out, "num_im", None if im is None else tuple(im))
+    _set(out, "num_im", tuple(im) if im is not None and any(im) else None)
     _set(out, "den", den)
     _set(out, "_floats", None)
     return out
@@ -243,36 +224,34 @@ def _convolve(a: IntVector, b: IntVector, n: int) -> list[int]:
         return out
     if len(a) - a.count(0) > len(b) - b.count(0):
         a, b = b, a
-    nonzero = [bool(x) for x in a]
-    if 4 * sum(nonzero) <= n + 1:
+    if 4 * (len(a) - a.count(0)) <= n + 1:
         out = [0] * (n + 1)
         for i, x in enumerate(a):
             if x:
-                row = b[: n + 1 - i]
-                end = i + len(row)
-                out[i:end] = map(_add, out[i:end], map(_mul, repeat(x), row))
+                _add_row(out, i, x, b)
         return out
     if n + 1 >= _KARATSUBA_MIN_LEN and min(max(map(int.bit_length, v)) for v in (a, b)) >= _KARATSUBA_MIN_BITS:
         a += [0] * (n + 1 - len(a))  # an operand may end before index n
         b += [0] * (n + 1 - len(b))
         return _short_product(a, b)
-    return _dense(a, b, n, nonzero)
+    return _dense(a, b, n)
 
 
-def _dense(a: list[int], b: list[int], n: int, nonzero: Sequence[bool]) -> list[int]:
-    """Coefficients 0..n of a * b, one dot product each, skipping a's zeros.
+def _add_row(acc: list[int], start: int, w: int, row: IntVector) -> None:
+    """acc[start + j] += w * row[j] for each j with start + j < len(acc)."""
+    end = min(len(acc), start + len(row))
+    acc[start:end] = map(_add, acc[start:end], map(_mul, repeat(w), row))
+
+
+def _dense(a: list[int], b: list[int], n: int) -> list[int]:
+    """Coefficients 0..n of a * b, one dot product each.
 
     Each output integer is built once, where adding rows would rebuild every
     output per row and hold two copies of the longest numerators at once.
     """
     rb = b[::-1]
     rb[:0] = repeat(0, n + 1 - len(b))
-    return [_dot(a[: k + 1], rb[n - k :], nonzero[: k + 1]) for k in range(n + 1)]
-
-
-def _dot(a: IntVector, b: IntVector, mask: Sequence[bool]) -> int:
-    """Sum of a[j] * b[j] over the positions j where mask is true."""
-    return sum(map(_mul, compress(a, mask), compress(b, mask)))
+    return [sum(map(_mul, a, rb[n - k :])) for k in range(n + 1)]
 
 
 # The gate of the Karatsuba path; the module docstring says why it sits here.
@@ -362,7 +341,7 @@ def _same(a: IntVector, b: IntVector, m: int, da: int, db: int) -> bool:
     return all(map(_eq, map(_mul, a, repeat(db)), map(_mul, b, repeat(da))))
 
 
-class PowerSeries:
+class PowerSeries(_Sealed):
     """Sum of c_n x**n for n = 0..order, with exact Gaussian-rational c_n.
 
     The coefficients are stored as integer numerators over one common
@@ -397,11 +376,6 @@ class PowerSeries:
         built = _from_ratios(order, nums, dens)
         for name in self.__slots__:
             _set(self, name, getattr(built, name))
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"PowerSeries is immutable; cannot set {name!r}")
-
-    __delattr__ = __setattr__
 
     # -- accessors ---------------------------------------------------------
 
@@ -757,20 +731,18 @@ def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     big_k = a.den * abs(bre[0])
     # the sign of B_0 goes into the two factors of T
     sa, sb = (a.den, b.den) if bre[0] > 0 else (-a.den, -b.den)
-    # B_n..B_1 and where they are nonzero, read from the right for output k
+    # B_n..B_1, read from the right for output k
     rb = bre[:0:-1]
-    nonzero = [bool(x) for x in rb]
     are = list(islice(a.num_re, n + 1))
     aim = None if a.num_im is None else list(islice(a.num_im, n + 1))
     re, im, big_l = [], None if aim is None else [], 1
     for k in range(n + 1):
-        lo = n - k
-        mask = nonzero[lo:]
-        tr = are[k] * sb * big_l - sa * _dot(rb[lo:], re, mask)
+        tail = rb[n - k :]
+        tr = are[k] * sb * big_l - sa * sum(map(_mul, tail, re))
         if im is None:
             g = gcd(tr, big_k)
         else:
-            ti = aim[k] * sb * big_l - sa * _dot(rb[lo:], im, mask)
+            ti = aim[k] * sb * big_l - sa * sum(map(_mul, tail, im))
             g = gcd(tr, ti, big_k)
         m = big_k // g
         if m != 1:
@@ -781,7 +753,7 @@ def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
         re.append(tr // g)
         if im is not None:
             im.append(ti // g)
-    return _make(n, re, im if im is not None and any(im) else None, big_l)
+    return _make(n, re, im, big_l)
 
 
 def _scale_in_place(values: list[int], m: int) -> None:

@@ -543,6 +543,37 @@ class TestLimit:
         code, _, _ = run(capsys, "limit", "--qs", "2,0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, q", [
+        (("--qs", "1e-300"), "1/1" + "0" * 61 + "... (303 characters)"),
+        (("--qs", "1e300"), "1" + "0" * 63 + "... (301 characters)"),
+        (("--qs", "2,1e300"), "1" + "0" * 63 + "... (301 characters)"),
+        (("--beta", "1e300"), "2"),
+    ])
+    def test_deviation_past_the_float_range_is_refused(self, capsys, argv, q):
+        code, out, err = run(capsys, "limit", *argv, "--order", "4")
+        assert code == 2
+        assert out == ""
+        assert err == f"qsusy: error: limit row q = {q} has a deviation outside the float range\n"
+        assert len(err) < 1024
+
+    def test_deviation_past_the_float_range_is_written_exactly_as_json(self, capsys):
+        code, out, _ = run(capsys, "limit", "--qs", "1e300", "--order", "4", "--emit", "json")
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["q"] == "1" + "0" * 300
+        assert F(row["partner_deviation"]) > 1e308
+
+    def test_deviation_below_the_float_range_reads_zero(self, capsys):
+        # the CSV is a float view: at q = 1 + 10^-200 the second-order deviations
+        # are near 10^-400, nonzero but under the smallest float, so they print 0.0
+        q = "1." + "0" * 199 + "1"
+        _, exact, _ = run(capsys, "limit", "--qs", q, "--order", "4", "--emit", "json")
+        code, out, _ = run(capsys, "limit", "--qs", q, "--order", "4")
+        assert code == 0
+        (row,) = json.loads(exact)
+        assert F(row["beta0_deviation"]) > 0 and F(row["partner_deviation"]) > 0
+        assert out.splitlines()[1].split(",")[1:] == ["0.0", "1e-200", "0.0"]
+
     def test_partner_deviation_is_measured_from_h0(self, capsys):
         # the sweep subtracts the q = 1 composed partner; the undeformed
         # reduction makes that the same series as h0 applied to the probe

@@ -122,6 +122,10 @@ _add("table", "--func", "beta", "--q", "3/2", "--xs", "1/2,1e100")
 _add("table", "--op", "Tplus", "--q", "3/2", "--input", "real.json", "--xs", "1e400")
 _add("table", "--op", "Tplus", "--q", "3/2", "--input", "real.json", "--xs", "1e200")
 _add("table", "--op", "Ob", "--q", "3/2", "--input", "real.json", "--xs", "1/2,1e150")
+# a limit deviation past the float range has no CSV value
+_add("limit", "--qs", "1e-300", "--order", "4")
+_add("limit", "--qs", "1e300", "--order", "4")
+_add("limit", "--beta", "1e300", "--order", "4")
 _add("beta", QSUSY_ORDER="3")
 _add("beta", QSUSY_ORDER="many")
 _add("beta", "--q", "3/2", QSUSY_ORDER="12")

@@ -258,3 +258,20 @@ def test_only_beta_q_is_memoised():
 
     cached = [name for name, value in vars(qspecial).items() if hasattr(value, "cache_info")]
     assert cached == ["beta_q"]
+
+
+def test_beta_q_cache_is_bounded_and_still_hits():
+    bound = beta_q.cache_info().maxsize
+    assert bound is not None and bound < 100
+    beta_q.cache_clear()
+    try:
+        for k in range(100):
+            beta_q(vac(F(-1, 2), F(k + 2, k + 1), order=2))
+        assert beta_q.cache_info().currsize <= bound
+        again = vac(F(-1, 2), F(101, 100), order=2)  # the last spec of the sweep
+        first = beta_q(again)
+        info = beta_q.cache_info()
+        assert beta_q(again) is first
+        assert beta_q.cache_info().hits == info.hits + 1
+    finally:
+        beta_q.cache_clear()

@@ -1,5 +1,8 @@
 """The value classes: equality, hashing, repr, immutability and copying.
 
+Series and operator nodes are immutable too, through the same sealed base,
+and refuse assignment and deletion as the records do.
+
 Each case builds the same record twice from separately made fields. The
 expected repr is the ``Name(field=value, ...)`` text the classes have always
 printed (``GaussRational`` keeps its own shorter form).
@@ -12,9 +15,24 @@ import pytest
 
 from qsusy import qspecial
 from qsusy.cli import RunConfig
-from qsusy.operators import FactorizationPair, SweepRow, identity_op, jackson_op
+from qsusy.operators import (
+    Compose,
+    FactorizationPair,
+    Jackson,
+    Mult,
+    MultPoly,
+    Scale,
+    Shift,
+    Sum,
+    SweepRow,
+    identity_op,
+    jackson_op,
+    multiplication_op,
+    poly_multiplication_op,
+)
 from qsusy.qcore import Deformation, GaussRational
 from qsusy.qspecial import VacuumSpec
+from qsusy.series import make_series
 from qsusy.verify import CheckResult
 
 # operators compare by identity, so both pairs are built on the same two
@@ -73,6 +91,34 @@ def test_frozen_records_refuse_assignment_and_deletion(name):
     with pytest.raises(AttributeError):
         record.other = 1
     assert getattr(record, field) is before
+
+
+# a real and a complex series, and one operator of each node kind
+NODES = [
+    PLUS + MINUS,
+    PLUS * 2,
+    MINUS @ PLUS,
+    multiplication_op(make_series([1, 2], 4)),
+    poly_multiplication_op([0, 1]),
+    MINUS,
+    PLUS,
+]
+SEALED = [make_series([1, F(1, 2)], 3), make_series([GaussRational(1, 1)], 2), *NODES]
+
+
+def test_every_operator_node_kind_is_checked():
+    assert [type(op) for op in NODES] == [Sum, Scale, Compose, Mult, MultPoly, Jackson, Shift]
+
+
+@pytest.mark.parametrize("value", SEALED, ids=lambda v: type(v).__name__)
+def test_series_and_operators_refuse_assignment_and_deletion(value):
+    field = type(value).__slots__[0]
+    before = getattr(value, field)
+    for act in (lambda: setattr(value, field, before), lambda: delattr(value, field),
+                lambda: setattr(value, "other", 1)):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable; cannot set"):
+            act()
+    assert getattr(value, field) is before
 
 
 def test_a_run_config_can_change():

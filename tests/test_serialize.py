@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsusy.qcore import GaussRational, parse_rational
+from qsusy.qcore import GaussRational, format_rational, parse_rational
 from qsusy.series import PowerSeries, make_series
 from qsusy.serialize import (
     gauss_from_pair,
@@ -268,6 +268,13 @@ class TestDirectJsonWriter:
     def test_random_real_and_complex(self, coeffs):
         a = PowerSeries(tuple(coeffs), len(coeffs) - 1)
         assert series_to_json(a) == json.dumps(series_to_dict(a), indent=2)
+
+    @given(st.lists(real_parts, min_size=1, max_size=6))
+    def test_wire_text_is_format_rational(self, values):
+        # one formatter writes both: the writer reads numerators, format_rational a Fraction
+        a = make_series([GaussRational(x, -x) for x in values], len(values) - 1)
+        pairs = json.loads(series_to_json(a))["coeffs"]
+        assert pairs == [[format_rational(F(x)), format_rational(-F(x))] for x in values]
 
     @pytest.mark.parametrize("a", [
         PowerSeries([], -1),

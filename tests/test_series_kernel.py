@@ -457,7 +457,7 @@ def big_vector(rng, length, bits, parity=None):
 def dot_path(a, b, n):
     """Coefficients 0..n by the dense dot products, the reference path."""
     a, b = a[: n + 1], b[: n + 1]
-    return kernel._dense(a, b, n, [bool(x) for x in a])
+    return kernel._dense(a, b, n)
 
 
 def reference(a, b, n):
@@ -606,7 +606,7 @@ class TestProductRule:
         a, b = big_vector(rng, n + 1, 64, 0), big_vector(rng, n + 1, 60, 0)
         seen, dense = [], kernel._dense
         monkeypatch.setattr(kernel, "_dense",
-                            lambda a, b, m, mask: seen.append((len(a), len(b), m)) or dense(a, b, m, mask))
+                            lambda a, b, m: seen.append((len(a), len(b), m)) or dense(a, b, m))
         assert kernel._convolve(a, b, n) == reference(a, b, n)
         assert seen == [(n // 2 + 1, n // 2 + 1, n // 2)]
 
@@ -690,3 +690,70 @@ class TestKaratsubaFaults:
         assert not residual.is_zero
         assert check.first_failure_index == residual.first_nonzero_index()
         assert check.worst_deviation == format_rational(residual.max_abs_coeff())
+
+
+class TestImaginaryPartsThatCancel:
+    """An all-zero imaginary part is stored as None, whichever path made it.
+
+    ``_make`` is the one place that applies the rule; ``_canonical``, the
+    operator walk, ``div`` and negation all build their series through it.
+    """
+
+    @pytest.mark.parametrize("im", [[0, 0, 0], (0, 0, 0)])
+    def test_make_and_canonical(self, im):
+        assert kernel._make(2, [2, 4, 6], im, 4).num_im is None
+        s = kernel._canonical(2, [2, 4, 6], im, 4)
+        assert (s.num_re, s.num_im, s.den) == ((1, 2, 3), None, 2)
+
+    def test_sum_of_conjugates(self):
+        a = make_series([GaussRational(1, 1), GaussRational(F(1, 2), -3)], 3)
+        b = make_series([GaussRational(1, -1), GaussRational(F(1, 2), 3)], 3)
+        s = a + b
+        assert s.num_im is None
+        assert s == make_series([2, 1], 3)
+
+    def test_operator_apply(self):
+        from qsusy.operators import identity_op, multiplication_op
+
+        i_times = multiplication_op(make_series([GAUSS_I], 6))
+        f = make_series([1, F(1, 2), 0, F(-2, 3)], 6)
+        zero = make_series([], 6)
+        for op, want in (
+            (i_times @ i_times, -f),
+            (identity_op() * GAUSS_I + identity_op() * -GAUSS_I, zero),
+            (i_times + identity_op() * -GAUSS_I, zero),
+        ):
+            out = op.apply(f)
+            assert out.num_im is None
+            assert out == want and out.order == 6
+
+    def test_div_by_a_complex_divisor(self):
+        b = make_series([GaussRational(1, 1), 1, GaussRational(0, F(1, 3))], 8)
+        quotient = make_series([2, F(-1, 5), 0, 7], 8)
+        got = div(b * quotient, b)
+        assert got.num_im is None
+        assert got == quotient and got.order == 8
+
+    def test_negation(self):
+        real = make_series([1, F(-1, 2)], 4)
+        assert (-real).num_im is None
+        assert (-(real * GAUSS_I)).num_im is not None
+
+
+class TestAddRow:
+    """``_add_row`` adds w * row into acc from index start, clipped at len(acc)."""
+
+    def test_row_inside(self):
+        acc = [1, 1, 1, 1, 1]
+        kernel._add_row(acc, 1, 3, [1, -2])
+        assert acc == [1, 4, -5, 1, 1]
+
+    def test_row_past_the_end_is_clipped(self):
+        acc = [0, 0, 0, 0]
+        kernel._add_row(acc, 2, 5, (1, 2, 3, 4))
+        assert acc == [0, 0, 5, 10]
+
+    def test_start_at_the_last_index(self):
+        acc = [7, 7, 7]
+        kernel._add_row(acc, 2, -1, [3, 9, 9])
+        assert acc == [7, 7, 4]
