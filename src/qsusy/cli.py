@@ -190,23 +190,25 @@ def _add_common(sub: argparse.ArgumentParser, *, beta: bool = True) -> None:
 _NEGATIVE_VALUE = re.compile(r"^-\d+(?:[/.]\d+)?(?:,-?\d+(?:[/.]\d+)?)*$")
 
 
-_PARSER: Optional[argparse.ArgumentParser] = None
+_Parsers = tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]
+_PARSERS: Optional[_Parsers] = None
 
 
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process.
+def _parsers() -> _Parsers:
+    """The argument parser and its parser per command, built on first use and
+    kept for the process.
 
-    It holds no per-call state, so every call can share it. It is kept as a
-    constant, not as a cache that could be cleared: a dropped parser is a
+    They hold no per-call state, so every call can share them. They are kept
+    as a constant, not as a cache that could be cleared: a dropped parser is a
     cycle of several hundred objects that waits for the garbage collector.
     """
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    return _PARSER
+    global _PARSERS
+    if _PARSERS is None:
+        _PARSERS = _build_parser()
+    return _PARSERS
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parsers:
     """Each flag's dest is its RunConfig field; a flag left out sets nothing.
 
     So a default is written once: in RunConfig, or on the one flag whose
@@ -286,13 +288,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xs", type=_rational_list_arg, default="-1,-1/2,0,1/2,1",
                    help='comma-separated sample points (default "%(default)s")')
     _add_common(p)
-    return parser
+    return parser, commands.choices
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    """Parse and check one call's flags; the environment is read on every call."""
-    parser = _parser()
-    args = vars(parser.parse_args(argv))
+    """Parse and check one call's flags; the environment is read on every call.
+
+    When the first argument names a command, that command's parser reads the
+    rest at once. The top-level parser would hand it the same arguments, and
+    it still reports what is left over; any other argv goes through it.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = vars(parser.parse_args(argv))
+    else:
+        namespace, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = {"command": argv[0], **vars(namespace)}
     table_p = args.pop("table_p", None)
     given = {f"{name}_given": name in args for name in ("q", "beta", "order")}
     config = RunConfig(**args, **given)

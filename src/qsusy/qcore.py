@@ -359,7 +359,7 @@ def to_gauss(value: object) -> GaussRational:
     if isinstance(value, GaussRational):
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussRational(Fraction(value), Fraction(0))
+        return GaussRational._raw(Fraction(value), _FRACTION_ZERO)
     return NotImplemented
 
 

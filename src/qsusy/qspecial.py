@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub as _sub
 
-from .qcore import Deformation, Rational, _Frozen, i_power, q_factorial, q_number_numerators
-from .series import PowerSeries, _canonical, constant_series, div, make_series
+from .qcore import Deformation, Rational, _Frozen, i_power, q_factorial, q_number_numerators, to_gauss
+from .series import PowerSeries, _canonical, _make, constant_series, div, make_series
 
 __all__ = [
     "VacuumSpec",
@@ -149,7 +150,10 @@ def delta_beta_q(v: VacuumSpec) -> PowerSeries:
     under q -> 1/q even though beta_q itself is.
     """
     b = beta_q(v)
-    return b - b.scale_arg(1 / v.d.q) * (1 / v.d.q)
+    inv = to_gauss(1 / v.d.q)
+    # one gcd, on the difference: the unreduced steps before it leave a
+    # denominator at most 3 bits longer (orders 64-256, q = 2, 3/2, 5/4)
+    return _canonical(*b._combine(_make(*_make(*b._scale_arg(inv))._scaled(inv)), _sub))
 
 
 def drift_deviations(v: VacuumSpec) -> tuple[Rational, Rational]:
@@ -178,8 +182,12 @@ def q_hermite(n: int, d: Deformation, order: int) -> PowerSeries:
             f"q_hermite(n={n}) needs order >= {n + 2} to keep exact coefficients, got {order}"
         )
     decay = q_gauss(VacuumSpec(Fraction(-1), d, order))
+    # one gcd after the n derivatives: unreduced, their denominators grow to
+    # 1.3-1.7x the bits (order 128, n = 6 and 10), and a product on those
+    # measured slower than the gcd
     for _ in range(n):
-        decay = decay.jackson_derivative(d)
+        decay = _make(*decay._jackson(d))
+    decay = _canonical(decay.order, decay.num_re, decay.num_im, decay.den)
     grow = q_gauss(VacuumSpec(Fraction(1), d, order))
     out = grow * decay
     if n % 2:

@@ -223,15 +223,56 @@ class TestParsing:
             assert metavar in usage
 
     def test_parser_is_built_once(self):
-        from qsusy.cli import _parser
+        from qsusy.cli import _parsers
 
-        parser = _parser()
+        parsers = _parsers()
         first = parse_args(["hermite", "--n", "2", "--q", "3/2"])
         second = parse_args(["beta", "--q", "5/4", "--delta"])
-        assert _parser() is parser
+        assert _parsers() is parsers
         # nothing of one call leaks into the next through the shared parser
         assert (first.command, first.n_or_p, first.delta) == ("hermite", 2, False)
         assert (second.command, second.q, second.delta) == ("beta", F(5, 4), True)
+
+
+# argv forms whose parse must not depend on which parser reads the command
+DISPATCH_FORMS = [
+    (), ("-h",), ("--help",), ("frobnicate",), ("--", "beta"), ("-x", "beta"),
+    ("beta",), ("beta", "-h"), ("beta", "--he"), ("beta", "--help", "extra"),
+    ("beta", "--"), ("beta", "--", "--q", "2"), ("beta", "--q"), ("beta", "--q", "2", "extra"),
+    ("beta", "extra", "more"), ("beta", "--q=3/2", "--beta", "-1/2"), ("beta", "--q", "2", "--q", "3"),
+    ("beta", "--delta=1"), ("beta", "-q", "2"), ("beta", "--qq", "2"), ("beta", "--order", "many"),
+    ("hermite", "--n=2"), ("hermite", "--n", "-1"), ("hermite", "--n"), ("hermite", "--n", "2", "-x"),
+    ("apply", "--op", "h0"), ("apply", "--op", "X", "--input", "a"), ("verify",),
+    ("verify", "kernel", "leibniz"), ("verify", "--jobs", "0", "all"), ("limit", "--qs", "-1,2"),
+    ("table", "--xs", "-1/2,1"), ("table", "--op", "Tplus"), ("ufunc", "--p", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_FORMS, ids=" ".join)
+def test_command_parser_reads_argv_as_the_top_level_parser_does(capsys, monkeypatch, argv):
+    from qsusy import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("QSUSY_ORDER", raising=False)
+
+    def outcome():
+        try:
+            result = parse_args(list(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        out = capsys.readouterr()
+        return result, out.out, out.err
+
+    parser, commands = cli._parsers()
+    top_level = []
+    monkeypatch.setattr(parser, "parse_args", lambda args: top_level.append(args) or
+                        argparse.ArgumentParser.parse_args(parser, args))
+    direct = outcome()
+    # a command name first skips the top-level parser
+    assert bool(top_level) == (not argv or argv[0] not in commands)
+    # with no command parser to call, every argv goes through the top level
+    monkeypatch.setattr(cli, "_PARSERS", (parser, {}))
+    assert outcome() == direct
 
 
 class TestSeriesCommands:

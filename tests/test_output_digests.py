@@ -65,6 +65,9 @@ for _argv in (
     _add(*_argv)
     _add(*_argv, "--emit", "csv")
 _add("beta")
+# orders past the threshold of division by halves: two levels of it at 192
+_add("beta", "--q", "3/2", "--beta", "-1/2", "--order", "192")
+_add("beta", "--q", "4/3", "--beta", "1/2", "--order", "130", "--delta")
 
 for _op in OPERATORS:
     for _name in ("real.json", "complex.json"):

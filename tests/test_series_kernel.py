@@ -265,6 +265,79 @@ class TestDivision:
         assert exact(div(b, b)) == expect([1, 0, 0, 0], 3)
 
 
+HALVES = kernel._DIV_HALVES_MIN_ORDER
+
+
+def seeded_series(rng, order, imaginary, b0=None):
+    """A series of small random rationals; ``b0`` fixes the constant term."""
+    part = lambda: F(rng.randint(-40, 40), rng.randint(1, 9))
+    cs = [GaussRational(part(), part() if imaginary else 0) for _ in range(order + 1)]
+    if b0 is not None:
+        cs[0] = GaussRational(b0)
+    return make_series(cs, order)
+
+
+class TestDivisionByHalves:
+    """``div`` from order _DIV_HALVES_MIN_ORDER on, against the loop it keeps
+    below that order as its reference."""
+
+    @given(st.randoms(use_true_random=False), st.integers(HALVES - 3, 2 * HALVES + 3),
+           st.integers(0, 4), st.booleans(), st.sampled_from([F(1), F(-3, 2), F(-7), F(5, 3)]))
+    @settings(max_examples=25, deadline=None)
+    def test_halves_match_the_loop(self, rng, n, extra, imaginary, b0):
+        # unequal orders: the dividend runs past the divisor, or the other way
+        a = seeded_series(rng, n + extra, imaginary)
+        b = seeded_series(rng, n + (extra if rng.random() < 0.5 else 0), False, b0)
+        m = min(a.order, b.order)
+        got = div(a, b)
+        assert layout(got) == layout(kernel._div_loop(a, b, m))
+        assert_canonical(got)
+
+    @given(series(max_order=12), series(max_order=12), nonzero_scalars, st.integers(1, 3))
+    @settings(max_examples=80)
+    def test_every_level_of_halves(self, a, b, b0, threshold):
+        # a threshold of 1 halves down to single coefficients; complex divisors
+        # go through their conjugate first
+        b = b - make_series([b.coeff(0) - b0], b.order)
+        kernel_threshold, kernel._DIV_HALVES_MIN_ORDER = kernel._DIV_HALVES_MIN_ORDER, threshold
+        try:
+            got = div(a, b)
+        finally:
+            kernel._DIV_HALVES_MIN_ORDER = kernel_threshold
+        assert exact(got) == ref_div(a, b)
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 2 * HALVES), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_remainder_vanishes_below_the_high_half(self, rng, n, imaginary):
+        a = seeded_series(rng, n, imaginary)
+        b = seeded_series(rng, n, False, F(-2, 3))
+        h = (n + 2) // 2
+        lo = kernel._quotient(a, b, h - 1)
+        order, re, im, den = kernel._remainder(a, b, lo, n)
+        assert order == n and den > 0
+        assert not any(re[:h]) and (im is None or not any(im[:h]))
+        # the high half is a / b's coefficients h..n, times b
+        want = ref_div(a, b)[1][h:]
+        hi = div(make_series([GaussRational(F(x, den), F(y, den)) for x, y in
+                              zip(re[h:], im[h:] if im else [0] * (n + 1 - h))], n - h), b)
+        assert hi.coeffs == want
+
+    def test_empty_dividend_and_a_long_divisor(self):
+        b = seeded_series(random.Random(1), 2 * HALVES, False, F(3))
+        assert layout(div(PowerSeries([], -1), b)) == (-1, (), None, 1)
+
+    def test_one_traced_call_per_division(self, monkeypatch):
+        # the recursion calls the private helper, so a wrapper around div
+        # sees only the outer call
+        calls = []
+        original = kernel.div
+        monkeypatch.setattr(kernel, "div", lambda a, b: calls.append(1) or original(a, b))
+        rng = random.Random(2)
+        a, b = seeded_series(rng, 3 * HALVES, True), seeded_series(rng, 3 * HALVES, False, F(2))
+        assert layout(kernel.div(a, b)) == layout(kernel._div_loop(a, b, 3 * HALVES))
+        assert calls == [1]
+
+
 class TestSubstitutions:
     @given(series(), st.lists(coeffs, min_size=0, max_size=4))
     @settings(max_examples=80)

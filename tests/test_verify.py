@@ -5,6 +5,7 @@ Each fault test computes the expected ``worst_deviation`` and
 library, and never through the suite's own comparison.
 """
 
+import random
 from fractions import Fraction as F
 from math import factorial
 
@@ -14,7 +15,7 @@ from qsusy import qspecial, verify
 from qsusy.operators import scalar_op
 from qsusy.qcore import Deformation, format_rational
 from qsusy.qspecial import VacuumSpec
-from qsusy.series import constant_series, monomial
+from qsusy.series import PowerSeries, constant_series, make_series, monomial
 
 SWEEP = [1 + F(1, 2**k) for k in range(1, 7)]
 
@@ -260,3 +261,68 @@ def test_second_order_drift_fails_its_rate_only(monkeypatch):
 
 def test_limits_pass_unpatched():
     assert all(c.passed for c in verify.limits_suite())
+
+
+# -- leibniz: the unreduced residual against the reducing path ------------------
+
+
+def reducing_leibniz(q):
+    """The leibniz cell through the public operations, each result reduced."""
+    d = Deformation(q)
+    rng = random.Random(verify.LEIBNIZ_SEED)
+    order = 2 * verify.LEIBNIZ_MAX_DEGREE + 2
+    params = {"q": format_rational(q), "pairs": str(verify.LEIBNIZ_PAIRS), "seed": str(verify.LEIBNIZ_SEED)}
+    for _ in range(verify.LEIBNIZ_PAIRS):
+        f = verify._random_polynomial(rng, verify.LEIBNIZ_MAX_DEGREE, order)
+        g = verify._random_polynomial(rng, verify.LEIBNIZ_MAX_DEGREE, order)
+        lhs = (f * g).jackson_derivative(d)
+        rhs = f.jackson_derivative(d) * g.scale_arg(q) + f.scale_arg(1 / q) * g.jackson_derivative(d)
+        res = verify._residual_result("leibniz", dict(params), lhs - rhs, order - 1)
+        if not res.passed:
+            return [res]
+    return [verify.CheckResult(name="leibniz", params=params)]
+
+
+def test_random_polynomial_draws_as_fractions_did():
+    # the same rng draws, in the same order, as one Fraction per coefficient
+    a, b = random.Random(7), random.Random(7)
+    for _ in range(50):
+        degree = b.randint(0, 10)
+        coeffs = []
+        for _ in range(degree + 1):
+            den = b.randint(1, 6)
+            coeffs.append(F(b.randint(-5 * den, 5 * den), den))
+        got = verify._random_polynomial(a, 10, 22)
+        want = make_series(coeffs, 22)
+        assert (got.order, got.num_re, got.num_im, got.den) == (want.order, want.num_re, want.num_im, want.den)
+
+
+def weight_two(parts):
+    order, re, im, den = parts
+    re = list(re)
+    if len(re) > 2:
+        re[2] *= 2
+    return order, re, im, den
+
+
+def drop_two(parts):
+    order, re, im, den = parts
+    return order - 2, re[: order - 1], None if im is None else im[: order - 1], den
+
+
+@pytest.mark.parametrize("body, fault", [
+    ("_jackson", weight_two),
+    ("_scale_arg", weight_two),
+    ("_jackson", drop_two),
+    ("_scale_arg", drop_two),
+])
+@pytest.mark.parametrize("q", [F(2), F(3, 2)])
+def test_leibniz_fault_gives_the_reducing_report(monkeypatch, body, fault, q):
+    assert verify.leibniz_suite(q) == reducing_leibniz(q) == [
+        verify.CheckResult(name="leibniz", params={"q": format_rational(q), "pairs": "200", "seed": "24301"})
+    ]
+    original = getattr(PowerSeries, body)
+    monkeypatch.setattr(PowerSeries, body, lambda self, *args: fault(original(self, *args)))
+    [check] = verify.leibniz_suite(q)
+    assert check.status == "fail"
+    assert [check] == reducing_leibniz(q)
