@@ -57,16 +57,28 @@ the kernel above. Below order 64 (``_DIV_HALVES_MIN_ORDER``) one exact loop
 runs, with one gcd per output. From order 64 on, the quotient c to order n is
 taken by halves: with h = ceil((n + 1) / 2), c_lo = a / b to order h - 1, then
 a - b c_lo = x^h r exactly, and c_hi = r / b to order n - h, so that
-c = c_lo + x^h c_hi; each half does the same, down to the loop. The product
-b c_lo is a product of this kernel, so folding and Karatsuba apply; it also
-computes the low h coefficients that cancel, which a middle product would
-skip (Hanrot, Quercia & Zimmermann, AAECC 14, 2004). The halves pay on long
-numerators. Measured with CPython 3.11 on a 2-CPU x86-64 host, on the beta_q
-quotients at q = 2, 3/2 and 5/4, one level of halves takes 1.34-1.41x the
-loop's time at n = 32, 0.93-1.06x at n = 64 and 0.91-0.96x at n = 96. The
-whole recursion takes 17, 37 and 74 ms at n = 128 where the loop takes 18,
-41 and 84 ms, and 0.60, 1.40 and 2.49 s at n = 256 where it takes 0.85,
-2.19 and 3.70 s.
+c = c_lo + x^h c_hi; each half does the same, down to the loop. The low h
+coefficients of b c_lo cancel, so r takes only its coefficients h..n: a
+middle product (``_middle``; Hanrot, Quercia & Zimmermann, AAECC 14, 2004),
+folded like ``_convolve``. Its Karatsuba form, three half-size middle
+products in place of four, runs when each output's dot product would
+multiply at least 2^25 bit pairs (the length of y times the bit lengths of
+the largest entries of x and y); at every length from 2 to 48 it took
+0.9-1.2x the dot products' time at 2^24 and 0.7-1.0x at 2^25. The halves join
+with no gcd: both are canonical, and a prime dividing the lcm L of their
+denominators and every joined numerator would have its full power in L in
+one half's denominator D, so it would not divide L / D and would divide D
+and every numerator of that half.
+
+Measured with CPython 3.11 on a 2-CPU x86-64 host, on the beta_q quotients
+at q = 2, 3/2 and 5/4: the remainder takes 0.16-0.52x the time it took by
+the short product at n = 129 and 257 (q = 3/2, 5/4); one level of halves takes
+0.95-1.02x the loop's time at n = 48, 0.82-0.90x at n = 64 and 0.66-0.92x at
+n = 96; the whole recursion takes 10, 21 and 40 ms at n = 129 where the loop
+takes 15, 34 and 66 ms, and 0.27, 0.64 and 1.28 s at n = 257 where it takes
+0.52, 1.54 and 2.68 s. Starting the halves at order 32 or 48 measured 3-10%
+faster at n = 129 and 257 but up to 17% slower at n = 33 and at n = 65 with
+q = 2, so the threshold stays at 64.
 
 There is no epsilon anywhere in this module; the float entry point is the
 single evaluator ``evaluate_float`` used at the grid/plotting boundary. It
@@ -751,32 +763,116 @@ def _quotient(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
 def _div_halves(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
     """a / b to order n >= 1 as c_lo + x^h c_hi (see the module docstring).
 
-    c_lo and c_hi are canonical, so they join over the lcm of their
-    denominators; one gcd then brings the join to canonical form.
+    c_lo and c_hi are canonical, so their join over the lcm of their
+    denominators is canonical too, with no gcd: a prime dividing that lcm
+    and every joined numerator would divide one half's denominator to its
+    full power there, and then every numerator of that half as well.
     """
     h = (n + 2) // 2
     lo = _quotient(a, b, h - 1)
-    _, re, im, den = _remainder(a, b, lo, n)
-    r = _canonical(n - h, re[h:], None if im is None else im[h:], den)
-    del re, im
-    hi = _quotient(r, b, n - h)
+    hi = _quotient(_canonical(*_remainder(a, b, lo, n)), b, n - h)
     den = lcm(lo.den, hi.den)
     sl, sh = den // lo.den, den // hi.den
     re = [x * sl for x in lo.num_re] + [x * sh for x in hi.num_re]
     if lo.num_im is None and hi.num_im is None:
-        return _canonical(n, re, None, den)
+        return _make(n, re, None, den)
     im = [x * sl for x in lo.num_im or repeat(0, h)]
     im += [x * sh for x in hi.num_im or repeat(0, n + 1 - h)]
-    return _canonical(n, re, im, den)
+    return _make(n, re, im, den)
 
 
 def _remainder(a: PowerSeries, b: PowerSeries, lo: PowerSeries, n: int) -> Parts:
-    """a - b lo to order n, unreduced, for n >= lo.order; when lo = a / b to its
-    order, the coefficients 0..lo.order of the result are zero."""
-    pad = [0] * (n - lo.order)
+    """r = (a - b lo) / x^h to order n - h, unreduced, for h = lo.order + 1 <= n.
+
+    When lo = a / b to order h - 1, the coefficients 0..h - 1 of a - b lo
+    vanish, so only b lo's coefficients h..n are computed, by ``_middle``.
+    """
+    h = lo.order + 1
+    x = list(islice(b.num_re, 1, n + 1))
     im = lo.num_im
-    lo = _make(n, [*lo.num_re, *pad], None if im is None else [*im, *pad], lo.den)
-    return a._combine(_make(*b._times(lo)), _sub)
+    blo = _make(
+        n - h,
+        _middle(x, list(lo.num_re), n + 1 - h),
+        None if im is None else _middle(x, list(im), n + 1 - h),
+        b.den * lo.den,
+    )
+    im = a.num_im
+    top = _make(
+        n - h,
+        list(islice(a.num_re, h, n + 1)),
+        None if im is None else list(islice(im, h, n + 1)),
+        a.den,
+    )
+    return top._combine(blo, _sub)
+
+
+def _middle(x: list[int], y: list[int], m: int) -> list[int]:
+    """z_i = sum_j y_j x_(i + k - 1 - j) for i < m, with k = len(y) and
+    len(x) = k - 1 + m: coefficients k - 1..k - 2 + m of x * y.
+
+    Even or odd operands are folded first, as in ``_convolve``; then the
+    Karatsuba middle product runs when each output's dot product would
+    multiply at least _MIDDLE_MIN_WORK bit pairs, and the dot products
+    otherwise (see the module docstring).
+    """
+    k = len(y)
+    # a single x entry is its own fold, so folding it would never end
+    px, py = (_parity(x), _parity(y)) if len(x) > 1 else (None, None)
+    if px is not None and py is not None:
+        # output i is coefficient i + k - 1 of x * y, zero unless that index
+        # has the parity of px + py; every second output from s on is then a
+        # middle product of the folded vectors, from x[px::2][start] on
+        out = [0] * m
+        s = (px + py + k + 1) % 2
+        fm = (m - s + 1) // 2
+        if fm:
+            y = y[py::2]
+            start = (s + k - 1 - px - py) // 2 - (len(y) - 1)
+            out[s::2] = _middle(x[px::2][start : start + len(y) - 1 + fm], y, fm)
+        return out
+    if k * max(map(int.bit_length, x)) * max(map(int.bit_length, y)) >= _MIDDLE_MIN_WORK:
+        return _middle_product(x, y)
+    return _middle_dots(x, y, m)
+
+
+# The gate of the Karatsuba middle product; the module docstring says why it sits here.
+_MIDDLE_MIN_WORK = 1 << 25
+
+
+def _middle_dots(x: list[int], y: list[int], m: int) -> list[int]:
+    """The m entries of the middle product of x and y, one dot product each."""
+    k = len(y)
+    ry = y[::-1]
+    return [sum(map(_mul, ry, x[i : i + k])) for i in range(m)]
+
+
+def _middle_product(x: list[int], y: list[int]) -> list[int]:
+    """The len(x) - len(y) + 1 entries of the middle product of x and y.
+
+    For k = len(y) = 2h outputs, with y = y0 + x^h y1 and x in windows of
+    2h - 1 entries, alpha = MP(x[:2h-1] + x[h:3h-1], y1),
+    beta = MP(x[h:3h-1], y0 - y1) and gamma = MP(x[h:3h-1] + x[2h:4h-1], y0)
+    give the low half alpha + beta and the high half gamma - beta (Hanrot,
+    Quercia & Zimmermann, 2004). Any other shape peels one entry without
+    padding: an extra output is one dot product, and an extra or odd y
+    entry one row, y_0 x_(i + k - 1).
+    """
+    k = len(y)
+    m = len(x) - k + 1
+    if k == 1 or m == 1:
+        return _middle_dots(x, y, m)
+    if m > k:
+        return _middle_product(x[:-1], y) + _middle_dots(x[m - 1 :], y, 1)
+    if m < k or k % 2:
+        out = _middle_product(x[:-1], y[1:])
+        _add_row(out, 0, y[0], x[k - 1 :])
+        return out
+    h = k // 2
+    mid = x[h : 3 * h - 1]
+    alpha = _middle_product(list(map(_add, x[: 2 * h - 1], mid)), y[h:])
+    beta = _middle_product(mid, list(map(_sub, y[:h], y[h:])))
+    gamma = _middle_product(list(map(_add, mid, x[2 * h :])), y[:h])
+    return [*map(_add, alpha, beta), *map(_sub, gamma, beta)]
 
 
 def _div_loop(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:

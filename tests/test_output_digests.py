@@ -68,6 +68,9 @@ _add("beta")
 # orders past the threshold of division by halves: two levels of it at 192
 _add("beta", "--q", "3/2", "--beta", "-1/2", "--order", "192")
 _add("beta", "--q", "4/3", "--beta", "1/2", "--order", "130", "--delta")
+# odd folded lengths in the remainder's middle product, two levels of halves
+_add("beta", "--q", "5/4", "--beta", "-1/2", "--order", "200")
+_add("beta", "--q", "7/5", "--beta", "1/3", "--order", "161", "--delta")
 
 for _op in OPERATORS:
     for _name in ("real.json", "complex.json"):

@@ -8,6 +8,7 @@ and every numerator, and no imaginary vector when every imaginary part is 0.
 """
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -268,6 +269,21 @@ class TestDivision:
 HALVES = kernel._DIV_HALVES_MIN_ORDER
 
 
+@contextmanager
+def kernel_constant(name, value):
+    """The kernel's module constant ``name`` set to ``value`` inside the block.
+
+    Hypothesis runs every example in one test call, so a function-scoped
+    monkeypatch would hold one value for all of them.
+    """
+    saved = getattr(kernel, name)
+    setattr(kernel, name, value)
+    try:
+        yield
+    finally:
+        setattr(kernel, name, saved)
+
+
 def seeded_series(rng, order, imaginary, b0=None):
     """A series of small random rationals; ``b0`` fixes the constant term."""
     part = lambda: F(rng.randint(-40, 40), rng.randint(1, 9))
@@ -299,28 +315,42 @@ class TestDivisionByHalves:
         # a threshold of 1 halves down to single coefficients; complex divisors
         # go through their conjugate first
         b = b - make_series([b.coeff(0) - b0], b.order)
-        kernel_threshold, kernel._DIV_HALVES_MIN_ORDER = kernel._DIV_HALVES_MIN_ORDER, threshold
-        try:
+        with kernel_constant("_DIV_HALVES_MIN_ORDER", threshold):
             got = div(a, b)
-        finally:
-            kernel._DIV_HALVES_MIN_ORDER = kernel_threshold
         assert exact(got) == ref_div(a, b)
 
-    @given(st.randoms(use_true_random=False), st.integers(1, 2 * HALVES), st.booleans())
+    @given(st.lists(gauss_coeffs.filter(lambda c: c.im), min_size=2, max_size=13),
+           coeff_lists(1, 12, real_coeffs), fractions.filter(bool), st.integers(1, 3))
+    @settings(max_examples=80)
+    def test_halves_join_complex_quotients_canonically(self, a, b, b0, threshold):
+        # the join takes no gcd; its halves' canonical forms make it canonical
+        n = min(len(a), len(b)) - 1
+        a, b = PowerSeries(a, len(a) - 1), make_series([b0, *b[1:]], len(b) - 1)
+        with kernel_constant("_DIV_HALVES_MIN_ORDER", threshold):
+            got = kernel._div_halves(a, b, n)
+        assert_canonical(got)
+        assert layout(got) == layout(kernel._div_loop(a, b, n))
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 2 * HALVES), st.booleans(),
+           st.sampled_from([kernel._MIDDLE_MIN_WORK, 0]))
     @settings(max_examples=25, deadline=None)
-    def test_remainder_vanishes_below_the_high_half(self, rng, n, imaginary):
+    def test_remainder_vanishes_below_the_high_half(self, rng, n, imaginary, gate):
+        # a gate of 0 runs the Karatsuba middle product on these small
+        # numerators; the low half goes by halves too, from order 8 on
         a = seeded_series(rng, n, imaginary)
         b = seeded_series(rng, n, False, F(-2, 3))
         h = (n + 2) // 2
-        lo = kernel._quotient(a, b, h - 1)
-        order, re, im, den = kernel._remainder(a, b, lo, n)
-        assert order == n and den > 0
-        assert not any(re[:h]) and (im is None or not any(im[:h]))
+        with kernel_constant("_MIDDLE_MIN_WORK", gate), kernel_constant("_DIV_HALVES_MIN_ORDER", 8):
+            lo = kernel._quotient(a, b, h - 1)
+            order, re, im, den = kernel._remainder(a, b, lo, n)
+        # the reference: a - b lo in full, through the kernel's product
+        full = a - b * make_series(lo.coeffs, n)
+        assert full.order == n and not any(full.coeffs[:h])
+        assert order == n - h and den > 0
+        r = kernel._canonical(order, re, im, den)
+        assert r.coeffs == full.coeffs[h:]
         # the high half is a / b's coefficients h..n, times b
-        want = ref_div(a, b)[1][h:]
-        hi = div(make_series([GaussRational(F(x, den), F(y, den)) for x, y in
-                              zip(re[h:], im[h:] if im else [0] * (n + 1 - h))], n - h), b)
-        assert hi.coeffs == want
+        assert div(r, b).coeffs == ref_div(a, b)[1][h:]
 
     def test_empty_dividend_and_a_long_divisor(self):
         b = seeded_series(random.Random(1), 2 * HALVES, False, F(3))
@@ -648,6 +678,72 @@ class TestKaratsuba:
         monkeypatch.setattr(kernel, "_short_product", None)
         assert all(c.passed for c in verify.run_suite("kernel", order=40))
         assert verify.leibniz_suite(F(2))[0].passed
+
+
+def middle_reference(x, y, m):
+    """Coefficients len(y) - 1..len(y) - 2 + m of x * y, from the kernel's product."""
+    k = len(y)
+    return kernel._convolve(y, x, k - 2 + m)[k - 1 :]
+
+
+def takes_middle_karatsuba_in(run):
+    """Whether run() runs the Karatsuba middle product."""
+    original, calls = kernel._middle_product, []
+    kernel._middle_product = lambda x, y: calls.append(1) or original(x, y)
+    try:
+        run()
+    finally:
+        kernel._middle_product = original
+    return bool(calls)
+
+
+class TestMiddleProduct:
+    """``_middle`` computes only the coefficients of x * y that see every entry
+    of y: division's remainder needs those alone."""
+
+    # (bits of x, bits of y): small, lopsided both ways, and some on each side
+    # of the gate once the length is counted in; a gate of 0 runs the
+    # Karatsuba middle product on every operand
+    @given(st.randoms(use_true_random=False), st.integers(1, 70), st.integers(1, 70),
+           st.sampled_from([None, 0, 1]), st.sampled_from([None, 0, 1]),
+           st.sampled_from([(1, 1), (9, 60), (16000, 100), (100, 16000), (6000, 1000), (1000, 6000)]),
+           st.sampled_from([kernel._MIDDLE_MIN_WORK, 0]), st.sampled_from(["", "", "", "x", "y"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_product(self, rng, k, m, px, py, bits, gate, zero):
+        x = big_vector(rng, k - 1 + m, bits[0], px)
+        y = big_vector(rng, k, bits[1], py)
+        if zero:
+            x, y = ([0] * len(x), y) if zero == "x" else (x, [0] * k)
+        with kernel_constant("_MIDDLE_MIN_WORK", gate):
+            got = kernel._middle(x, y, m)
+        assert got == middle_reference(x, y, m)
+
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_every_shape_of_the_karatsuba_middle_product(self, k):
+        # more, as many or fewer outputs than y has entries, at every k
+        rng = random.Random(k)
+        for m in range(1, 14):
+            x, y = big_vector(rng, k - 1 + m, 40), big_vector(rng, k, 30)
+            assert kernel._middle_product(x, y) == middle_reference(x, y, m), m
+
+    @pytest.mark.parametrize("bits, taken", [((1 << 15, 31), False), ((1 << 15, 32), True),
+                                             ((31, 1 << 15), False), ((32, 1 << 15), True)])
+    def test_gate_reads_the_work_per_output(self, bits, taken):
+        # 32 entries of y: the gate sits at 32 * 2^15 * 2^5 = 2^25 bit pairs per output
+        rng = random.Random(str(bits))
+        x, y = big_vector(rng, 63, bits[0]), big_vector(rng, 32, bits[1])
+        y[3] = 1  # the gate reads the largest entry, not every entry
+        assert takes_middle_karatsuba_in(lambda: kernel._middle(x, y, 32)) is taken
+        assert kernel._middle(x, y, 32) == middle_reference(x, y, 32)
+
+    def test_division_by_halves_takes_it_past_the_gate(self):
+        # beta_q's quotient at order 128: an even divisor and an odd low half,
+        # folded before the gate
+        d = Deformation(F(5, 4))
+        e = q_gauss(VacuumSpec(beta=F(-1, 2), d=d, order=130))
+        num = e.jackson_derivative(d)
+        assert takes_middle_karatsuba_in(lambda: div(num, e))
+        assert layout(div(num, e)) == layout(kernel._div_loop(num, e, 129))
 
 
 def schoolbook(a, b, n):
