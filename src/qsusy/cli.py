@@ -95,7 +95,7 @@ class RunConfig(_Record):
         q_given: bool = False,
         beta_given: bool = False,
         order_given: bool = False,
-        jobs: int = 4,
+        jobs: int = 1,
     ) -> None:
         super().__init__(command, q, beta, order, n_or_p, input_path, output_path, emit, suite, op,
                          func, delta, qs, xs, q_given, beta_given, order_given, jobs)

@@ -6,9 +6,10 @@ that multiply by a truncated series (``Mult``) or an exact polynomial
 f(q^k x) (``Shift``). Three interpreters read a tree:
 
 * series apply (``apply``), exact on Gaussian-rational coefficients. The
-  nodes call the series kernel's bodies and pass their results on unreduced
-  (a valid denominator, not always the least); one gcd reduces the result,
-  so a walk of any size costs one reduction;
+  nodes call the series kernel's bodies and pass the series they return on
+  unreduced (a valid denominator, not always the least); one gcd
+  (``_reduced``) reduces the result, so a walk of any size costs one
+  reduction;
 * pointwise apply (``apply_at``) on float evaluators, in a fixed float order,
   walked on demand: nothing float is built with a node. A ``Mult`` leaf reads
   its coefficient through ``evaluate_float``, which divides each series into
@@ -18,7 +19,8 @@ f(q^k x) (``Shift``). Three interpreters read a tree:
   through the series path;
 * the term normal form (``normal_form``), op f = sum of a(x) (D_q^m f)(lam x),
   by D(FG) = (DF) G(qx) + F(x/q) DG and D[h(lam x)] = lam (Dh)(lam x).
-  On a monomial each term is one integer row.
+  On a monomial each term is one integer row, and ``rows`` sums them into
+  one unreduced series.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from operator import add as _add
 from typing import Callable, Optional, Sequence
 
 from .qcore import Deformation, GaussRational, Rational, _Frozen, _Sealed, q_number, to_gauss
-from .series import Parts, PowerSeries, _add_row, _canonical, _make, constant_series, make_series
+from .series import PowerSeries, _add_row, _make, _reduced, constant_series, make_series
 from .qspecial import VacuumSpec, _log_derivative, beta_q, delta_beta_q
 
 __all__ = [
@@ -64,9 +66,7 @@ class QOperator(_Sealed):
 
     def apply(self, f: PowerSeries) -> PowerSeries:
         """op f, in canonical form; the nodes between pass their results on unreduced."""
-        leaf = lambda op, g: _make(*_leaf_parts(op, g))
-        out = _run(self, f, leaf, lambda a, b: _make(*a._combine(b, _add)), lambda a, c: _make(*a._scaled(c)))
-        return _canonical(out.order, out.num_re, out.num_im, out.den)
+        return _reduced(_run(self, f, _leaf, lambda a, b: a._combine(b, _add), PowerSeries._scaled))
 
     __call__ = apply
 
@@ -141,7 +141,7 @@ def _run(op: QOperator, x, leaf: Callable, add: Callable, scale: Callable):
     return leaf(op, x)
 
 
-def _leaf_parts(op: QOperator, f: PowerSeries) -> Parts:
+def _leaf(op: QOperator, f: PowerSeries) -> PowerSeries:
     """A leaf applied to f by the series kernel's bodies, unreduced."""
     kind = type(op)
     if kind is Mult:
@@ -150,7 +150,7 @@ def _leaf_parts(op: QOperator, f: PowerSeries) -> Parts:
         return f._mul_poly(op.coeffs)
     if kind is Jackson:
         return f._jackson(op.d)
-    return f._scale_arg(op.d.q**op.k) if op.k else (f.order, f.num_re, f.num_im, f.den)
+    return f._scale_arg(op.d.q**op.k) if op.k else f
 
 
 def _point(op: QOperator, f: Evaluator) -> Optional[Evaluator]:
@@ -222,7 +222,7 @@ def _terms_leaf(op: QOperator, terms: Terms) -> Terms:
         step = op.d.q**op.k
         return {(m, lam * step): a.scale_arg(step) for (m, lam), a in terms.items()}
     # a multiplication acts on the coefficient a alone
-    return {key: _canonical(*_leaf_parts(op, a)) for key, a in terms.items()}
+    return {key: _reduced(_leaf(op, a)) for key, a in terms.items()}
 
 
 def _put(terms: Terms, key: tuple[int, Fraction], a: PowerSeries) -> None:
@@ -246,8 +246,9 @@ class NormalForm:
     def __init__(self, d: Deformation, order: int, terms: Terms) -> None:
         self.d, self.order, self.terms = d, order, terms
 
-    def rows(self, j: int) -> tuple[list[int], Optional[list[int]], int]:
-        """op x^j as real and imaginary (None if zero) numerators over one denominator.
+    def rows(self, j: int) -> PowerSeries:
+        """op x^j as an unreduced series: once reduced, it equals op.apply(monomial(j, n)),
+        order included.
 
         The term (m, lam) sends x^j to a(x) [j]_q ... [j-m+1]_q lam^(j-m) x^(j-m):
         a's numerators, times one integer, added from index j - m. No gcd.
@@ -267,11 +268,7 @@ class NormalForm:
             _add_row(re, p, w, a.num_re)
             if a.num_im is not None:
                 _add_row(im, p, w, a.num_im)
-        return re, im, den
-
-    def apply_monomial(self, j: int) -> PowerSeries:
-        """op x^j as a series; equal, order included, to op.apply(monomial(j, n))."""
-        return _canonical(self.order, *self.rows(j))
+        return _make(n, re, im, den)
 
 
 def normal_form(op: QOperator, n: int) -> NormalForm:
@@ -350,11 +347,9 @@ def _vacuum_intertwiners(v: VacuumSpec) -> tuple[QOperator, QOperator]:
     """(D_q - w, -D_q - w) with w = beta_q(x^2) x, built once for both.
 
     x times a canonical series is its numerators one place up over the same
-    denominator, which is canonical too: the order rises by one, as in mul_poly.
+    denominator, which is canonical too, so mul_poly's body needs no gcd here.
     """
-    b = beta_q(v)
-    up = lambda nums: None if nums is None else (0, *nums)
-    w = _make(b.order + 1, up(b.num_re), up(b.num_im), b.den)
+    w = beta_q(v)._mul_poly([0, 1])
     return _intertwiner(v.d, 1, w), _intertwiner(v.d, -1, w)
 
 

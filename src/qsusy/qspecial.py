@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import sub as _sub
 
 from .qcore import Deformation, Rational, _Frozen, i_power, q_factorial, q_number_numerators, to_gauss
-from .series import PowerSeries, _canonical, _make, constant_series, div, make_series
+from .series import PowerSeries, _make, _reduced, constant_series, div, make_series
 
 __all__ = [
     "VacuumSpec",
@@ -101,7 +101,7 @@ def _q_exp_monomial(u: PowerSeries, m: int, d: Deformation) -> PowerSeries:
         num[m * n] = r_pow * ab_pow * tail[n]
         r_pow *= r
         ab_pow *= ab**n
-    return _canonical(order, num, None, tail[0])
+    return _reduced(_make(order, num, None, tail[0]))
 
 
 def _q_exp_by_powers(u: PowerSeries, d: Deformation) -> PowerSeries:
@@ -133,7 +133,7 @@ def beta_q(v: VacuumSpec) -> PowerSeries:
     """
     w = _log_derivative(q_gauss(VacuumSpec(v.beta, v.d, v.order + 2)), v.d)
     # w = x * beta_q(x^2) is odd: dividing by x drops its zero constant term
-    return _canonical(v.order, w.num_re[1:], None, w.den)
+    return _reduced(_make(v.order, w.num_re[1:], None, w.den))
 
 
 def _log_derivative(u: PowerSeries, d: Deformation) -> PowerSeries:
@@ -153,7 +153,7 @@ def delta_beta_q(v: VacuumSpec) -> PowerSeries:
     inv = to_gauss(1 / v.d.q)
     # one gcd, on the difference: the unreduced steps before it leave a
     # denominator at most 3 bits longer (orders 64-256, q = 2, 3/2, 5/4)
-    return _canonical(*b._combine(_make(*_make(*b._scale_arg(inv))._scaled(inv)), _sub))
+    return _reduced(b._combine(b._scale_arg(inv)._scaled(inv), _sub))
 
 
 def drift_deviations(v: VacuumSpec) -> tuple[Rational, Rational]:
@@ -186,8 +186,8 @@ def q_hermite(n: int, d: Deformation, order: int) -> PowerSeries:
     # 1.3-1.7x the bits (order 128, n = 6 and 10), and a product on those
     # measured slower than the gcd
     for _ in range(n):
-        decay = _make(*decay._jackson(d))
-    decay = _canonical(decay.order, decay.num_re, decay.num_im, decay.den)
+        decay = decay._jackson(d)
+    decay = _reduced(decay)
     grow = q_gauss(VacuumSpec(Fraction(1), d, order))
     out = grow * decay
     if n % 2:

@@ -17,11 +17,11 @@ None when every imaginary part is zero, and every result of a public
 operation is brought back to this canonical form (gcd of den and all
 numerators equal to 1) by a single multi-argument gcd, so the kernels run on
 plain integers. Each kernel operation has one body that returns its result
-unreduced, over a valid denominator that need not be the least (``Parts``);
-the public method is that body plus ``_canonical``, one gcd. One wrapper,
-``_make``, turns parts into a series with no gcd and stores an all-zero
-imaginary part as None. The operator walk (``operators.QOperator.apply``)
-chains the bodies through ``_make`` and reduces its result alone.
+as a series left unreduced, over a valid denominator that need not be the
+least; the public method is ``_reduced`` of that body, one gcd. ``_make``
+builds every series with no gcd and stores an all-zero imaginary part as
+None. The operator walk (``operators.QOperator.apply``) chains the bodies
+and reduces its result alone.
 ``GaussRational`` is the scalar type at the boundary: ``coeffs`` and
 ``coeff`` build it on demand.
 
@@ -121,9 +121,6 @@ CoeffLike = Union[GaussRational, Fraction, int]
 # each one would sit on the tuple free list (up to 2000 of them) until a full
 # garbage collection.
 IntVector = Sequence[int]
-# (order, re, im, den): a kernel's result, (re + i im) / den with den > 0 valid
-# but not necessarily the least; ``_canonical`` reduces it
-Parts = tuple[int, IntVector, Optional[IntVector], int]
 
 _FRACTION_ZERO = Fraction(0)
 
@@ -161,23 +158,20 @@ def _from_ratios(order: int, nums: Sequence[int], dens: Sequence[int]) -> "Power
     """The series with c_n = nums[2n] / dens[2n] + i nums[2n + 1] / dens[2n + 1].
 
     The denominators must be positive and need not be reduced: the parts go
-    over the lcm of all denominators, and ``_canonical``'s one gcd takes out
+    over the lcm of all denominators, and ``_reduced``'s one gcd takes out
     any factor that unreduced input leaves.
     """
     scaled, den = _over_lcm(nums, dens)
-    im = scaled[1::2]
-    return _canonical(order, scaled[0::2], im if any(im) else None, den)
+    return _reduced(_make(order, scaled[0::2], scaled[1::2], den))
 
 
-def _canonical(order: int, re: IntVector, im: Optional[IntVector], den: int) -> "PowerSeries":
-    """The series (re + i im) / den, den > 0, reduced by one gcd over everything."""
+def _reduced(s: "PowerSeries") -> "PowerSeries":
+    """s in canonical form, by one gcd over den and every numerator; s itself when that is 1."""
+    re, im, den = s.num_re, s.num_im, s.den
     g = gcd(den, *re) if im is None else gcd(den, *re, *im)
-    if g != 1:
-        den //= g
-        re = [x // g for x in re]
-        if im is not None:
-            im = [x // g for x in im]
-    return _make(order, re, im, den)
+    if g == 1:
+        return s
+    return _make(s.order, [x // g for x in re], None if im is None else [x // g for x in im], den // g)
 
 
 def _make(order: int, re: IntVector, im: Optional[IntVector], den: int) -> "PowerSeries":
@@ -195,16 +189,6 @@ def _make(order: int, re: IntVector, im: Optional[IntVector], den: int) -> "Powe
 
 
 _set = object.__setattr__
-
-
-def _scalar_parts(c: GaussRational) -> tuple[int, int, int]:
-    """c = (re + i im) / den with integers and den > 0."""
-    den = lcm(c.re.denominator, c.im.denominator)
-    return (
-        c.re.numerator * (den // c.re.denominator),
-        c.im.numerator * (den // c.im.denominator),
-        den,
-    )
 
 
 def _weigh(
@@ -457,12 +441,12 @@ class PowerSeries(_Sealed):
                 f"cannot extend a truncated series from order {self.order} to {order}"
             )
         im = self.num_im
-        return _canonical(
+        return _reduced(_make(
             order,
             list(islice(self.num_re, order + 1)),
             None if im is None else list(islice(im, order + 1)),
             self.den,
-        )
+        ))
 
     # -- equality ----------------------------------------------------------
 
@@ -494,7 +478,7 @@ class PowerSeries(_Sealed):
             self.den,
         )
 
-    def _combine(self, other: "PowerSeries", op) -> Parts:
+    def _combine(self, other: "PowerSeries", op) -> "PowerSeries":
         """self op other (op is + or -) over the lcm of the two denominators."""
         m = min(self.order, other.order) + 1
         da, db = self.den, other.den
@@ -509,41 +493,41 @@ class PowerSeries(_Sealed):
         re = part(self.num_re, other.num_re)
         ai, bi = self.num_im, other.num_im
         im = None if ai is None and bi is None else part(ai, bi)
-        return m - 1, re, im, den
+        return _make(m - 1, re, im, den)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return _canonical(*self._combine(other, _add))
+        return _reduced(self._combine(other, _add))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return _canonical(*self._combine(other, _sub))
+        return _reduced(self._combine(other, _sub))
 
-    def _scaled(self, c: GaussRational) -> Parts:
+    def _scaled(self, c: GaussRational) -> "PowerSeries":
         """Every coefficient times the scalar c: one integer product each."""
-        cre, cim, cden = _scalar_parts(c)
+        (cre, cim), cden = _over_lcm(*_ratios([c]))
         re, im = _weigh(
             self.num_re, self.num_im, repeat(cre), repeat(cim) if cim else None
         )
-        return self.order, re, im, self.den * cden
+        return _make(self.order, re, im, self.den * cden)
 
-    def _times(self, other: "PowerSeries") -> Parts:
+    def _times(self, other: "PowerSeries") -> "PowerSeries":
         """The product of two series, to the lower of their orders."""
         n = min(self.order, other.order)
         if n < 0:
-            return -1, [], None, 1
+            return _make(-1, [], None, 1)
         re, im = _product(self.num_re, self.num_im, other.num_re, other.num_im, n)
-        return n, re, im, self.den * other.den
+        return _make(n, re, im, self.den * other.den)
 
     def __mul__(self, other: object) -> "PowerSeries":
         if isinstance(other, PowerSeries):
-            return _canonical(*self._times(other))
+            return _reduced(self._times(other))
         scalar = to_gauss(other)
         if scalar is NotImplemented:
             return NotImplemented
-        return _canonical(*self._scaled(scalar))
+        return _reduced(self._scaled(scalar))
 
     __rmul__ = __mul__
 
@@ -553,7 +537,7 @@ class PowerSeries(_Sealed):
         scalar = to_gauss(other)
         if scalar is NotImplemented:
             return NotImplemented
-        return _canonical(*self._scaled(GAUSS_ONE / scalar))
+        return _reduced(self._scaled(GAUSS_ONE / scalar))
 
     # -- calculus and substitutions -----------------------------------------
 
@@ -565,22 +549,22 @@ class PowerSeries(_Sealed):
         lowest nonzero degree. Multiplying by x (poly [0, 1]) therefore
         raises the order by one instead of truncating.
         """
-        return _canonical(*self._mul_poly(poly))
+        return _reduced(self._mul_poly(poly))
 
-    def _mul_poly(self, poly: Sequence[CoeffLike]) -> Parts:
+    def _mul_poly(self, poly: Sequence[CoeffLike]) -> "PowerSeries":
         nums, dens = _ratios(poly)
         scaled, pden = _over_lcm(nums, dens)
         val = next((k // 2 for k, x in enumerate(scaled) if x), None)
         if val is None:
             # the zero polynomial: the product is identically zero
             n = max(self.order, 0)
-            return n, [0] * (n + 1), None, 1
+            return _make(n, [0] * (n + 1), None, 1)
         n = self.order + val
         if n < 0:
-            return -1, [], None, 1
+            return _make(-1, [], None, 1)
         pim = scaled[1::2]
         re, im = _product(scaled[0::2], pim if any(pim) else None, self.num_re, self.num_im, n)
-        return n, re, im, self.den * pden
+        return _make(n, re, im, self.den * pden)
 
     def scale_arg(self, lam: CoeffLike) -> "PowerSeries":
         """Substitute x -> lam*x, i.e. c_n -> lam**n c_n, exactly.
@@ -588,13 +572,13 @@ class PowerSeries(_Sealed):
         With lam = (a + ib) / r over integers, term n is multiplied by
         (a + ib)**n r**(N - n) and the denominator by r**N.
         """
-        return _canonical(*self._scale_arg(lam))
+        return _reduced(self._scale_arg(lam))
 
-    def _scale_arg(self, lam: CoeffLike) -> Parts:
+    def _scale_arg(self, lam: CoeffLike) -> "PowerSeries":
         lam = to_gauss(lam)
         if lam is NotImplemented:
             raise TypeError("scale factor must be an exact scalar")
-        a, b, r = _scalar_parts(lam)
+        (a, b), r = _over_lcm(*_ratios([lam]))
         top = self.order
         rpow = [1] * (top + 1)
         for n in range(top - 1, -1, -1):
@@ -609,7 +593,7 @@ class PowerSeries(_Sealed):
             else:
                 x *= a
         re, im = _weigh(self.num_re, self.num_im, wre, wim)
-        return top, re, im, self.den * (rpow[0] if top >= 0 else 1)
+        return _make(top, re, im, self.den * (rpow[0] if top >= 0 else 1))
 
     def i_rotate(self) -> "PowerSeries":
         """Substitute x -> ix (c_n -> i**n c_n); four applications are the identity."""
@@ -624,9 +608,9 @@ class PowerSeries(_Sealed):
         With q = a/b and [n]_q = s_n / (ab)**(n-1), term n is weighted by
         s_n (ab)**(N-n) over the common (ab)**(N-1).
         """
-        return _canonical(*self._jackson(d))
+        return _reduced(self._jackson(d))
 
-    def _jackson(self, d: Deformation) -> Parts:
+    def _jackson(self, d: Deformation) -> "PowerSeries":
         top = self.order
         ab = d.q.numerator * d.q.denominator
         weights = q_number_numerators(top, d)
@@ -641,7 +625,7 @@ class PowerSeries(_Sealed):
             weights,
             None,
         )
-        return max(top - 1, -1), re, im, self.den * (ab_pow if top >= 1 else 1)
+        return _make(max(top - 1, -1), re, im, self.den * (ab_pow if top >= 1 else 1))
 
     def _require_value(self) -> None:
         if self.order < 0:
@@ -770,7 +754,7 @@ def _div_halves(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
     """
     h = (n + 2) // 2
     lo = _quotient(a, b, h - 1)
-    hi = _quotient(_canonical(*_remainder(a, b, lo, n)), b, n - h)
+    hi = _quotient(_reduced(_remainder(a, b, lo, n)), b, n - h)
     den = lcm(lo.den, hi.den)
     sl, sh = den // lo.den, den // hi.den
     re = [x * sl for x in lo.num_re] + [x * sh for x in hi.num_re]
@@ -781,7 +765,7 @@ def _div_halves(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
     return _make(n, re, im, den)
 
 
-def _remainder(a: PowerSeries, b: PowerSeries, lo: PowerSeries, n: int) -> Parts:
+def _remainder(a: PowerSeries, b: PowerSeries, lo: PowerSeries, n: int) -> PowerSeries:
     """r = (a - b lo) / x^h to order n - h, unreduced, for h = lo.order + 1 <= n.
 
     When lo = a / b to order h - 1, the coefficients 0..h - 1 of a - b lo

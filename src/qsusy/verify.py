@@ -18,7 +18,8 @@ Suites:
 * factorization: the five-term expanded partner operators equal the composed
   products on a full monomial basis.
 * leibniz: the product rule of the symmetric q-derivative on random
-  polynomial pairs, each side chained through the kernel bodies unreduced.
+  polynomial pairs, each side chained through the kernel bodies unreduced
+  and the residual judged unreduced.
 * limits: undeformed reduction at q = 1 and the convergence rates of the
   drift data as q -> 1.
 * classical: Hermite/oscillator annihilation and the q = 1 collapse of the
@@ -33,7 +34,7 @@ from operator import add as _add, sub as _sub
 from typing import Optional, Sequence
 
 from .qcore import Deformation, Rational, _Frozen, _shown, format_rational
-from .series import PowerSeries, _canonical, _from_ratios, _make
+from .series import PowerSeries, _from_ratios
 from .qspecial import (
     VacuumSpec,
     classical_hermite,
@@ -105,7 +106,11 @@ class CheckResult(_Frozen):
 def _residual_result(
     name: str, params: dict[str, str], residual: PowerSeries, min_order: int
 ) -> CheckResult:
-    """Pass only if the residual is exactly zero and long enough to mean it."""
+    """Pass only if the residual is exactly zero and long enough to mean it.
+
+    The residual need not be reduced: ``max_abs_coeff`` is a reduced Fraction
+    and ``first_nonzero_index`` does not read the denominator.
+    """
     if residual.order < min_order:
         return CheckResult(
             name=name,
@@ -128,13 +133,13 @@ def _probe_result(
 ) -> CheckResult:
     """Pass only if the difference operator sends every probe x^j to exactly zero.
 
-    Each probe is read as integer rows; a residual series is built only for
-    the first probe that fails (or is too short), to report it.
+    Each probe's residual is its rows, an unreduced series; the first one that
+    is not zero (or is too short) is reported as it stands.
     """
     for j in degrees:
-        re, im, _ = diff.rows(j)
-        if diff.order < min_order or any(re) or im is not None and any(im):
-            return _residual_result(name, params, diff.apply_monomial(j), min_order)
+        residual = diff.rows(j)
+        if residual.order < min_order or not residual.is_zero:
+            return _residual_result(name, params, residual, min_order)
     return CheckResult(name=name, params=params)
 
 
@@ -193,9 +198,9 @@ def leibniz_suite(q: Rational) -> list[CheckResult]:
 
     Checked on LEIBNIZ_PAIRS seeded random polynomial pairs of degree at most
     LEIBNIZ_MAX_DEGREE; one result, the first failing pair's if any. Each
-    side chains the kernel bodies unreduced, as the operator walk does; a
-    residual whose numerators are all zero passes with no gcd, and only a
-    failing one is reduced, to be reported.
+    side chains the kernel bodies unreduced, as the operator walk does, and
+    the first residual that is not zero (or is too short) is reported as it
+    stands, with no gcd.
     """
     d = Deformation(q)
     up, down = Fraction(q), 1 / Fraction(q)
@@ -205,12 +210,12 @@ def leibniz_suite(q: Rational) -> list[CheckResult]:
     for _ in range(LEIBNIZ_PAIRS):
         f = _random_polynomial(rng, LEIBNIZ_MAX_DEGREE, order)
         g = _random_polynomial(rng, LEIBNIZ_MAX_DEGREE, order)
-        lhs = _make(*_make(*f._times(g))._jackson(d))
-        left = _make(*_make(*f._jackson(d))._times(_make(*g._scale_arg(up))))
-        right = _make(*_make(*f._scale_arg(down))._times(_make(*g._jackson(d))))
-        n, re, im, den = lhs._combine(_make(*left._combine(right, _add)), _sub)
-        if n < order - 1 or any(re) or im is not None and any(im):
-            return [_residual_result("leibniz", params, _canonical(n, re, im, den), order - 1)]
+        lhs = f._times(g)._jackson(d)
+        left = f._jackson(d)._times(g._scale_arg(up))
+        right = f._scale_arg(down)._times(g._jackson(d))
+        residual = lhs._combine(left._combine(right, _add), _sub)
+        if residual.order < order - 1 or not residual.is_zero:
+            return [_residual_result("leibniz", params, residual, order - 1)]
     return [CheckResult(name="leibniz", params=params)]
 
 

@@ -184,7 +184,7 @@ class TestParsing:
         q=F(1), beta=F(-1, 2), order=32, n_or_p=0, input_path=None, output_path=None,
         emit="json", suite=None, op=None, func="beta", delta=False,
         qs=(F(2), F(3, 2), F(5, 4), F(9, 8), F(17, 16), F(1)), xs=(),
-        q_given=False, beta_given=False, order_given=False, jobs=4,
+        q_given=False, beta_given=False, order_given=False, jobs=1,
     )
 
     @pytest.mark.parametrize("argv, fields", [

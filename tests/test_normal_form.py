@@ -25,7 +25,7 @@ from qsusy.operators import (
 )
 from qsusy.qcore import GaussRational, Deformation, format_rational
 from qsusy.qspecial import VacuumSpec, q_gauss
-from qsusy.series import constant_series, make_series, monomial, zero_series
+from qsusy.series import _reduced, constant_series, make_series, monomial, zero_series
 
 D1 = Deformation(1)
 FORMS = OPERATOR_NAMES + ("direct[b]", "direct[f]")
@@ -48,6 +48,14 @@ def assert_same_series(got, want):
     assert (got.num_re, got.num_im, got.den) == (want.num_re, want.num_im, want.den)
 
 
+def assert_rows_apply(nf, op, j, order):
+    """nf.rows(j), an unreduced series, is op x^j: in value and order as it
+    stands, and in stored form once reduced."""
+    rows, want = nf.rows(j), op.apply(monomial(j, order))
+    assert rows.order == want.order and rows == want
+    assert_same_series(_reduced(rows), want)
+
+
 def first_series_failure(left, right, order, degrees):
     """worst_deviation and first_failure_index of left - right on the first failing probe."""
     for j in degrees:
@@ -65,7 +73,7 @@ def test_normal_form_matches_nested_series_apply(name, q, order):
     op = build(name, q, order)
     nf = normal_form(op, order)
     for j in range(order + 1):
-        assert_same_series(nf.apply_monomial(j), op.apply(monomial(j, order)))
+        assert_rows_apply(nf, op, j, order)
 
 
 def test_complex_scales_and_shifts_both_ways():
@@ -77,17 +85,17 @@ def test_complex_scales_and_shifts_both_ways():
     nf = normal_form(op, 12)
     assert any(a.num_im is not None for a in nf.terms.values())
     for j in range(13):
-        assert_same_series(nf.apply_monomial(j), op.apply(monomial(j, 12)))
+        assert_rows_apply(nf, op, j, 12)
 
 
 def test_rows_are_the_unreduced_numerators():
     v = VacuumSpec(beta=F(-1, 2), d=Deformation(F(5, 4)), order=10)
     nf = normal_form(t_plus_q(v), 10)
     for j in range(11):
-        re, im, den = nf.rows(j)
+        rows = nf.rows(j)
         want = t_plus_q(v).apply(monomial(j, 10))
-        assert im is None
-        assert [F(x, den) for x in re] == [c.re for c in want.coeffs]
+        assert rows.num_im is None and rows.order == want.order
+        assert [F(x, rows.den) for x in rows.num_re] == [c.re for c in want.coeffs]
 
 
 def test_correct_identity_cancels_termwise():

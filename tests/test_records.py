@@ -57,7 +57,7 @@ CASES = {
                   "n_or_p=0, input_path=None, output_path=None, emit='json', suite=None, op=None, "
                   "func='beta', delta=False, qs=(Fraction(2, 1), Fraction(3, 2), Fraction(5, 4), "
                   "Fraction(9, 8), Fraction(17, 16), Fraction(1, 1)), xs=(), q_given=False, "
-                  "beta_given=False, order_given=False, jobs=4)"),
+                  "beta_given=False, order_given=False, jobs=1)"),
 }
 # a CheckResult holds a dict and a RunConfig can change, so neither hashes
 UNHASHABLE = ("CheckResult", "RunConfig")

@@ -11,6 +11,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction as F
 from math import gcd, lcm
+from operator import add as _add, sub as _sub
 
 import pytest
 from hypothesis import given, settings
@@ -54,16 +55,19 @@ def expect(values, order):
     return order, tuple(values)
 
 
-def assert_canonical(s: PowerSeries) -> None:
+def assert_well_formed(s: PowerSeries) -> None:
+    """The stored form as a kernel body leaves it: canonical but for the gcd."""
     assert isinstance(s.den, int) and s.den > 0
     assert len(s.num_re) == s.order + 1
     assert all(type(x) is int for x in s.num_re)
-    parts = list(s.num_re)
     if s.num_im is not None:
         assert len(s.num_im) == s.order + 1
         assert any(s.num_im), "an all-zero imaginary part must be stored as None"
-        parts += s.num_im
-    assert gcd(s.den, *parts) == 1
+
+
+def assert_canonical(s: PowerSeries) -> None:
+    assert_well_formed(s)
+    assert gcd(s.den, *s.num_re, *(s.num_im or ())) == 1
 
 
 def layout(s: PowerSeries):
@@ -342,13 +346,13 @@ class TestDivisionByHalves:
         h = (n + 2) // 2
         with kernel_constant("_MIDDLE_MIN_WORK", gate), kernel_constant("_DIV_HALVES_MIN_ORDER", 8):
             lo = kernel._quotient(a, b, h - 1)
-            order, re, im, den = kernel._remainder(a, b, lo, n)
+            r = kernel._remainder(a, b, lo, n)
         # the reference: a - b lo in full, through the kernel's product
         full = a - b * make_series(lo.coeffs, n)
         assert full.order == n and not any(full.coeffs[:h])
-        assert order == n - h and den > 0
-        r = kernel._canonical(order, re, im, den)
+        assert r.order == n - h and r.den > 0
         assert r.coeffs == full.coeffs[h:]
+        r = kernel._reduced(r)
         # the high half is a / b's coefficients h..n, times b
         assert div(r, b).coeffs == ref_div(a, b)[1][h:]
 
@@ -861,17 +865,56 @@ class TestKaratsubaFaults:
         assert check.worst_deviation == format_rational(residual.max_abs_coeff())
 
 
+def scaled_up(s: PowerSeries, k: int) -> PowerSeries:
+    """s with k times each numerator over k times its denominator: the same
+    series, unreduced."""
+    im = s.num_im
+    return kernel._make(s.order, [x * k for x in s.num_re], None if im is None else [x * k for x in im], s.den * k)
+
+
+class TestOneResultType:
+    """Every kernel body returns a series, unreduced; its public method is
+    ``_reduced`` of that series, the one reduction."""
+
+    BODIES = {
+        "_combine(+)": lambda a, b, c, poly, d: (a._combine(b, _add), a + b),
+        "_combine(-)": lambda a, b, c, poly, d: (a._combine(b, _sub), a - b),
+        "_scaled": lambda a, b, c, poly, d: (a._scaled(c), a * c),
+        "_times": lambda a, b, c, poly, d: (a._times(b), a * b),
+        "_mul_poly": lambda a, b, c, poly, d: (a._mul_poly(poly), a.mul_poly(poly)),
+        "_scale_arg": lambda a, b, c, poly, d: (a._scale_arg(c), a.scale_arg(c)),
+        "_jackson": lambda a, b, c, poly, d: (a._jackson(d), a.jackson_derivative(d)),
+    }
+
+    @pytest.mark.parametrize("body", sorted(BODIES))
+    @given(st.one_of(series(), st.just(PowerSeries([], -1))), series(), scalars,
+           st.lists(coeffs, max_size=4), st.sampled_from(QS))
+    @settings(max_examples=60)
+    def test_the_public_method_is_the_reduced_body(self, body, a, b, c, poly, q):
+        got, public = self.BODIES[body](a, b, c, poly, Deformation(q))
+        assert_well_formed(got)
+        assert got.order == public.order and got == public
+        assert layout(kernel._reduced(got)) == layout(public)
+        assert_canonical(public)
+
+    @given(series(), st.integers(1, 60))
+    def test_reduced_takes_out_a_common_factor(self, a, k):
+        assert kernel._reduced(a) is a
+        got = kernel._reduced(scaled_up(a, k))
+        assert layout(got) == layout(a)
+
+
 class TestImaginaryPartsThatCancel:
     """An all-zero imaginary part is stored as None, whichever path made it.
 
-    ``_make`` is the one place that applies the rule; ``_canonical``, the
-    operator walk, ``div`` and negation all build their series through it.
+    ``_make`` is the one place that applies the rule; the kernel bodies,
+    ``_reduced``, ``div`` and negation all build their series through it.
     """
 
     @pytest.mark.parametrize("im", [[0, 0, 0], (0, 0, 0)])
     def test_make_and_canonical(self, im):
         assert kernel._make(2, [2, 4, 6], im, 4).num_im is None
-        s = kernel._canonical(2, [2, 4, 6], im, 4)
+        s = kernel._reduced(kernel._make(2, [2, 4, 6], im, 4))
         assert (s.num_re, s.num_im, s.den) == ((1, 2, 3), None, 2)
 
     def test_sum_of_conjugates(self):

@@ -10,8 +10,10 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qsusy import qspecial, verify
+from qsusy import qspecial, series, verify
 from qsusy.operators import scalar_op
 from qsusy.qcore import Deformation, format_rational
 from qsusy.qspecial import VacuumSpec
@@ -297,17 +299,16 @@ def test_random_polynomial_draws_as_fractions_did():
         assert (got.order, got.num_re, got.num_im, got.den) == (want.order, want.num_re, want.num_im, want.den)
 
 
-def weight_two(parts):
-    order, re, im, den = parts
-    re = list(re)
+def weight_two(s):
+    re = list(s.num_re)
     if len(re) > 2:
         re[2] *= 2
-    return order, re, im, den
+    return series._make(s.order, re, s.num_im, s.den)
 
 
-def drop_two(parts):
-    order, re, im, den = parts
-    return order - 2, re[: order - 1], None if im is None else im[: order - 1], den
+def drop_two(s):
+    im = s.num_im
+    return series._make(s.order - 2, s.num_re[: s.order - 1], None if im is None else im[: s.order - 1], s.den)
 
 
 @pytest.mark.parametrize("body, fault", [
@@ -326,3 +327,41 @@ def test_leibniz_fault_gives_the_reducing_report(monkeypatch, body, fault, q):
     [check] = verify.leibniz_suite(q)
     assert check.status == "fail"
     assert [check] == reducing_leibniz(q)
+
+
+# -- residuals are judged unreduced ---------------------------------------------
+
+
+def residual_pair(order, re, im, den, k):
+    """A residual with k times each numerator over k times den, and its reduced form."""
+    scale = lambda v: None if v is None else [x * k for x in v]
+    unreduced = series._make(order, scale(re), scale(im), den * k)
+    return unreduced, series._reduced(unreduced)
+
+
+@pytest.mark.parametrize("order, re, im, den, min_order, status", [
+    (6, [0] * 7, None, 35, 5, "pass"),
+    (6, [0] * 7, [0] * 7, 1, 6, "pass"),
+    (5, [0, 0, 6, -15, 0, 9], None, 12, 4, "fail"),
+    (3, [0, 4, 0, 0], [0, 0, -8, 2], 6, 3, "fail"),
+    (3, [0] * 4, None, 7, 5, "fail"),
+    (3, [1, 2, 0, 0], None, 7, 5, "fail"),
+])
+@pytest.mark.parametrize("k", [1, 6, 35])
+def test_residual_result_reads_an_unreduced_residual(order, re, im, den, min_order, status, k):
+    # a zero, a failing and a too-short residual give the reduced form's record
+    unreduced, reduced = residual_pair(order, re, im, den, k)
+    got = verify._residual_result("r", {"x": "1"}, unreduced, min_order)
+    assert got == verify._residual_result("r", {"x": "1"}, reduced, min_order)
+    assert got.status == status
+
+
+@given(st.integers(-1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from([0, 0, 0, 1, -2, 3, 12, -35]), min_size=n + 1, max_size=n + 1),
+    st.one_of(st.none(), st.lists(st.sampled_from([0, 0, 5, -6]), min_size=n + 1, max_size=n + 1)),
+)), st.integers(1, 36), st.integers(1, 36), st.integers(0, 9))
+def test_residual_result_ignores_a_common_factor(parts, den, k, min_order):
+    unreduced, reduced = residual_pair(*parts, den, k)
+    assert (verify._residual_result("r", {}, unreduced, min_order)
+            == verify._residual_result("r", {}, reduced, min_order))
