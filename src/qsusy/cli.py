@@ -503,25 +503,28 @@ def _run_table(config: RunConfig) -> int:
         pointwise = op.has_point_form
         result = op.apply(series) if 0 in config.xs or not pointwise else None
 
-        def value_at(x: Rational) -> float:
+        def value_at(x: Rational, xf: float) -> float:
             if x == 0 or not pointwise:
-                return result.evaluate_float(float(x))
-            return op.apply_at(series.evaluate_float, float(x))
+                return result.evaluate_float(xf)
+            return op.apply_at(series.evaluate_float, xf)
 
     else:
         series = _NAMED_SERIES[config.func](config)
-
-        def value_at(x: Rational) -> float:
-            return series.evaluate_float(float(x))
+        value_at = lambda x, xf: series.evaluate_float(xf)
 
     def row(x: Rational) -> list[str]:
         text = format_rational(x)
+        where = f"table point x = {_clipped(text)}"
         try:
-            value = value_at(x)
+            xf = float(x)
         except OverflowError as exc:
-            raise ValueError(f"table point x = {_clipped(text)} is outside the float range") from exc
+            raise ValueError(f"{where} is outside the float range") from exc
+        try:
+            value = value_at(x, xf)
+        except OverflowError as exc:
+            raise ValueError(f"{where}: a series coefficient is past the float range") from exc
         if not math.isfinite(value):
-            raise ValueError(f"table point x = {_clipped(text)} has no finite value ({value!r})")
+            raise ValueError(f"{where} has no finite value ({value!r})")
         return [text, repr(value)]
 
     _write(_csv_text(["x", "value"], map(row, config.xs)), config.output_path)

@@ -18,9 +18,9 @@ f(q^k x) (``Shift``). Three interpreters read a tree:
   q-quotient) and real scalars, and degenerates at x = 0; both answer
   through the series path;
 * the term normal form (``normal_form``), op f = sum of a(x) (D_q^m f)(lam x),
-  by D(FG) = (DF) G(qx) + F(x/q) DG and D[h(lam x)] = lam (Dh)(lam x).
-  On a monomial each term is one integer row, and ``rows`` sums them into
-  one unreduced series.
+  by D(FG) = (DF) G(qx) + F(x/q) DG and D[h(lam x)] = lam (Dh)(lam x) on the
+  same leaf bodies, reducing only the terms kept; ``rows`` sums a monomial's
+  integer rows unreduced.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import add as _add
+from operator import add as _add, sub as _sub
 from typing import Callable, Optional, Sequence
 
 from .qcore import Deformation, GaussRational, Rational, _Frozen, _Sealed, q_number, to_gauss
@@ -210,23 +210,20 @@ def _order_leaf(op: QOperator, n: int) -> int:
 
 
 def _terms_leaf(op: QOperator, terms: Terms) -> Terms:
-    kind = type(op)
-    if kind is Jackson:
+    if type(op) is Jackson:
         # D[a(x) h(lam x)] = (D a)(x) h(q lam x) + lam a(x/q) (D h)(lam x)
-        q, out = op.d.q, {}
+        q, back, out = op.d.q, Shift(op.d, -1), {}
         for (m, lam), a in terms.items():
-            _put(out, (m, lam * q), a.jackson_derivative(op.d))
-            _put(out, (m + 1, lam), a.scale_arg(1 / q) * lam)
+            _put(out, (m, lam * q), _leaf(op, a))
+            _put(out, (m + 1, lam), _leaf(back, a)._scaled(lam))
         return out
-    if kind is Shift:
-        step = op.d.q**op.k
-        return {(m, lam * step): a.scale_arg(step) for (m, lam), a in terms.items()}
-    # a multiplication acts on the coefficient a alone
-    return {key: _reduced(_leaf(op, a)) for key, a in terms.items()}
+    # a multiplication acts on the coefficient a alone; a shift also moves the key
+    step = op.d.q**op.k if type(op) is Shift else 1
+    return {(m, lam * step): _leaf(op, a) for (m, lam), a in terms.items()}
 
 
 def _put(terms: Terms, key: tuple[int, Fraction], a: PowerSeries) -> None:
-    terms[key] = terms[key] + a if key in terms else a
+    terms[key] = terms[key]._combine(a, _add) if key in terms else a
 
 
 def _terms_sum(a: Terms, b: Terms) -> Terms:
@@ -277,9 +274,11 @@ def normal_form(op: QOperator, n: int) -> NormalForm:
     ds = _run(op, set(), leaf, set.union, lambda ds, c: ds) or {_CLASSICAL}
     if len(ds) > 1:
         raise ValueError("the term normal form needs one deformation parameter")
-    scale = lambda terms, c: {key: a * c for key, a in terms.items()}
-    terms = _run(op, {(0, Fraction(1)): constant_series(1, n)}, _terms_leaf, _terms_sum, scale)
-    terms = {key: a for key, a in terms.items() if not a.is_zero}
+    scale = lambda terms, c: {key: a._scaled(c) for key, a in terms.items()}
+    one = {(0, Fraction(1)): _make(n, [1] + [0] * n, None, 1)}
+    terms = _run(op, one, _terms_leaf, _terms_sum, scale)
+    # a passing identity check keeps no term, so it reduces none
+    terms = {key: _reduced(a) for key, a in terms.items() if not a.is_zero}
     return NormalForm(ds.pop(), _run(op, n, _order_leaf, min, lambda n, c: n), terms)
 
 
@@ -375,13 +374,14 @@ def five_term_table(v: VacuumSpec, which: str) -> list[tuple[PowerSeries, int, i
         which="f":  same with the dB, q(D_q B)x, and B(x^2/q^2) terms negated.
     """
     sign, q, b = _partner_sign(which), v.d.q, beta_q(v)
-    return [
+    rows = [
         (constant_series(-1, v.order), 2, 0),
-        (delta_beta_q(v).mul_poly([0, 1]) * -sign, 1, 0),
-        ((b * b).mul_poly([0, 0, 1]), 0, 0),
-        (b.jackson_derivative(v.d).mul_poly([0, 1]) * (sign * q), 0, 1),
-        (b.scale_arg(1 / q) * sign, 0, 1),
+        (delta_beta_q(v)._mul_poly([0, -sign]), 1, 0),
+        (b._times(b)._mul_poly([0, 0, 1]), 0, 0),
+        (b._jackson(v.d)._mul_poly([0, sign * q]), 0, 1),
+        (b._scale_arg(1 / q)._scaled(sign), 0, 1),
     ]
+    return [(_reduced(a), m, k) for a, m, k in rows]
 
 
 def second_order_direct(v: VacuumSpec, which: str) -> QOperator:
@@ -469,13 +469,10 @@ def limit_sweep(
 ) -> list[SweepRow]:
     """Largest coefficient of builder(q)(probe) - builder(1)(probe) for each q, exactly."""
     target = builder(_CLASSICAL).apply(probe)
-    rows = []
-    for q in qs:
-        qq = Fraction(q)
-        got = builder(Deformation(qq)).apply(probe)
-        dev = (got - target).max_abs_coeff()
-        rows.append(SweepRow(q=qq, deviation=dev))
-    return rows
+    return [
+        SweepRow(q, builder(Deformation(q)).apply(probe)._combine(target, _sub).max_abs_coeff())
+        for q in map(Fraction, qs)
+    ]
 
 
 def convergence_ratios(values: Sequence[Rational]) -> list[Rational]:

@@ -343,7 +343,7 @@ def classical_suite(order: int = 24) -> list[CheckResult]:
         # runs to order >= n + 4, so it also finds a nonzero coefficient of
         # the q = 1 product above degree n, where H_n has none
         h_order = max(order, 2 * n + 4)
-        residual = q_hermite(n, d1, h_order) - classical_hermite(n, h_order)
+        residual = q_hermite(n, d1, h_order)._combine(classical_hermite(n, h_order), _sub)
         out.append(_residual_result("rodrigues_collapse", params, residual, h_order - n))
     return out
 

@@ -721,13 +721,20 @@ class TestTable:
         assert out == ""
         assert "outside the float range" in err and "Traceback" not in err
 
+    def test_coefficient_past_float_range_names_the_series(self, capsys):
+        # x = 1/2 has a float value; beta_q's coefficients at q = 1e300 have none
+        code, out, err = run(capsys, "table", "--func", "beta", "--q", "1e300", "--order", "8", "--xs", "1/2")
+        assert (code, out) == (2, "")
+        assert err == "qsusy: error: table point x = 1/2: a series coefficient is past the float range\n"
+
     @pytest.mark.parametrize("q, err", [
         ("3/2", ""),
-        ("1e400", "qsusy: error: table point x = -1 is outside the float range\n"),
-        ("1e-400", "qsusy: error: table point x = -1 is outside the float range\n"),
+        ("1e400", "qsusy: error: table point x = -1: a series coefficient is past the float range\n"),
+        ("1e-400", "qsusy: error: table point x = -1: a series coefficient is past the float range\n"),
     ])
     def test_operator_q_without_a_float_value(self, capsys, tmp_path, q, err):
-        # such a q leaves no point form, so the exact series path answers
+        # such a q leaves no point form, so the exact series path answers; its
+        # coefficients, not the point, are past the float range
         path = tmp_path / "h2.json"
         path.write_text(series_to_json(q_hermite(2, Deformation(F(3, 2)), 8)))
         argv = ("table", "--op", "Tplus", "--q", q, "--order", "8", "--input", str(path))

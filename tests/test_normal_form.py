@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qsusy import operators, verify
+from qsusy import operators, series, verify
 from qsusy.cli import OPERATOR_NAMES, _build_operator, parse_args
 from qsusy.operators import (
     QOperator,
@@ -24,7 +24,7 @@ from qsusy.operators import (
     t_plus_q,
 )
 from qsusy.qcore import GaussRational, Deformation, format_rational
-from qsusy.qspecial import VacuumSpec, q_gauss
+from qsusy.qspecial import VacuumSpec, beta_q, delta_beta_q, q_gauss
 from qsusy.series import _reduced, constant_series, make_series, monomial, zero_series
 
 D1 = Deformation(1)
@@ -98,13 +98,52 @@ def test_rows_are_the_unreduced_numerators():
         assert [F(x, rows.den) for x in rows.num_re] == [c.re for c in want.coeffs]
 
 
-def test_correct_identity_cancels_termwise():
-    # the composed product expands to the five-term table term by term, so
-    # the difference has no terms left and every probe row is empty
-    v = VacuumSpec(beta=F(1, 2), d=Deformation(F(2)), order=16)
-    for which in ("b", "f"):
-        diff = second_order_direct(v, which) - second_order_composed(v, which)
-        assert normal_form(diff, 16).terms == {}
+def partner_differences(q, beta, order):
+    """The two operators whose normal forms a passing check reads: direct - composed
+    at q != 1 (factorization), composed - the undeformed partner at q = 1 (limits)."""
+    v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
+    if q != 1:
+        return [second_order_direct(v, w) - second_order_composed(v, w) for w in ("b", "f")]
+    return [second_order_composed(v, w) - h for w, h in zip("bf", susy_pair_limit(v))]
+
+
+PASSING_CELLS = [(q, beta, 32) for q in verify.DEFAULT_QS for beta in verify.DEFAULT_BETAS] + [
+    (F(1), beta, 24) for beta in verify.DEFAULT_BETAS
+]
+
+
+@pytest.mark.parametrize("q, beta, order", PASSING_CELLS, ids=str)
+def test_correct_identity_cancels_termwise(q, beta, order):
+    # each identity holds term by term, so the difference has no terms left
+    # and every probe row is empty
+    for diff in partner_differences(q, beta, order):
+        assert normal_form(diff, order).terms == {}
+
+
+@pytest.mark.parametrize("q", [F(1), F(3, 2), F(2, 3)])
+@pytest.mark.parametrize("name", FORMS)
+def test_every_kept_term_is_canonical(name, q):
+    # _reduced returns its argument itself when the gcd is already 1
+    for a in normal_form(build(name, q, 16), 16).terms.values():
+        assert _reduced(a) is a
+
+
+@pytest.mark.parametrize("which", ["b", "f"])
+@pytest.mark.parametrize("q, beta", [(F(3, 2), F(-1, 2)), (F(2), F(1, 2)), (F(4, 5), F(1, 2))])
+def test_five_term_table_is_the_public_methods_table(q, beta, which):
+    v = VacuumSpec(beta=beta, d=Deformation(q), order=20)
+    sign, b = (1 if which == "b" else -1), beta_q(v)
+    want = [
+        (constant_series(-1, 20), 2, 0),
+        (delta_beta_q(v).mul_poly([0, 1]) * -sign, 1, 0),
+        ((b * b).mul_poly([0, 0, 1]), 0, 0),
+        (b.jackson_derivative(v.d).mul_poly([0, 1]) * (sign * q), 0, 1),
+        (b.scale_arg(1 / q) * sign, 0, 1),
+    ]
+    got = operators.five_term_table(v, which)
+    assert [(m, k) for _, m, k in got] == [(m, k) for _, m, k in want]
+    for (got_a, _, _), (want_a, _, _) in zip(got, want):
+        assert_same_series(got_a, want_a)
 
 
 def test_one_deformation_per_normal_form():
@@ -208,6 +247,48 @@ def test_wrong_five_term_table_fails_factorization(monkeypatch, fault):
 def test_factorization_passes_unpatched():
     checks = verify.factorization_suite(CELL["q"], CELL["beta"], CELL["order"])
     assert all(c.passed and c.worst_deviation == "0" for c in checks)
+
+
+def count_reductions_in_normal_form(monkeypatch):
+    """Patch ``_reduced`` in series and operators, and verify's normal_form, so that
+    the returned list records the order of each reduction inside a normal form."""
+    calls, depth = [], []
+    real_reduced, real_normal_form = series._reduced, operators.normal_form
+
+    def counted(s):
+        if depth:
+            calls.append(s.order)
+        return real_reduced(s)
+
+    def traced(op, n):
+        depth.append(n)
+        try:
+            return real_normal_form(op, n)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(series, "_reduced", counted)
+    monkeypatch.setattr(operators, "_reduced", counted)
+    monkeypatch.setattr(verify, "normal_form", traced)
+    return calls
+
+
+def test_a_passing_check_reduces_nothing_in_the_normal_form(monkeypatch):
+    calls = count_reductions_in_normal_form(monkeypatch)
+    checks = verify.factorization_suite(CELL["q"], CELL["beta"], CELL["order"])
+    checks += [c for c in verify.limits_suite() if c.name.startswith("undeformed")]
+    assert len(checks) == 6 and all(c.passed for c in checks)
+    assert calls == []
+
+
+def test_a_failing_check_reduces_only_the_terms_it_keeps(monkeypatch):
+    # the counter sees reductions: a wrong table leaves one term, reduced once
+    table = operators.five_term_table
+    monkeypatch.setattr(operators, "five_term_table", lambda v, which: perturb_b2x2(table(v, which)))
+    calls = count_reductions_in_normal_form(monkeypatch)
+    checks = verify.factorization_suite(CELL["q"], CELL["beta"], CELL["order"])
+    assert not any(c.passed for c in checks)
+    assert calls == [CELL["order"], CELL["order"]]
 
 
 def test_wrong_h0_constant_fails_undeformed_reduction(monkeypatch):
