@@ -10,8 +10,8 @@ Commands:
 * ``limit``: deviation table of the deformed data from the q = 1 limit along
   a q sweep.
 * ``table``: float samples (x, value) of a named series, or of an operator
-  applied pointwise to an input series (x = 0 and undeformed operators fall
-  back to the series path).
+  applied pointwise to an input series (a point that is 0.0 as a float and
+  undeformed operators fall back to the series path).
 
 All rational flags are parsed exactly: "--q 1.5" means 3/2, never a float.
 The environment variable QSUSY_ORDER overrides the default truncation order.
@@ -498,19 +498,23 @@ def _run_table(config: RunConfig) -> int:
     if config.op is not None:
         series = _load_series(config.input_path)
         op = _operator_for(config, series)
-        # the q-quotient degenerates at x = 0, and undeformed operators have
-        # no pointwise form at all; only those points read the exact result
+        # the q-quotient degenerates where x is 0.0 as a float (x = 0, or a
+        # nonzero that underflows), and undeformed operators have no pointwise
+        # form at all; only those points read the exact result, taken once
         pointwise = op.has_point_form
-        result = op.apply(series) if 0 in config.xs or not pointwise else None
+        result = None
 
-        def value_at(x: Rational, xf: float) -> float:
-            if x == 0 or not pointwise:
-                return result.evaluate_float(xf)
-            return op.apply_at(series.evaluate_float, xf)
+        def value_at(xf: float) -> float:
+            nonlocal result
+            if xf and pointwise:
+                return op.apply_at(series.evaluate_float, xf)
+            if result is None:
+                result = op.apply(series)
+            return result.evaluate_float(xf)
 
     else:
         series = _NAMED_SERIES[config.func](config)
-        value_at = lambda x, xf: series.evaluate_float(xf)
+        value_at = series.evaluate_float
 
     def row(x: Rational) -> list[str]:
         text = format_rational(x)
@@ -520,7 +524,7 @@ def _run_table(config: RunConfig) -> int:
         except OverflowError as exc:
             raise ValueError(f"{where} is outside the float range") from exc
         try:
-            value = value_at(x, xf)
+            value = value_at(xf)
         except OverflowError as exc:
             raise ValueError(f"{where}: a series coefficient is past the float range") from exc
         if not math.isfinite(value):

@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import sub as _sub
 
 from .qcore import Deformation, Rational, _Frozen, i_power, q_factorial, q_number_numerators, to_gauss
-from .series import PowerSeries, _make, _reduced, constant_series, div, make_series
+from .series import PowerSeries, _make, _reduced, constant_series, div, make_series, monomial, zero_series
 
 __all__ = [
     "VacuumSpec",
@@ -115,7 +115,7 @@ def _q_exp_by_powers(u: PowerSeries, d: Deformation) -> PowerSeries:
 
 def q_gauss(v: VacuumSpec) -> PowerSeries:
     """Deformed Gaussian vacuum e_q(beta x^2): an even series with constant 1."""
-    return q_exp(make_series([0, 0, v.beta][: v.order + 1], v.order), v.d)
+    return q_exp(monomial(2, v.order, v.beta) if v.order >= 2 else zero_series(v.order), v.d)
 
 
 # bounded, so a sweep over many q, beta or orders keeps at most 64 series alive
@@ -132,8 +132,9 @@ def beta_q(v: VacuumSpec) -> PowerSeries:
     constant 2 beta.
     """
     w = _log_derivative(q_gauss(VacuumSpec(v.beta, v.d, v.order + 2)), v.d)
-    # w = x * beta_q(x^2) is odd: dividing by x drops its zero constant term
-    return _reduced(_make(v.order, w.num_re[1:], None, w.den))
+    # w = x * beta_q(x^2) is odd and canonical: dividing by x drops its zero
+    # constant term, and leaves it canonical
+    return _make(v.order, w.num_re[1:], None, w.den)
 
 
 def _log_derivative(u: PowerSeries, d: Deformation) -> PowerSeries:

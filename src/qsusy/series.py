@@ -51,11 +51,12 @@ the Karatsuba path takes 1.4x the time of the dot products at 1,000 bits
 and 0.9x at 2,100 bits; on 65 entries, 0.9x and 0.55x. All three paths give
 the same integers.
 
-Division (``div``) works on a real divisor; a complex divisor b is first made
-real through its conjugate: a / b = (a conj(b)) / (b conj(b)), two products of
-the kernel above. Below order 64 (``_DIV_HALVES_MIN_ORDER``) one exact loop
-runs, with one gcd per output. From order 64 on, the quotient c to order n is
-taken by halves: with h = ceil((n + 1) / 2), c_lo = a / b to order h - 1, then
+Division (``div``) makes both sides real: a complex divisor b through its
+conjugate, a / b = (a conj(b)) / (b conj(b)), and a complex dividend in its
+parts, a / b = re(a) / b + i im(a) / b. Below order 64
+(``_DIV_HALVES_MIN_ORDER``) one exact loop runs, with one gcd per output.
+From order 64 on, the quotient c to order n is taken by halves: with
+h = ceil((n + 1) / 2), c_lo = a / b to order h - 1, then
 a - b c_lo = x^h r exactly, and c_hi = r / b to order n - h, so that
 c = c_lo + x^h c_hi; each half does the same, down to the loop. The low h
 coefficients of b c_lo cancel, so r takes only its coefficients h..n: a
@@ -64,11 +65,9 @@ folded like ``_convolve``. Its Karatsuba form, three half-size middle
 products in place of four, runs when each output's dot product would
 multiply at least 2^25 bit pairs (the length of y times the bit lengths of
 the largest entries of x and y); at every length from 2 to 48 it took
-0.9-1.2x the dot products' time at 2^24 and 0.7-1.0x at 2^25. The halves join
-with no gcd: both are canonical, and a prime dividing the lcm L of their
-denominators and every joined numerator would have its full power in L in
-one half's denominator D, so it would not divide L / D and would divide D
-and every numerator of that half.
+0.9-1.2x the dot products' time at 2^24 and 0.7-1.0x at 2^25. ``_join`` puts
+two canonical quotients over one denominator with no gcd: the halves, or a
+complex dividend's parts.
 
 Measured with CPython 3.11 on a 2-CPU x86-64 host, on the beta_q quotients
 at q = 2, 3/2 and 5/4: the remainder takes 0.16-0.52x the time it took by
@@ -705,7 +704,10 @@ def monomial(n: int, order: int, coeff: CoeffLike = 1) -> PowerSeries:
     """The series coeff * x**n retained through ``order``."""
     if n < 0 or n > order:
         raise ValueError(f"monomial degree {n} must lie in 0..{order}")
-    return make_series([0] * n + [coeff], order)
+    # the reduced parts over the lcm of their denominators are canonical (``_join``)
+    (re, im), den = _over_lcm(*_ratios([coeff]))
+    head, tail = [0] * n, [0] * (order - n)
+    return _make(order, [*head, re, *tail], [*head, im, *tail], den)
 
 
 # -- division -----------------------------------------------------------------
@@ -716,9 +718,8 @@ def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
     The divisor's constant term must be invertible; a zero constant term
     (a function vanishing at the origin) raises NonInvertibleSeriesError.
-    A complex divisor is made real first: a / b = (a conj(b)) / (b conj(b)).
-    The quotient then comes from ``_quotient``: by the loop below order
-    _DIV_HALVES_MIN_ORDER, and by halves from there on.
+    Both sides are made real first (see the module docstring), and each real
+    quotient comes from ``_quotient``.
     """
     if b.order < 0 or not b._nonzero_at(0):
         raise NonInvertibleSeriesError(
@@ -730,7 +731,13 @@ def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     n = min(a.order, b.order)
     if n < 0:
         return _make(-1, (), None, 1)
-    return _quotient(a, b, n)
+    if a.num_im is None:
+        return _quotient(a, b, n)
+    re, im, den = _join(
+        _quotient(_make(a.order, a.num_re, None, a.den), b, n),
+        _quotient(_make(a.order, a.num_im, None, a.den), b, n),
+    )
+    return _make(n, re, im, den)
 
 
 # The order from which division goes by halves; the module docstring says why.
@@ -738,31 +745,30 @@ _DIV_HALVES_MIN_ORDER = 64
 
 
 def _quotient(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
-    """a / b to order n, canonical, for a real b with b(0) != 0 and 0 <= n <= a.order, b.order."""
+    """a / b to order n, canonical, for real a and b with b(0) != 0 and 0 <= n <= a.order, b.order."""
     if n < _DIV_HALVES_MIN_ORDER:
         return _div_loop(a, b, n)
     return _div_halves(a, b, n)
 
 
-def _div_halves(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
-    """a / b to order n >= 1 as c_lo + x^h c_hi (see the module docstring).
-
-    c_lo and c_hi are canonical, so their join over the lcm of their
-    denominators is canonical too, with no gcd: a prime dividing that lcm
-    and every joined numerator would divide one half's denominator to its
-    full power there, and then every numerator of that half as well.
+def _join(s: PowerSeries, t: PowerSeries) -> tuple[list[int], list[int], int]:
+    """The numerators of two canonical real series over the lcm L of their
+    denominators, and L: canonical together, with no gcd. A prime dividing L
+    and every numerator would have its full power in L in one series'
+    denominator D, not divide L / D, and so divide D and that series' numerators.
     """
+    den = lcm(s.den, t.den)
+    ms, mt = den // s.den, den // t.den
+    return [x * ms for x in s.num_re], [x * mt for x in t.num_re], den
+
+
+def _div_halves(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
+    """a / b to order n >= 1 as c_lo + x^h c_hi (see the module docstring)."""
     h = (n + 2) // 2
     lo = _quotient(a, b, h - 1)
     hi = _quotient(_reduced(_remainder(a, b, lo, n)), b, n - h)
-    den = lcm(lo.den, hi.den)
-    sl, sh = den // lo.den, den // hi.den
-    re = [x * sl for x in lo.num_re] + [x * sh for x in hi.num_re]
-    if lo.num_im is None and hi.num_im is None:
-        return _make(n, re, None, den)
-    im = [x * sl for x in lo.num_im or repeat(0, h)]
-    im += [x * sh for x in hi.num_im or repeat(0, n + 1 - h)]
-    return _make(n, re, im, den)
+    re_lo, re_hi, den = _join(lo, hi)
+    return _make(n, re_lo + re_hi, None, den)
 
 
 def _remainder(a: PowerSeries, b: PowerSeries, lo: PowerSeries, n: int) -> PowerSeries:
@@ -772,22 +778,9 @@ def _remainder(a: PowerSeries, b: PowerSeries, lo: PowerSeries, n: int) -> Power
     vanish, so only b lo's coefficients h..n are computed, by ``_middle``.
     """
     h = lo.order + 1
-    x = list(islice(b.num_re, 1, n + 1))
-    im = lo.num_im
-    blo = _make(
-        n - h,
-        _middle(x, list(lo.num_re), n + 1 - h),
-        None if im is None else _middle(x, list(im), n + 1 - h),
-        b.den * lo.den,
-    )
-    im = a.num_im
-    top = _make(
-        n - h,
-        list(islice(a.num_re, h, n + 1)),
-        None if im is None else list(islice(im, h, n + 1)),
-        a.den,
-    )
-    return top._combine(blo, _sub)
+    blo = _middle(list(islice(b.num_re, 1, n + 1)), list(lo.num_re), n + 1 - h)
+    top = _make(n - h, list(islice(a.num_re, h, n + 1)), None, a.den)
+    return top._combine(_make(n - h, blo, None, b.den * lo.den), _sub)
 
 
 def _middle(x: list[int], y: list[int], m: int) -> list[int]:
@@ -860,12 +853,12 @@ def _middle_product(x: list[int], y: list[int]) -> list[int]:
 
 
 def _div_loop(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
-    """a / b to order n by one exact loop, for a real b with b(0) != 0.
+    """a / b to order n by one exact loop, for real a and b with b(0) != 0.
 
     The quotient's numerators N_k are kept over a running denominator L,
     the lcm of the reduced denominators of c_0..c_(k-1). With a = A / Da and
     b = B / Db, c_k = (A_k Db L - Da sum_j B_j N_(k-j)) / (Da B_0 L),
-    so c_k = T / (K L) with K = Da |B_0| and T an integer for each part of a.
+    so c_k = T / (K L) with K = Da |B_0| and T an integer.
     The smallest multiple of L that clears c_k is L * K / g with
     g = gcd(T, K): that is one gcd per output, and when K / g > 1 the
     earlier numerators are scaled up by it. L then ends as the canonical
@@ -878,28 +871,14 @@ def _div_loop(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
     # B_n..B_1, read from the right for output k
     rb = bre[:0:-1]
     are = list(islice(a.num_re, n + 1))
-    aim = None if a.num_im is None else list(islice(a.num_im, n + 1))
-    re, im, big_l = [], None if aim is None else [], 1
+    re, big_l = [], 1
     for k in range(n + 1):
-        tail = rb[n - k :]
-        tr = are[k] * sb * big_l - sa * sum(map(_mul, tail, re))
-        if im is None:
-            g = gcd(tr, big_k)
-        else:
-            ti = aim[k] * sb * big_l - sa * sum(map(_mul, tail, im))
-            g = gcd(tr, ti, big_k)
+        t = are[k] * sb * big_l - sa * sum(map(_mul, rb[n - k :], re))
+        g = gcd(t, big_k)
         m = big_k // g
         if m != 1:
             big_l *= m
-            _scale_in_place(re, m)
-            if im is not None:
-                _scale_in_place(im, m)
-        re.append(tr // g)
-        if im is not None:
-            im.append(ti // g)
-    return _make(n, re, im, big_l)
-
-
-def _scale_in_place(values: list[int], m: int) -> None:
-    for k, x in enumerate(values):
-        values[k] = x * m
+            for j, x in enumerate(re):
+                re[j] = x * m
+        re.append(t // g)
+    return _make(n, re, None, big_l)

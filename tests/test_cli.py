@@ -744,6 +744,18 @@ class TestTable:
         )
         assert run(capsys, *argv) == ((0, expected, "") if not err else (2, "", err))
 
+    @pytest.mark.parametrize("x", ["1e-400", "-1e-400", "1/2" + "0" * 400])
+    def test_point_below_the_float_range_reads_the_exact_result(self, capsys, tmp_path, x):
+        # float(x) is 0.0, where the q-quotient would divide by zero; the
+        # exact result answers with its value at 0.0, as it does for x = 0
+        path = tmp_path / "probe.json"
+        path.write_text(series_to_json(make_series([1, F(-1, 2), 0, F(1, 3)], 12)))
+        argv = ("table", "--op", "Tplus", "--q", "3/2", "--beta", "-1/2", "--input", str(path))
+        code, out, err = run(capsys, *argv, f"--xs={x},0")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert (code, err) == (0, "")
+        assert rows[1][1] == rows[2][1] == "-0.5"
+
     def test_non_finite_function_value_is_usage_error(self, capsys):
         # beta_q(x^2) overflows to inf at x = 1e100 without raising
         code, out, err = run(capsys, "table", "--func", "beta", "--q", "3/2", "--xs", "1/2,1e100")

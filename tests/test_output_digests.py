@@ -127,6 +127,8 @@ _add("table", "--func", "beta", "--q", "3/2", "--xs", "1/2,1e400")
 _add("table", "--func", "beta", "--q", "3/2", "--xs", "1/2,1e100")
 _add("table", "--op", "Tplus", "--q", "3/2", "--input", "real.json", "--xs", "1e400")
 _add("table", "--op", "Tplus", "--q", "3/2", "--input", "real.json", "--xs", "1e200")
+# a nonzero point that is 0.0 as a float reads the exact result
+_add("table", "--op", "Tplus", "--q", "3/2", "--input", "real.json", "--xs", "1e-400,1/4")
 _add("table", "--op", "Ob", "--q", "3/2", "--input", "real.json", "--xs", "1/2,1e150")
 # a limit deviation past the float range has no CSV value
 _add("limit", "--qs", "1e-300", "--order", "4")

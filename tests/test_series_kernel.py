@@ -299,7 +299,8 @@ def seeded_series(rng, order, imaginary, b0=None):
 
 class TestDivisionByHalves:
     """``div`` from order _DIV_HALVES_MIN_ORDER on, against the loop it keeps
-    below that order as its reference."""
+    below that order as its reference for real dividends, and against the
+    per-coefficient reference for complex ones."""
 
     @given(st.randoms(use_true_random=False), st.integers(HALVES - 3, 2 * HALVES + 3),
            st.integers(0, 4), st.booleans(), st.sampled_from([F(1), F(-3, 2), F(-7), F(5, 3)]))
@@ -310,8 +311,11 @@ class TestDivisionByHalves:
         b = seeded_series(rng, n + (extra if rng.random() < 0.5 else 0), False, b0)
         m = min(a.order, b.order)
         got = div(a, b)
-        assert layout(got) == layout(kernel._div_loop(a, b, m))
-        assert_canonical(got)
+        if imaginary:
+            assert exact(got) == ref_div(a, b)
+        else:
+            assert layout(got) == layout(kernel._div_loop(a, b, m))
+            assert_canonical(got)
 
     @given(series(max_order=12), series(max_order=12), nonzero_scalars, st.integers(1, 3))
     @settings(max_examples=80)
@@ -324,24 +328,23 @@ class TestDivisionByHalves:
         assert exact(got) == ref_div(a, b)
 
     @given(st.lists(gauss_coeffs.filter(lambda c: c.im), min_size=2, max_size=13),
-           coeff_lists(1, 12, real_coeffs), fractions.filter(bool), st.integers(1, 3))
+           coeff_lists(1, 12), nonzero_scalars, st.integers(1, 3))
     @settings(max_examples=80)
     def test_halves_join_complex_quotients_canonically(self, a, b, b0, threshold):
-        # the join takes no gcd; its halves' canonical forms make it canonical
-        n = min(len(a), len(b)) - 1
+        # the parts of a complex dividend, and each part's halves, join with
+        # no gcd; their canonical forms make the join canonical
         a, b = PowerSeries(a, len(a) - 1), make_series([b0, *b[1:]], len(b) - 1)
         with kernel_constant("_DIV_HALVES_MIN_ORDER", threshold):
-            got = kernel._div_halves(a, b, n)
-        assert_canonical(got)
-        assert layout(got) == layout(kernel._div_loop(a, b, n))
+            got = div(a, b)
+        assert exact(got) == ref_div(a, b)
 
-    @given(st.randoms(use_true_random=False), st.integers(1, 2 * HALVES), st.booleans(),
+    @given(st.randoms(use_true_random=False), st.integers(1, 2 * HALVES),
            st.sampled_from([kernel._MIDDLE_MIN_WORK, 0]))
     @settings(max_examples=25, deadline=None)
-    def test_remainder_vanishes_below_the_high_half(self, rng, n, imaginary, gate):
+    def test_remainder_vanishes_below_the_high_half(self, rng, n, gate):
         # a gate of 0 runs the Karatsuba middle product on these small
         # numerators; the low half goes by halves too, from order 8 on
-        a = seeded_series(rng, n, imaginary)
+        a = seeded_series(rng, n, False)
         b = seeded_series(rng, n, False, F(-2, 3))
         h = (n + 2) // 2
         with kernel_constant("_MIDDLE_MIN_WORK", gate), kernel_constant("_DIV_HALVES_MIN_ORDER", 8):
@@ -350,7 +353,7 @@ class TestDivisionByHalves:
         # the reference: a - b lo in full, through the kernel's product
         full = a - b * make_series(lo.coeffs, n)
         assert full.order == n and not any(full.coeffs[:h])
-        assert r.order == n - h and r.den > 0
+        assert r.order == n - h and r.den > 0 and r.num_im is None
         assert r.coeffs == full.coeffs[h:]
         r = kernel._reduced(r)
         # the high half is a / b's coefficients h..n, times b
@@ -361,15 +364,32 @@ class TestDivisionByHalves:
         assert layout(div(PowerSeries([], -1), b)) == (-1, (), None, 1)
 
     def test_one_traced_call_per_division(self, monkeypatch):
-        # the recursion calls the private helper, so a wrapper around div
-        # sees only the outer call
+        # the recursion and a complex dividend's two parts call the private
+        # helper, so a wrapper around div sees only the outer call
         calls = []
         original = kernel.div
         monkeypatch.setattr(kernel, "div", lambda a, b: calls.append(1) or original(a, b))
         rng = random.Random(2)
-        a, b = seeded_series(rng, 3 * HALVES, True), seeded_series(rng, 3 * HALVES, False, F(2))
-        assert layout(kernel.div(a, b)) == layout(kernel._div_loop(a, b, 3 * HALVES))
+        a, b = seeded_series(rng, 3 * HALVES, True), seeded_series(rng, 3 * HALVES, True, F(2))
+        got = kernel.div(a, b)
         assert calls == [1]
+        assert_canonical(got)
+        assert got.order == 3 * HALVES and b * got == a
+
+    @pytest.mark.parametrize("n", [HALVES // 2, 2 * HALVES + 1])
+    @pytest.mark.parametrize("divisor_im", [False, True])
+    def test_quotient_reads_real_series_only(self, monkeypatch, n, divisor_im):
+        # below and past the halves threshold, a complex dividend by a real or
+        # complex divisor: every quotient the kernel takes is of real series
+        seen = []
+        original = kernel._quotient
+        monkeypatch.setattr(kernel, "_quotient", lambda a, b, m: seen.append((a, b)) or original(a, b, m))
+        rng = random.Random(n)
+        a, b = seeded_series(rng, n, True), seeded_series(rng, n, divisor_im, F(-3, 2))
+        got = div(a, b)
+        assert len(seen) >= (2 if n < HALVES else 6)
+        assert all(x.num_im is None for pair in seen for x in pair)
+        assert exact(got) == ref_div(a, b)
 
 
 class TestSubstitutions:
@@ -828,7 +848,7 @@ class TestKaratsubaFaults:
         good = w * g
         monkeypatch.setattr(kernel, "_full_product", full_product_without_cross_term)
         [check] = verify.kernel_suite(q, beta, order)
-        # D_q g = w g, so the residual is the product's error, negated
+        # the closed form is exact, so the residual is the product's error
         error = (w * g - good).truncated(order - 1)
         assert not error.is_zero
         assert check.status == "fail"
