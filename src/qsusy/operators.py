@@ -371,28 +371,40 @@ def five_term_table(v: VacuumSpec, which: str) -> list[tuple[PowerSeries, int, i
 
         which="b":  -D_q^2 f - dB x (D_q f) + B^2 x^2 f
                     + q (D_q B) x f(qx) + B(x^2/q^2) f(qx)
-        which="f":  same with the dB, q(D_q B)x, and B(x^2/q^2) terms negated.
+        which="f":  each row of "b" times (-1)^(m+k): Tplus is Tminus with D_q -> -D_q,
+                    and each D_q raises m or, by the q-Leibniz rule, k.
     """
     sign, q, b = _partner_sign(which), v.d.q, beta_q(v)
     rows = [
         (constant_series(-1, v.order), 2, 0),
-        (delta_beta_q(v)._mul_poly([0, -sign]), 1, 0),
+        (delta_beta_q(v)._mul_poly([0, -1]), 1, 0),
         (b._times(b)._mul_poly([0, 0, 1]), 0, 0),
-        (b._jackson(v.d)._mul_poly([0, sign * q]), 0, 1),
-        (b._scale_arg(1 / q)._scaled(sign), 0, 1),
+        (b._jackson(v.d)._mul_poly([0, q]), 0, 1),
+        (b._scale_arg(1 / q), 0, 1),
     ]
-    return [(_reduced(a), m, k) for a, m, k in rows]
+    rows = [(_reduced(a), m, k) for a, m, k in rows]
+    return rows if sign == 1 else _mirrored(rows)
 
 
-def second_order_direct(v: VacuumSpec, which: str) -> QOperator:
-    """The partner operator as the sum of its five-term table; see second_order_composed."""
+def _mirrored(rows: list[tuple[PowerSeries, int, int]]) -> list[tuple[PowerSeries, int, int]]:
+    """Of's rows from Ob's (see five_term_table); negation keeps a canonical series canonical."""
+    return [(a._scaled(-1) if (m + k) % 2 else a, m, k) for a, m, k in rows]
+
+
+def _expanded(v: VacuumSpec, rows: list[tuple[PowerSeries, int, int]]) -> QOperator:
+    """The sum of a(x) (D_q^m f)(q^k x) over the rows (a, m, k)."""
     terms = []
-    for a, m, k in five_term_table(v, which):
+    for a, m, k in rows:
         op = multiplication_op(a)
         for _ in range(m):
             op = op @ jackson_op(v.d)
         terms.append(op @ Shift(v.d, k) if k else op)
     return reduce(_add, terms)
+
+
+def second_order_direct(v: VacuumSpec, which: str) -> QOperator:
+    """The partner operator as the sum of its five-term table; see second_order_composed."""
+    return _expanded(v, five_term_table(v, which))
 
 
 def classical_hermite_op(n: int) -> QOperator:

@@ -14,7 +14,6 @@ collapses to the classical Hermite polynomial of degree n.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import sub as _sub
@@ -31,7 +30,6 @@ __all__ = [
     "drift_deviations",
     "q_hermite",
     "classical_hermite",
-    "classical_norm",
     "u_transform",
 ]
 
@@ -221,13 +219,6 @@ def classical_hermite(n: int, order: int | None = None) -> PowerSeries:
     if order < n:
         raise ValueError(f"order {order} cannot hold H_{n}")
     return make_series(coeffs, order)
-
-
-def classical_norm(n: int) -> float:
-    """Oscillator normalization (2**n n! sqrt(pi)) ** (-1/2) as a float."""
-    if n < 0:
-        raise ValueError(f"classical_norm needs n >= 0, got {n}")
-    return 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
 
 
 def u_transform(p: int, d: Deformation, order: int) -> PowerSeries:

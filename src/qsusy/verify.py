@@ -8,16 +8,17 @@ signature, is the library's: ``qsusy verify`` always passes an order
 (``--order``, QSUSY_ORDER or 32), so ``verify kernel`` reports order 32 where
 ``run_suite("kernel")`` reports 40.
 
-Everything except the float cross-check is exact: a check passes only when
-the residual series is zero in every valid coefficient, and the reported
-worst deviation is an exact rational (so "0" really means zero).
+Everything is exact: a check passes only when the residual series is zero in
+every valid coefficient, and the reported worst deviation is an exact
+rational (so "0" really means zero).
 
 Suites:
 
 * kernel: x beta_q e, which Tplus applies to its vacuum e, is D_q e in
   closed form.
 * factorization: the five-term expanded partner operators equal the composed
-  products on a full monomial basis.
+  products on a full monomial basis; Of's table is Ob's with each row
+  (a, m, k) times (-1)^(m+k).
 * leibniz: the product rule of the symmetric q-derivative on random
   polynomial pairs, each side chained through the kernel bodies unreduced
   and the residual judged unreduced.
@@ -44,6 +45,7 @@ from .qspecial import (
     q_gauss,
     q_hermite,
 )
+from . import operators
 from .operators import (
     NormalForm,
     classical_hermite_op,
@@ -51,7 +53,6 @@ from .operators import (
     convergence_ratios,
     normal_form,
     second_order_composed,
-    second_order_direct,
     susy_pair_limit,
 )
 
@@ -176,20 +177,27 @@ def kernel_suite(q: Rational, beta: Rational, order: int = 40) -> list[CheckResu
 def factorization_suite(q: Rational, beta: Rational, order: int = 32) -> list[CheckResult]:
     """Expanded five-term partner operators equal the composed products.
 
-    Checked on the complete monomial basis x^0..x^order, which settles the
-    operator identity on the whole truncated space by linearity. Both sides
-    are read through the term normal form of their difference.
+    The cell builds the five-term table once, for Ob = Tminus Tplus; Of's
+    table is its mirror, row (a, m, k) times (-1)^(m+k), since Tplus is
+    Tminus with D_q -> -D_q. Each side is checked against its own composed
+    product, so "f" still tests Tplus Tminus. Checked on the complete monomial
+    basis x^0..x^order, which settles the operator identity on the whole
+    truncated space by linearity. Both sides are read through the term normal
+    form of their difference.
     """
     v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
+    # the table is looked up on the module at call time, so that a wrong
+    # table or sign rule put there reaches this check
+    rows = operators.five_term_table(v, "b")
     return [
         _probe_result(
             f"factorization[{which}]",
             _cell_params(v),
-            normal_form(second_order_direct(v, which) - second_order_composed(v, which), order),
+            normal_form(operators._expanded(v, table) - second_order_composed(v, which), order),
             range(order + 1),
             order - 2,
         )
-        for which in ("b", "f")
+        for which, table in (("b", rows), ("f", operators._mirrored(rows)))
     ]
 
 

@@ -146,6 +146,19 @@ def test_five_term_table_is_the_public_methods_table(q, beta, which):
         assert_same_series(got_a, want_a)
 
 
+@pytest.mark.parametrize("beta", [F(-1, 2), F(1, 2)], ids=str)
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(5, 4), F(4, 5)], ids=str)
+def test_of_is_ob_with_the_q_derivative_negated(q, beta):
+    # read off the composed products, which never read the five-term table:
+    # every term (m, q^k) of Of is (-1)^(m+k) times the same term of Ob
+    v = VacuumSpec(beta=beta, d=Deformation(q), order=16)
+    ob, of = (normal_form(second_order_composed(v, w), 16).terms for w in "bf")
+    assert ob.keys() == of.keys() and ob
+    for (m, lam), a in ob.items():
+        (k,) = [k for k in range(-4, 5) if q**k == lam]
+        assert_same_series(of[m, lam], a * (-1) ** (m + k))
+
+
 def test_one_deformation_per_normal_form():
     op = jackson_op(Deformation(2)) @ jackson_op(Deformation(F(3, 2)))
     with pytest.raises(ValueError):
@@ -242,6 +255,34 @@ def test_wrong_five_term_table_fails_factorization(monkeypatch, fault):
             order, range(order + 1),
         )
         assert (check.worst_deviation, check.first_failure_index) == expected
+
+
+def derivative_rows_only(rows):
+    """A wrong sign rule: (-1)^m, which leaves the shifted rows of Ob unsigned."""
+    return [(-a if m % 2 else a, m, k) for a, m, k in rows]
+
+
+@pytest.mark.parametrize("q", verify.DEFAULT_QS, ids=str)
+@pytest.mark.parametrize("beta", verify.DEFAULT_BETAS, ids=str)
+def test_wrong_sign_rule_fails_only_the_f_check(monkeypatch, q, beta):
+    # "f" is still judged against Tplus Tminus, not against the mirrored table
+    monkeypatch.setattr(operators, "_mirrored", derivative_rows_only)
+    b, f = verify.factorization_suite(q, beta, 32)
+    assert (b.name, b.status) == ("factorization[b]", "pass")
+    assert (f.name, f.status) == ("factorization[f]", "fail")
+
+
+def test_a_cell_builds_the_five_term_table_once(monkeypatch):
+    table, calls = operators.five_term_table, []
+
+    def counted(v, which):
+        calls.append(which)
+        return table(v, which)
+
+    monkeypatch.setattr(operators, "five_term_table", counted)
+    checks = verify.factorization_suite(CELL["q"], CELL["beta"], CELL["order"])
+    assert all(c.passed for c in checks)
+    assert calls == ["b"]
 
 
 def test_factorization_passes_unpatched():

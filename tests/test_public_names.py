@@ -17,8 +17,8 @@ EARLIER = (
     "__version__", "Rational", "GaussRational", "Deformation", "q_number", "q_factorial",
     "parse_rational", "format_rational", "i_power", "PowerSeries", "NonInvertibleSeriesError",
     "make_series", "zero_series", "constant_series", "monomial", "div", "VacuumSpec", "q_exp",
-    "q_gauss", "beta_q", "delta_beta_q", "q_hermite", "classical_hermite", "classical_norm",
-    "u_transform", "QOperator", "FactorizationPair", "SweepRow", "identity_op", "jackson_op",
+    "q_gauss", "beta_q", "delta_beta_q", "q_hermite", "classical_hermite", "u_transform",
+    "QOperator", "FactorizationPair", "SweepRow", "identity_op", "jackson_op",
     "multiplication_op", "poly_multiplication_op", "classical_darboux",
     "darboux_potential_difference", "t_plus_q", "t_minus_q", "second_order_composed",
     "second_order_direct", "classical_hermite_op", "classical_schrodinger_op", "susy_pair_limit",
@@ -33,8 +33,8 @@ def owners(name):
     return [m for m in MODULES if name in importlib.import_module(f"qsusy.{m}").__all__]
 
 
-def test_the_earlier_list_has_52_names():
-    assert len(EARLIER) == len(set(EARLIER)) == 52
+def test_the_earlier_list_has_51_names():
+    assert len(EARLIER) == len(set(EARLIER)) == 51
 
 
 @pytest.mark.parametrize("name", EARLIER)
@@ -53,6 +53,6 @@ def test_each_exported_name_is_listed_once_in_one_module():
 def test_every_module_name_is_exported():
     listed = [name for m in MODULES for name in importlib.import_module(f"qsusy.{m}").__all__]
     assert qsusy.__all__ == ["__version__", *listed]
-    assert len(qsusy.__all__) == 71
+    assert len(qsusy.__all__) == 70
     assert {"verify", "cli", "run_suite", "RunConfig"}.isdisjoint(qsusy.__all__)
 

@@ -9,7 +9,6 @@ from qsusy.qspecial import (
     VacuumSpec,
     beta_q,
     classical_hermite,
-    classical_norm,
     delta_beta_q,
     q_exp,
     q_gauss,
@@ -206,12 +205,6 @@ class TestClassicalHermite:
         assert all(not h.coeff(n) for n in range(3, 9))
         with pytest.raises(ValueError):
             classical_hermite(3, 2)
-
-    def test_norm(self):
-        assert classical_norm(0) == pytest.approx(math.pi ** -0.25, rel=1e-12)
-        assert classical_norm(3) == pytest.approx(
-            1.0 / math.sqrt(8 * 6 * math.sqrt(math.pi)), rel=1e-12
-        )
 
 
 class TestUTransform:
