@@ -187,7 +187,7 @@ def q_hermite(n: int, d: Deformation, order: int) -> PowerSeries:
     for _ in range(n):
         decay = decay._jackson(d)
     decay = _reduced(decay)
-    grow = q_gauss(VacuumSpec(Fraction(1), d, order))
+    grow = q_gauss(VacuumSpec(Fraction(1), d, decay.order))
     out = grow * decay
     if n % 2:
         out = -out
@@ -236,5 +236,5 @@ def u_transform(p: int, d: Deformation, order: int) -> PowerSeries:
     if p < 0 or p % 2:
         raise ValueError(f"u_transform needs even p >= 0, got {p}")
     rotated = q_hermite(p, d, order).i_rotate()
-    grow = q_gauss(VacuumSpec(Fraction(1, 2), d, order))
+    grow = q_gauss(VacuumSpec(Fraction(1, 2), d, rotated.order))
     return (rotated * grow) * i_power(-p)

@@ -55,29 +55,28 @@ Division (``div``) makes both sides real: a complex divisor b through its
 conjugate, a / b = (a conj(b)) / (b conj(b)), and a complex dividend in its
 parts, a / b = re(a) / b + i im(a) / b. Below order 64
 (``_DIV_HALVES_MIN_ORDER``) one exact loop runs, with one gcd per output.
-From order 64 on, the quotient c to order n is taken by halves: with
-h = ceil((n + 1) / 2), c_lo = a / b to order h - 1, then
-a - b c_lo = x^h r exactly, and c_hi = r / b to order n - h, so that
-c = c_lo + x^h c_hi; each half does the same, down to the loop. The low h
-coefficients of b c_lo cancel, so r takes only its coefficients h..n: a
-middle product (``_middle``; Hanrot, Quercia & Zimmermann, AAECC 14, 2004),
-folded like ``_convolve``. Its Karatsuba form, three half-size middle
-products in place of four, runs when each output's dot product would
-multiply at least 2^25 bit pairs (the length of y times the bit lengths of
-the largest entries of x and y); at every length from 2 to 48 it took
-0.9-1.2x the dot products' time at 2^24 and 0.7-1.0x at 2^25. ``_join`` puts
-two canonical quotients over one denominator with no gcd: the halves, or a
-complex dividend's parts.
+From order 64 on, the quotient c to order n is taken by halves: with h =
+ceil((n + 1) / 2), c_lo = a / b to order h - 1, then a - b c_lo = x^h r
+exactly, and c_hi = r / b to order n - h, so that c = c_lo + x^h c_hi. Each
+half reads a and b truncated to its own order (``truncated``, one gcd), over
+a far smaller denominator (beta_q at q = 3/2, n = 129: 394 bits, not 6,649),
+and recurses down to the loop. b c_lo's low h coefficients cancel, so r
+takes only its h..n: a middle product (``_middle``; Hanrot, Quercia &
+Zimmermann, AAECC 14, 2004), folded like ``_convolve``. Its Karatsuba form,
+three half-size middle products in place of four, runs when each output's
+dot product would multiply at least 2^25 bit pairs (the length of y times
+the bit lengths of the largest entries of x and y); at every length from 2
+to 48 it took 0.9-1.2x the dot products' time at 2^24 and 0.7-1.0x at 2^25.
+``_join`` puts two canonical quotients over one denominator with no gcd: the
+halves, or a complex dividend's parts.
 
 Measured with CPython 3.11 on a 2-CPU x86-64 host, on the beta_q quotients
 at q = 2, 3/2 and 5/4: the remainder takes 0.16-0.52x the time it took by
-the short product at n = 129 and 257 (q = 3/2, 5/4); one level of halves takes
-0.95-1.02x the loop's time at n = 48, 0.82-0.90x at n = 64 and 0.66-0.92x at
-n = 96; the whole recursion takes 10, 21 and 40 ms at n = 129 where the loop
-takes 15, 34 and 66 ms, and 0.27, 0.64 and 1.28 s at n = 257 where it takes
-0.52, 1.54 and 2.68 s. Starting the halves at order 32 or 48 measured 3-10%
-faster at n = 129 and 257 but up to 17% slower at n = 33 and at n = 65 with
-q = 2, so the threshold stays at 64.
+the short product at n = 129 and 257 (q = 3/2, 5/4); the whole recursion
+takes 7, 14 and 27 ms at n = 129 where the loop takes 29, 69 and 134 ms, and
+0.14, 0.42 and 0.71 s at n = 257 where it takes 0.80, 1.68 and 3.05 s.
+Halves from order 32 ran up to 1.65x slower at n = 33, from 48 within noise,
+and from 96 up to 1.6x slower at n = 65, so the threshold stays at 64.
 
 There is no epsilon anywhere in this module; the float entry point is the
 single evaluator ``evaluate_float`` used at the grid/plotting boundary. It
@@ -765,8 +764,8 @@ def _join(s: PowerSeries, t: PowerSeries) -> tuple[list[int], list[int], int]:
 def _div_halves(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
     """a / b to order n >= 1 as c_lo + x^h c_hi (see the module docstring)."""
     h = (n + 2) // 2
-    lo = _quotient(a, b, h - 1)
-    hi = _quotient(_reduced(_remainder(a, b, lo, n)), b, n - h)
+    lo = _quotient(a.truncated(h - 1), b.truncated(h - 1), h - 1)
+    hi = _quotient(_reduced(_remainder(a, b, lo, n)), b.truncated(n - h), n - h)
     re_lo, re_hi, den = _join(lo, hi)
     return _make(n, re_lo + re_hi, None, den)
 

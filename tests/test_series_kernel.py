@@ -391,6 +391,41 @@ class TestDivisionByHalves:
         assert all(x.num_im is None for pair in seen for x in pair)
         assert exact(got) == ref_div(a, b)
 
+    def test_each_loop_reads_operands_truncated_to_its_order(self, monkeypatch):
+        # beta_q(3/2, -1/2, 128) divides at order 129, by two levels of halves
+        # over four loops; each loop reads a and b cut to its order and
+        # reduced, so its divisor's numerators stay far below the vacuum's
+        # denominator (394 against 6,649 bits)
+        seen = []
+        original = kernel._div_loop
+        monkeypatch.setattr(kernel, "_div_loop", lambda a, b, n: seen.append((a, b, n)) or original(a, b, n))
+        v = VacuumSpec(F(-1, 2), Deformation(F(3, 2)), 128)
+        beta_q.__wrapped__(v)  # past the cache, so the division runs here
+        assert len(seen) == 4
+        for a, b, n in seen:
+            assert a.order == b.order == n
+            assert_canonical(a)
+            assert_canonical(b)
+        vacuum_bits = q_gauss(VacuumSpec(v.beta, v.d, v.order + 2)).den.bit_length()
+        top = max(x.bit_length() for _, b, _ in seen for x in b.num_re)
+        assert 8 * top < vacuum_bits
+
+    def test_halves_drop_a_tail_denominator(self, monkeypatch):
+        # b's last coefficient alone has the prime p in its denominator: every
+        # inner quotient reads b truncated below it, so no divisor there has p
+        n, p = 2 * HALVES + 1, 2**127 - 1
+        rng = random.Random(22)
+        a = seeded_series(rng, n, False)
+        b = seeded_series(rng, n, False, F(3)) + monomial(n, n, F(1, p))
+        assert b.den % p == 0
+        divisors = []
+        original = kernel._quotient
+        monkeypatch.setattr(kernel, "_quotient", lambda x, y, m: divisors.append(y) or original(x, y, m))
+        got = div(a, b)
+        assert len(divisors) > 1 and all(y.den % p for y in divisors[1:])
+        assert exact(got) == ref_div(a, b)
+        assert layout(got) == layout(kernel._div_loop(a, b, n))
+
 
 class TestSubstitutions:
     @given(series(), st.lists(coeffs, min_size=0, max_size=4))
