@@ -3,7 +3,8 @@
 Commands:
 
 * ``hermite``, ``beta``, ``ufunc``: build the named series and emit JSON/CSV.
-* ``apply``: apply a named operator to a series file.
+* ``apply``: apply a named operator to a series file; a complex one is two
+  real series, and the operator runs on each.
 * ``verify``: run an identity suite; exit 0 when every check passes, 1 on the
   first identity failure, 2 on usage errors. Every cell runs at the command's
   order (``--order``, QSUSY_ORDER or 32), never at a suite's own default.
@@ -349,8 +350,8 @@ def _write(text: str, path: Optional[str]) -> None:
             handle.write(text)
 
 
-def _emit_series(series: PowerSeries, config: RunConfig) -> int:
-    _write((series_to_csv if config.emit == "csv" else series_to_json)(series), config.output_path)
+def _emit_series(config: RunConfig, series: PowerSeries, im: Optional[PowerSeries] = None) -> int:
+    _write((series_to_csv if config.emit == "csv" else series_to_json)(series, im), config.output_path)
     return 0
 
 
@@ -410,17 +411,20 @@ TABLE_FUNCS = tuple(_NAMED_SERIES)
 def _run_series(config: RunConfig) -> int:
     """hermite, beta [--delta] and ufunc: the command names its series."""
     func = "dbeta" if config.delta else config.command
-    return _emit_series(_NAMED_SERIES[func](config), config)
+    return _emit_series(config, _NAMED_SERIES[func](config))
 
 
-def _load_series(path: str) -> PowerSeries:
+def _load_series(path: str) -> tuple[PowerSeries, Optional[PowerSeries]]:
+    """The real and imaginary parts of a series file; None for a zero imaginary part."""
     with open(path, "r", encoding="utf-8") as handle:
         return series_from_json(handle.read())
 
 
 def _run_apply(config: RunConfig) -> int:
-    series = _load_series(config.input_path)
-    return _emit_series(_operator_for(config, series).apply(series), config)
+    series, im = _load_series(config.input_path)
+    op = _operator_for(config, series)
+    # every operator is real, so op(re + i im) = op(re) + i op(im)
+    return _emit_series(config, op.apply(series), None if im is None else op.apply(im))
 
 
 def _check_to_dict(check: CheckResult) -> dict:
@@ -496,7 +500,7 @@ def _run_limit(config: RunConfig) -> int:
 
 def _run_table(config: RunConfig) -> int:
     if config.op is not None:
-        series = _load_series(config.input_path)
+        series, im = _load_series(config.input_path)
         op = _operator_for(config, series)
         # the q-quotient degenerates where x is 0.0 as a float (x = 0, or a
         # nonzero that underflows), and undeformed operators have no pointwise
@@ -506,6 +510,8 @@ def _run_table(config: RunConfig) -> int:
 
         def value_at(xf: float) -> float:
             nonlocal result
+            if im is not None:
+                raise ValueError("series has imaginary coefficients; no float value")
             if xf and pointwise:
                 return op.apply_at(series.evaluate_float, xf)
             if result is None:

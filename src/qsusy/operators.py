@@ -5,7 +5,7 @@ that multiply by a truncated series (``Mult``) or an exact polynomial
 (``MultPoly``), take the symmetric q-derivative (``Jackson``) or map f to
 f(q^k x) (``Shift``). Three interpreters read a tree:
 
-* series apply (``apply``), exact on Gaussian-rational coefficients. The
+* series apply (``apply``), exact on rational coefficients. The
   nodes call the series kernel's bodies and pass the series they return on
   unreduced (a valid denominator, not always the least); one gcd
   (``_reduced``) reduces the result, so a walk of any size costs one
@@ -15,12 +15,14 @@ f(q^k x) (``Shift``). Three interpreters read a tree:
   its coefficient through ``evaluate_float``, which divides each series into
   floats once and keeps the table, so repeated points run Horner on floats.
   The form exists only for q != 1 (the classical derivative has no finite
-  q-quotient) and real scalars, and degenerates at x = 0; both answer
-  through the series path;
+  q-quotient) and degenerates at x = 0; both answer through the series path;
 * the term normal form (``normal_form``), op f = sum of a(x) (D_q^m f)(lam x),
   by D(FG) = (DF) G(qx) + F(x/q) DG and D[h(lam x)] = lam (Dh)(lam x) on the
   same leaf bodies, reducing only the terms kept; ``rows`` sums a monomial's
   integer rows unreduced.
+
+Scales and polynomial coefficients are real: a complex one is refused with
+ValueError when the node is built.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from math import lcm
 from operator import add as _add, sub as _sub
 from typing import Callable, Optional, Sequence
 
-from .qcore import Deformation, GaussRational, Rational, _Frozen, _Sealed, q_number, to_gauss
-from .series import PowerSeries, _add_row, _make, _reduced, constant_series, make_series
+from .qcore import Deformation, Rational, _Frozen, _Sealed, q_number
+from .series import PowerSeries, _add_row, _make, _real, _reduced, constant_series, make_series
 from .qspecial import VacuumSpec, _log_derivative, beta_q, delta_beta_q
 
 __all__ = [
@@ -97,7 +99,7 @@ class QOperator(_Sealed):
         return self * -1
 
     def __mul__(self, scalar: object) -> "QOperator":
-        c = to_gauss(scalar)
+        c = _real(scalar)
         return NotImplemented if c is NotImplemented else Scale(c, self)
 
     __rmul__ = __mul__
@@ -117,7 +119,7 @@ def _node(name: str, *fields: str) -> type:
 
 
 Sum = _node("Sum", "left", "right")  # left + right
-Scale = _node("Scale", "c", "op")  # c op, for an exact scalar c
+Scale = _node("Scale", "c", "op")  # c op, for an int or Fraction c
 Compose = _node("Compose", "outer", "inner")  # outer after inner
 Mult = _node("Mult", "g", "name")  # g f, valid to min(order of g, order of f)
 MultPoly = _node("MultPoly", "coeffs", "name")  # p f, order-exact (see mul_poly)
@@ -175,8 +177,8 @@ def _float(x: Rational) -> Optional[float]:
     return xf if xf or not x else None
 
 
-def _point_scale(a: Optional[Evaluator], c: GaussRational) -> Optional[Evaluator]:
-    cf = None if a is None or c.im else _float(c.re)
+def _point_scale(a: Optional[Evaluator], c: Rational) -> Optional[Evaluator]:
+    cf = None if a is None else _float(c)
     return None if cf is None else lambda x: cf * a(x)
 
 
@@ -193,8 +195,6 @@ def _point_leaf(op: QOperator, f: Optional[Evaluator]) -> Optional[Evaluator]:
     if kind is Shift:
         lam = _float(op.d.q**op.k)
         return None if lam is None else lambda x: f(lam * x)
-    if kind is MultPoly and any(c.im for c in op.coeffs):
-        return None
     g = op.g if kind is Mult else make_series(op.coeffs, max(len(op.coeffs) - 1, 0))
     return lambda x: g.evaluate_float(x) * f(x)
 
@@ -258,14 +258,10 @@ class NormalForm:
                     s *= q_number(j - i, self.d)
                 parts.append((j - m, a, s))
         den = lcm(1, *(a.den * s.denominator for _, a, s in parts))
-        re = [0] * (n + 1)
-        im = [0] * (n + 1) if any(a.num_im for _, a, _ in parts) else None
+        num = [0] * (n + 1)
         for p, a, s in parts:
-            w = s.numerator * (den // (a.den * s.denominator))
-            _add_row(re, p, w, a.num_re)
-            if a.num_im is not None:
-                _add_row(im, p, w, a.num_im)
-        return _make(n, re, im, den)
+            _add_row(num, p, s.numerator * (den // (a.den * s.denominator)), a.num)
+        return _make(n, num, den)
 
 
 def normal_form(op: QOperator, n: int) -> NormalForm:
@@ -275,7 +271,7 @@ def normal_form(op: QOperator, n: int) -> NormalForm:
     if len(ds) > 1:
         raise ValueError("the term normal form needs one deformation parameter")
     scale = lambda terms, c: {key: a._scaled(c) for key, a in terms.items()}
-    one = {(0, Fraction(1)): _make(n, [1] + [0] * n, None, 1)}
+    one = {(0, Fraction(1)): _make(n, [1] + [0] * n, 1)}
     terms = _run(op, one, _terms_leaf, _terms_sum, scale)
     # a passing identity check keeps no term, so it reduces none
     terms = {key: _reduced(a) for key, a in terms.items() if not a.is_zero}
@@ -302,7 +298,7 @@ def multiplication_op(g: PowerSeries, name: str = "mult") -> QOperator:
 
 def poly_multiplication_op(poly: Sequence[object], name: str = "poly") -> QOperator:
     """Multiplication by an exactly known polynomial (order-exact, see mul_poly)."""
-    coeffs = tuple(to_gauss(c) for c in poly)
+    coeffs = tuple(map(_real, poly))
     if any(c is NotImplemented for c in coeffs):
         raise TypeError("polynomial coefficients must be exact scalars")
     return MultPoly(coeffs, name)

@@ -1,11 +1,14 @@
 """Exact scalar layer: rationals, Gaussian rationals, and symmetric q-numbers.
 
 Every computation in this package bottoms out here. The base field is the
-rationals (arbitrary precision, always in lowest terms, positive denominator);
-Gaussian rationals ``re + im*i`` extend them just far enough to express the
-substitution x -> ix exactly. The deformation parameter q is itself an exact
-positive rational, so every identity downstream can be checked coefficient by
-coefficient with no epsilon.
+rationals (arbitrary precision, always in lowest terms, positive denominator),
+and every series and operator is real: the substitution x -> ix of the
+negative-energy sector is a parity sign on even series (``qspecial.u_transform``).
+Gaussian rationals ``re + im*i`` stay as the scalar type at the boundary:
+``PowerSeries.coeffs`` hands coefficients out as GaussRationals, the wire
+formats carry [re, im] pairs, and ``evaluate`` takes an exact complex point.
+The deformation parameter q is itself an exact positive rational, so every
+identity downstream can be checked coefficient by coefficient with no epsilon.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "to_gauss",
-    "i_power",
     "GAUSS_ZERO",
     "GAUSS_ONE",
     "GAUSS_I",
@@ -284,7 +286,7 @@ class GaussRational(_Frozen):
         if other is NotImplemented:
             return NotImplemented
         if not self.im and not other.im:
-            # the dominant case everywhere outside the i-rotation
+            # the case of every real coefficient
             return GaussRational._raw(self.re * other.re, _FRACTION_ZERO)
         return GaussRational._raw(
             self.re * other.re - self.im * other.im,
@@ -340,19 +342,6 @@ class GaussRational(_Frozen):
 GAUSS_ZERO = GaussRational(0, 0)
 GAUSS_ONE = GaussRational(1, 0)
 GAUSS_I = GaussRational(0, 1)
-
-_I_CYCLE = (
-    GAUSS_ONE,
-    GAUSS_I,
-    GaussRational(-1, 0),
-    GaussRational(0, -1),
-)
-
-
-def i_power(n: int) -> GaussRational:
-    """i**n for any integer n (period four)."""
-    return _I_CYCLE[n % 4]
-
 
 def to_gauss(value: object) -> GaussRational:
     """Promote ints and rationals to GaussRational; pass GaussRational through."""

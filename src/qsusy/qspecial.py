@@ -3,7 +3,7 @@
 The symmetric q-exponential e_q(u) = sum u**n / [n]_q!, the deformed Gaussian
 vacua e_q(beta x^2), the drift coefficient series beta_q(x^2) and its
 q-increment, deformed Hermite functions via the Rodrigues-style product, the
-i-rotated transformation functions for the negative-energy sector, and the
+real transformation functions of the negative-energy sector, and the
 classical (q = 1) Hermite oracles used to cross-check all of it.
 
 A note on terminology: for q != 1 the Rodrigues product does not terminate,
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import sub as _sub
 
-from .qcore import Deformation, Rational, _Frozen, i_power, q_factorial, q_number_numerators, to_gauss
+from .qcore import Deformation, Rational, _Frozen, q_factorial, q_number_numerators
 from .series import PowerSeries, _make, _reduced, constant_series, div, make_series, monomial, zero_series
 
 __all__ = [
@@ -61,15 +61,14 @@ def q_exp(u: PowerSeries, d: Deformation) -> PowerSeries:
     the result is the truncated classical exponential, and the output is
     invariant under q -> 1/q because every [n]_q! is.
 
-    A real monomial u = c x**m, the only form the package itself passes, has
+    A monomial u = c x**m, the only form the package itself passes, has
     the closed form of ``_q_exp_monomial``; any other u takes the power sum.
     """
-    if u.order >= 0 and (u.num_re[0] or (u.num_im is not None and u.num_im[0])):
+    if u.order >= 0 and u.num[0]:
         raise ValueError("q_exp needs a series with zero constant term")
-    if u.num_im is None:
-        support = [k for k, x in enumerate(u.num_re) if x]
-        if len(support) <= 1:
-            return _q_exp_monomial(u, support[0] if support else 0, d)
+    support = [k for k, x in enumerate(u.num) if x]
+    if len(support) <= 1:
+        return _q_exp_monomial(u, support[0] if support else 0, d)
     return _q_exp_by_powers(u, d)
 
 
@@ -85,7 +84,7 @@ def _q_exp_monomial(u: PowerSeries, m: int, d: Deformation) -> PowerSeries:
     order = max(u.order, 0)
     if m == 0:
         return constant_series(1, order)
-    r, t = u.num_re[m], u.den
+    r, t = u.num[m], u.den
     top = order // m
     s = q_number_numerators(top, d)
     ab = d.q.numerator * d.q.denominator
@@ -99,7 +98,7 @@ def _q_exp_monomial(u: PowerSeries, m: int, d: Deformation) -> PowerSeries:
         num[m * n] = r_pow * ab_pow * tail[n]
         r_pow *= r
         ab_pow *= ab**n
-    return _reduced(_make(order, num, None, tail[0]))
+    return _reduced(_make(order, num, tail[0]))
 
 
 def _q_exp_by_powers(u: PowerSeries, d: Deformation) -> PowerSeries:
@@ -132,7 +131,7 @@ def beta_q(v: VacuumSpec) -> PowerSeries:
     w = _log_derivative(q_gauss(VacuumSpec(v.beta, v.d, v.order + 2)), v.d)
     # w = x * beta_q(x^2) is odd and canonical: dividing by x drops its zero
     # constant term, and leaves it canonical
-    return _make(v.order, w.num_re[1:], None, w.den)
+    return _make(v.order, w.num[1:], w.den)
 
 
 def _log_derivative(u: PowerSeries, d: Deformation) -> PowerSeries:
@@ -149,7 +148,7 @@ def delta_beta_q(v: VacuumSpec) -> PowerSeries:
     under q -> 1/q even though beta_q itself is.
     """
     b = beta_q(v)
-    inv = to_gauss(1 / v.d.q)
+    inv = 1 / v.d.q
     # one gcd, on the difference: the unreduced steps before it leave a
     # denominator at most 3 bits longer (orders 64-256, q = 2, 3/2, 5/4)
     return _reduced(b._combine(b._scale_arg(inv)._scaled(inv), _sub))
@@ -224,17 +223,22 @@ def classical_hermite(n: int, order: int | None = None) -> PowerSeries:
 def u_transform(p: int, d: Deformation, order: int) -> PowerSeries:
     """Nodeless transformation function for the negative-energy sector.
 
-    Rotates the p-th deformed Hermite function to imaginary argument and
-    attaches the growing Gaussian factor:
+    The p-th deformed Hermite function at imaginary argument, times the
+    growing Gaussian factor:
 
         u_p = i**(-p) * q_hermite(p)(ix) * e_q(x^2 / 2)
 
     Only even p is accepted: for odd p the function vanishes at the origin
-    and cannot serve as a division-safe transformation function. The i**(-p)
-    prefactor makes every retained coefficient purely real.
+    and cannot serve as a division-safe transformation function. For even p,
+    q_hermite(p) is even, and x -> ix with the i**(-p) prefactor sends its
+    coefficient h_n x**n to (-1)**((n - p) / 2) h_n x**n, so u_p is real and
+    is built as that parity sign on h_n. Equivalently,
+    u_p = e_q(-x^2) * D_q**p e_q(x^2) * e_q(x^2 / 2).
     """
     if p < 0 or p % 2:
         raise ValueError(f"u_transform needs even p >= 0, got {p}")
-    rotated = q_hermite(p, d, order).i_rotate()
-    grow = q_gauss(VacuumSpec(Fraction(1, 2), d, rotated.order))
-    return (rotated * grow) * i_power(-p)
+    h = q_hermite(p, d, order)
+    # a negated canonical numerator leaves the series canonical; odd n holds 0
+    signed = _make(h.order, [-x if (n - p) % 4 else x for n, x in enumerate(h.num)], h.den)
+    grow = q_gauss(VacuumSpec(Fraction(1, 2), d, signed.order))
+    return signed * grow

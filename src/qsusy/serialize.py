@@ -3,12 +3,15 @@
 Rationals travel as strings "p/q" (or "p" for integers) so nothing is ever
 rounded; Gaussian rationals as two-element arrays [re, im]. A series is
 {"order": N, "coeffs": [[re, im], ...]} with exactly N + 1 entries, and the
-CSV form is one row (n, re, im) per coefficient. Round-tripping either format
-reproduces the series exactly.
+CSV form is one row (n, re, im) per coefficient.
 
-Both directions work on the stored numerators: the writer reduces each one
-against the common denominator, and the reader puts what it parses over one
-lcm, with no GaussRational per coefficient.
+Series are real, so a document is two real series: the readers return the
+pair (re, im), with im None when every imaginary part is zero, and the
+writers take re and an optional im. Round-tripping either format reproduces
+the pair exactly; at the command line, ``apply`` runs its operator on each
+part. Both directions work on the stored numerators: the writer reduces each
+one against its part's denominator, and the reader puts each part's
+numerators over one lcm, with no GaussRational per coefficient.
 
 A series document has its own writer, ``series_to_json``, which writes the
 indent-2 layout directly: its texts need no JSON escape, and the stdlib's
@@ -21,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .qcore import GaussRational, _ratio_text, _shown, format_rational, parse_rational
 from .series import PowerSeries, _from_ratios
@@ -56,11 +59,17 @@ def _checked_pair(pair: Any) -> Any:
 # -- writer: straight from the stored numerators ---------------------------------
 
 
-def _text_pairs(a: PowerSeries) -> Iterator[list[str]]:
-    den = a.den
-    if a.num_im is None:
-        return ([_ratio_text(x, den), "0"] for x in a.num_re)
-    return ([_ratio_text(x, den), _ratio_text(y, den)] for x, y in zip(a.num_re, a.num_im))
+_Parts = tuple[PowerSeries, Optional[PowerSeries]]
+
+
+def _text_pairs(re: PowerSeries, im: Optional[PowerSeries]) -> Iterator[list[str]]:
+    """The [re, im] texts of each coefficient; im, when given, must have re's order."""
+    den = re.den
+    if im is None:
+        return ([_ratio_text(x, den), "0"] for x in re.num)
+    if im.order != re.order:
+        raise ValueError(f"the imaginary part has order {im.order}, the real part {re.order}")
+    return ([_ratio_text(x, den), _ratio_text(y, im.den)] for x, y in zip(re.num, im.num))
 
 
 # -- reader: straight to numerators over one denominator -------------------------
@@ -91,8 +100,9 @@ def _parts(text: Any) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def _read(order: int, rows: Iterable[Sequence[Any]]) -> PowerSeries:
-    """The series whose coefficient n is rows[n] = (re, im), as wire text."""
+def _read(order: int, rows: Iterable[Sequence[Any]]) -> _Parts:
+    """The parts (re, im) of the coefficients rows[n] = (re, im), as wire text;
+    im is None when it is zero."""
     nums: list[int] = []
     dens: list[int] = []
     for pair in rows:
@@ -106,14 +116,18 @@ def _read(order: int, rows: Iterable[Sequence[Any]]) -> PowerSeries:
             f"series of order {_shown(order)} needs {_shown(order + 1)} coefficients, "
             f"got {len(nums) // 2}"
         )
-    return _from_ratios(order, nums, dens)
+    im = nums[1::2]
+    return (
+        _from_ratios(order, nums[0::2], dens[0::2]),
+        _from_ratios(order, im, dens[1::2]) if any(im) else None,
+    )
 
 
-def series_to_dict(a: PowerSeries) -> dict[str, Any]:
-    return {"order": a.order, "coeffs": list(_text_pairs(a))}
+def series_to_dict(re: PowerSeries, im: Optional[PowerSeries] = None) -> dict[str, Any]:
+    return {"order": re.order, "coeffs": list(_text_pairs(re, im))}
 
 
-def series_from_dict(data: Any) -> PowerSeries:
+def series_from_dict(data: Any) -> _Parts:
     if not isinstance(data, dict) or "order" not in data or "coeffs" not in data:
         raise ValueError("series document needs 'order' and 'coeffs' fields")
     order, pairs = data["order"], data["coeffs"]
@@ -139,29 +153,29 @@ def _csv_text(header: Sequence[Any], rows: Iterable[Sequence[Any]]) -> str:
     return buf.getvalue()
 
 
-def series_to_json(a: PowerSeries) -> str:
-    """``_json_text(series_to_dict(a))``, written straight from the coefficient texts.
+def series_to_json(re: PowerSeries, im: Optional[PowerSeries] = None) -> str:
+    """``_json_text(series_to_dict(re, im))``, written straight from the coefficient texts.
 
     Those hold only ASCII "-", digits and "/", which JSON writes as they
     are, so the fixed indent-2 layout is all there is to write.
     """
-    rows = ",\n".join(f'    [\n      "{re}",\n      "{im}"\n    ]' for re, im in _text_pairs(a))
+    rows = ",\n".join(f'    [\n      "{x}",\n      "{y}"\n    ]' for x, y in _text_pairs(re, im))
     coeffs = f"[\n{rows}\n  ]" if rows else "[]"
-    return f'{{\n  "order": {a.order},\n  "coeffs": {coeffs}\n}}'
+    return f'{{\n  "order": {re.order},\n  "coeffs": {coeffs}\n}}'
 
 
-def series_from_json(text: str) -> PowerSeries:
+def series_from_json(text: str) -> _Parts:
     try:
         return series_from_dict(json.loads(text))
     except RecursionError as exc:
         raise ValueError("series document is nested too deeply") from exc
 
 
-def series_to_csv(a: PowerSeries) -> str:
-    return _csv_text(["n", "re", "im"], ([n, *pair] for n, pair in enumerate(_text_pairs(a))))
+def series_to_csv(re: PowerSeries, im: Optional[PowerSeries] = None) -> str:
+    return _csv_text(["n", "re", "im"], ([n, *pair] for n, pair in enumerate(_text_pairs(re, im))))
 
 
-def series_from_csv(text: str) -> PowerSeries:
+def series_from_csv(text: str) -> _Parts:
     try:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:  # e.g. a field past the csv module's size limit

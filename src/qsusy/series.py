@@ -1,4 +1,4 @@
-"""Truncated formal power series over Gaussian rationals.
+"""Truncated formal power series over the rationals.
 
 A series stores exact coefficients c_0..c_N together with the highest retained
 power N (its order). Coefficients beyond N are unknown, never assumed zero.
@@ -11,19 +11,18 @@ always names the highest coefficient that is exact:
   polynomial's lowest nonzero degree,
 * equality compares coefficients up to the common valid order, exactly.
 
-Storage follows FLINT's ``fmpq_poly`` layout: c_n = (num_re[n] + i num_im[n]) /
-den with integer numerators and one positive common denominator. ``num_im`` is
-None when every imaginary part is zero, and every result of a public
-operation is brought back to this canonical form (gcd of den and all
+Storage follows FLINT's ``fmpq_poly`` layout: c_n = num[n] / den with
+integer numerators and one positive common denominator. Every result of a
+public operation is brought back to this canonical form (gcd of den and all
 numerators equal to 1) by a single multi-argument gcd, so the kernels run on
 plain integers. Each kernel operation has one body that returns its result
 as a series left unreduced, over a valid denominator that need not be the
 least; the public method is ``_reduced`` of that body, one gcd. ``_make``
-builds every series with no gcd and stores an all-zero imaginary part as
-None. The operator walk (``operators.QOperator.apply``) chains the bodies
-and reduces its result alone.
-``GaussRational`` is the scalar type at the boundary: ``coeffs`` and
-``coeff`` build it on demand.
+builds every series with no gcd. The operator walk
+(``operators.QOperator.apply``) chains the bodies and reduces its result
+alone. Coefficients and scalars are real: a ``GaussRational`` is accepted
+when its imaginary part is zero, and ``coeffs`` and ``coeff`` build the
+GaussRational view on demand.
 
 A product of two series convolves integer vectors (``_convolve``) by one
 rule. When each operand is even or odd, only every second entry is convolved
@@ -51,10 +50,8 @@ the Karatsuba path takes 1.4x the time of the dot products at 1,000 bits
 and 0.9x at 2,100 bits; on 65 entries, 0.9x and 0.55x. All three paths give
 the same integers.
 
-Division (``div``) makes both sides real: a complex divisor b through its
-conjugate, a / b = (a conj(b)) / (b conj(b)), and a complex dividend in its
-parts, a / b = re(a) / b + i im(a) / b. Below order 64
-(``_DIV_HALVES_MIN_ORDER``) one exact loop runs, with one gcd per output.
+Division (``div``): below order 64 (``_DIV_HALVES_MIN_ORDER``) one exact
+loop runs, with one gcd per output.
 From order 64 on, the quotient c to order n is taken by halves: with h =
 ceil((n + 1) / 2), c_lo = a / b to order h - 1, then a - b c_lo = x^h r
 exactly, and c_hi = r / b to order n - h, so that c = c_lo + x^h c_hi. Each
@@ -67,8 +64,7 @@ three half-size middle products in place of four, runs when each output's
 dot product would multiply at least 2^25 bit pairs (the length of y times
 the bit lengths of the largest entries of x and y); at every length from 2
 to 48 it took 0.9-1.2x the dot products' time at 2^24 and 0.7-1.0x at 2^25.
-``_join`` puts two canonical quotients over one denominator with no gcd: the
-halves, or a complex dividend's parts.
+``_join`` puts the two canonical halves over one denominator with no gcd.
 
 Measured with CPython 3.11 on a 2-CPU x86-64 host, on the beta_q quotients
 at q = 2, 3/2 and 5/4: the remainder takes 0.16-0.52x the time it took by
@@ -91,17 +87,7 @@ from math import gcd, lcm
 from operator import add as _add, eq as _eq, mul as _mul, sub as _sub
 from typing import Iterable, Optional, Sequence, Union
 
-from .qcore import (
-    GAUSS_I,
-    GAUSS_ONE,
-    GAUSS_ZERO,
-    Deformation,
-    GaussRational,
-    Rational,
-    _Sealed,
-    q_number_numerators,
-    to_gauss,
-)
+from .qcore import GAUSS_ZERO, Deformation, GaussRational, Rational, _Sealed, q_number_numerators, to_gauss
 
 __all__ = [
     "PowerSeries",
@@ -127,22 +113,29 @@ class NonInvertibleSeriesError(ValueError):
     """Raised when dividing by a series whose constant term is zero."""
 
 
-def _ratios(values: Iterable[CoeffLike]) -> tuple[list[int], list[int]]:
-    """Numerators and denominators of exact scalars, parts interleaved.
+def _real(c: object) -> Rational:
+    """An int or Fraction as it is, a real GaussRational's real part, else NotImplemented.
 
-    Entries 2n and 2n + 1 are the real and imaginary parts of value n.
+    A GaussRational with a nonzero imaginary part raises ValueError: series
+    and operators are real.
     """
+    if isinstance(c, GaussRational):
+        if c.im:
+            raise ValueError(f"series and operators are real; cannot use {c}")
+        return c.re
+    return c if isinstance(c, (int, Fraction)) else NotImplemented
+
+
+def _ratios(values: Iterable[CoeffLike]) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of exact real scalars."""
     nums: list[int] = []
     dens: list[int] = []
     for c in values:
-        if isinstance(c, GaussRational):
-            re, im = c.re, c.im
-        elif isinstance(c, (int, Fraction)):
-            re, im = c, 0
-        else:
+        r = _real(c)
+        if r is NotImplemented:
             raise TypeError(f"cannot use {c!r} as a series coefficient")
-        nums += (re.numerator, im.numerator)
-        dens += (re.denominator, im.denominator)
+        nums.append(r.numerator)
+        dens.append(r.denominator)
     return nums, dens
 
 
@@ -153,65 +146,35 @@ def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[int], int]
 
 
 def _from_ratios(order: int, nums: Sequence[int], dens: Sequence[int]) -> "PowerSeries":
-    """The series with c_n = nums[2n] / dens[2n] + i nums[2n + 1] / dens[2n + 1].
+    """The series with c_n = nums[n] / dens[n].
 
-    The denominators must be positive and need not be reduced: the parts go
-    over the lcm of all denominators, and ``_reduced``'s one gcd takes out
+    The denominators must be positive and need not be reduced: the numerators
+    go over the lcm of all denominators, and ``_reduced``'s one gcd takes out
     any factor that unreduced input leaves.
     """
     scaled, den = _over_lcm(nums, dens)
-    return _reduced(_make(order, scaled[0::2], scaled[1::2], den))
+    return _reduced(_make(order, scaled, den))
 
 
 def _reduced(s: "PowerSeries") -> "PowerSeries":
     """s in canonical form, by one gcd over den and every numerator; s itself when that is 1."""
-    re, im, den = s.num_re, s.num_im, s.den
-    g = gcd(den, *re) if im is None else gcd(den, *re, *im)
+    g = gcd(s.den, *s.num)
     if g == 1:
         return s
-    return _make(s.order, [x // g for x in re], None if im is None else [x // g for x in im], den // g)
+    return _make(s.order, [x // g for x in s.num], s.den // g)
 
 
-def _make(order: int, re: IntVector, im: Optional[IntVector], den: int) -> "PowerSeries":
-    """The series (re + i im) / den, den > 0, as given: no gcd, so den need not be
-    the least. An all-zero ``im`` is stored as None; this is the one place that
-    does so.
-    """
+def _make(order: int, num: IntVector, den: int) -> "PowerSeries":
+    """The series num / den, den > 0, as given: no gcd, so den need not be the least."""
     out = object.__new__(PowerSeries)
     _set(out, "order", order)
-    _set(out, "num_re", tuple(re))
-    _set(out, "num_im", tuple(im) if im is not None and any(im) else None)
+    _set(out, "num", tuple(num))
     _set(out, "den", den)
     _set(out, "_floats", None)
     return out
 
 
 _set = object.__setattr__
-
-
-def _weigh(
-    re: IntVector,
-    im: Optional[IntVector],
-    wre: Iterable[int],
-    wim: Optional[Iterable[int]],
-) -> tuple[list[int], Optional[list[int]]]:
-    """Termwise complex product (re + i im) * (wre + i wim); None means all zero.
-
-    The weights may be longer than the numerators, or endless ``repeat``s.
-    Each input is read once when ``wim`` is None; otherwise re, im and the
-    weights must be sequences or ``repeat``s, as they are read twice.
-    """
-    if wim is None:
-        return (
-            list(map(_mul, re, wre)),
-            None if im is None else list(map(_mul, im, wre)),
-        )
-    if im is None:
-        return list(map(_mul, re, wre)), list(map(_mul, re, wim))
-    return (
-        list(map(_sub, map(_mul, re, wre), map(_mul, im, wim))),
-        list(map(_add, map(_mul, re, wim), map(_mul, im, wre))),
-    )
 
 
 def _convolve(a: IntVector, b: IntVector, n: int) -> list[int]:
@@ -321,26 +284,6 @@ def _full_product(a: list[int], b: list[int]) -> list[int]:
     return low
 
 
-def _product(
-    are: IntVector,
-    aim: Optional[IntVector],
-    bre: IntVector,
-    bim: Optional[IntVector],
-    n: int,
-) -> tuple[list[int], Optional[list[int]]]:
-    """Complex convolution of (are + i aim) and (bre + i bim) up to degree n."""
-    re = _convolve(are, bre, n)
-    if aim is None and bim is None:
-        return re, None
-    if aim is None:
-        return re, _convolve(are, bim, n)
-    if bim is None:
-        return re, _convolve(aim, bre, n)
-    re = list(map(_sub, re, _convolve(aim, bim, n)))
-    im = list(map(_add, _convolve(are, bim, n), _convolve(aim, bre, n)))
-    return re, im
-
-
 def _same(a: IntVector, b: IntVector, m: int, da: int, db: int) -> bool:
     """a / da == b / db in the first m terms."""
     a, b = islice(a, m), islice(b, m)
@@ -350,12 +293,12 @@ def _same(a: IntVector, b: IntVector, m: int, da: int, db: int) -> bool:
 
 
 class PowerSeries(_Sealed):
-    """Sum of c_n x**n for n = 0..order, with exact Gaussian-rational c_n.
+    """Sum of c_n x**n for n = 0..order, with exact rational c_n.
 
     The coefficients are stored as integer numerators over one common
     denominator (see the module docstring); ``PowerSeries(coeffs, order)``
-    builds that form from GaussRational, Fraction or int coefficients, and
-    ``coeffs`` gives them back. Instances are immutable; the only state
+    builds that form from Fraction, int or real GaussRational coefficients,
+    and ``coeffs`` gives them back. Instances are immutable; the only state
     added later is ``evaluate_float``'s float table, a function of the rest.
 
     ``order`` may be -1 for the degenerate series with no retained
@@ -364,11 +307,10 @@ class PowerSeries(_Sealed):
     order they expect alongside coefficient assertions.
     """
 
-    __slots__ = ("order", "num_re", "num_im", "den", "_floats")
+    __slots__ = ("order", "num", "den", "_floats")
 
     order: int
-    num_re: tuple[int, ...]
-    num_im: Optional[tuple[int, ...]]
+    num: tuple[int, ...]
     den: int
     _floats: Optional[list[float]]  # evaluate_float's quotients, once taken
 
@@ -376,10 +318,10 @@ class PowerSeries(_Sealed):
         if order < -1:
             raise ValueError(f"series order must be >= -1, got {order}")
         nums, dens = _ratios(coeffs)
-        if len(nums) != 2 * (order + 1):
+        if len(nums) != order + 1:
             raise ValueError(
                 f"series of order {order} needs {order + 1} coefficients, "
-                f"got {len(nums) // 2}"
+                f"got {len(nums)}"
             )
         built = _from_ratios(order, nums, dens)
         for name in self.__slots__:
@@ -390,47 +332,26 @@ class PowerSeries(_Sealed):
     @property
     def coeffs(self) -> tuple[GaussRational, ...]:
         """The coefficients as GaussRationals, built on each access."""
-        den, im = self.den, self.num_im
-        if im is None:
-            return tuple(
-                GaussRational._raw(Fraction(x, den), _FRACTION_ZERO)
-                for x in self.num_re
-            )
-        return tuple(
-            GaussRational._raw(Fraction(x, den), Fraction(y, den))
-            for x, y in zip(self.num_re, im)
-        )
+        den = self.den
+        return tuple(GaussRational._raw(Fraction(x, den), _FRACTION_ZERO) for x in self.num)
 
     def coeff(self, n: int) -> GaussRational:
         """Coefficient of x**n; only retained indices are addressable."""
         if n < 0 or n > self.order:
             raise IndexError(f"coefficient {n} is beyond the retained order {self.order}")
-        im = self.num_im
-        return GaussRational._raw(
-            Fraction(self.num_re[n], self.den),
-            _FRACTION_ZERO if im is None else Fraction(im[n], self.den),
-        )
-
-    def _nonzero_at(self, n: int) -> bool:
-        return bool(self.num_re[n]) or (self.num_im is not None and bool(self.num_im[n]))
+        return GaussRational._raw(Fraction(self.num[n], self.den), _FRACTION_ZERO)
 
     @property
     def is_zero(self) -> bool:
         """True when every retained coefficient is zero."""
-        return self.num_im is None and not any(self.num_re)
+        return not any(self.num)
 
     def first_nonzero_index(self) -> Optional[int]:
-        for n in range(self.order + 1):
-            if self._nonzero_at(n):
-                return n
-        return None
+        return next((n for n, x in enumerate(self.num) if x), None)
 
     def max_abs_coeff(self) -> Rational:
-        """Largest coefficient magnitude max(|re|, |im|), exactly."""
-        top = max(map(abs, self.num_re), default=0)
-        if self.num_im is not None:
-            top = max(top, max(map(abs, self.num_im)))
-        return Fraction(top, self.den)
+        """Largest coefficient magnitude, exactly."""
+        return Fraction(max(map(abs, self.num), default=0), self.den)
 
     def truncated(self, order: int) -> "PowerSeries":
         """Forget coefficients above ``order`` (which must not exceed self.order)."""
@@ -438,13 +359,7 @@ class PowerSeries(_Sealed):
             raise ValueError(
                 f"cannot extend a truncated series from order {self.order} to {order}"
             )
-        im = self.num_im
-        return _reduced(_make(
-            order,
-            list(islice(self.num_re, order + 1)),
-            None if im is None else list(islice(im, order + 1)),
-            self.den,
-        ))
+        return _reduced(_make(order, list(islice(self.num, order + 1)), self.den))
 
     # -- equality ----------------------------------------------------------
 
@@ -453,28 +368,14 @@ class PowerSeries(_Sealed):
         if not isinstance(other, PowerSeries):
             return NotImplemented
         m = min(self.order, other.order) + 1
-        da, db = self.den, other.den
-        if not _same(self.num_re, other.num_re, m, da, db):
-            return False
-        ai, bi = self.num_im, other.num_im
-        if ai is None:
-            return bi is None or not any(islice(bi, m))
-        if bi is None:
-            return not any(islice(ai, m))
-        return _same(ai, bi, m, da, db)
+        return _same(self.num, other.num, m, self.den, other.den)
 
     __hash__ = None  # equality is order-relative, so hashing would mislead
 
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self) -> "PowerSeries":
-        im = self.num_im
-        return _make(
-            self.order,
-            [-x for x in self.num_re],
-            None if im is None else [-x for x in im],
-            self.den,
-        )
+        return _make(self.order, [-x for x in self.num], self.den)
 
     def _combine(self, other: "PowerSeries", op) -> "PowerSeries":
         """self op other (op is + or -) over the lcm of the two denominators."""
@@ -482,16 +383,9 @@ class PowerSeries(_Sealed):
         da, db = self.den, other.den
         den = lcm(da, db)
         sa, sb = den // da, den // db
-
-        def part(a: Optional[IntVector], b: Optional[IntVector]) -> list[int]:
-            a = repeat(0) if a is None else islice(a, m) if sa == 1 else map(_mul, islice(a, m), repeat(sa))
-            b = repeat(0) if b is None else islice(b, m) if sb == 1 else map(_mul, islice(b, m), repeat(sb))
-            return list(map(op, a, b))
-
-        re = part(self.num_re, other.num_re)
-        ai, bi = self.num_im, other.num_im
-        im = None if ai is None and bi is None else part(ai, bi)
-        return _make(m - 1, re, im, den)
+        a = islice(self.num, m) if sa == 1 else map(_mul, islice(self.num, m), repeat(sa))
+        b = islice(other.num, m) if sb == 1 else map(_mul, islice(other.num, m), repeat(sb))
+        return _make(m - 1, list(map(op, a, b)), den)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
@@ -503,26 +397,21 @@ class PowerSeries(_Sealed):
             return NotImplemented
         return _reduced(self._combine(other, _sub))
 
-    def _scaled(self, c: GaussRational) -> "PowerSeries":
-        """Every coefficient times the scalar c: one integer product each."""
-        (cre, cim), cden = _over_lcm(*_ratios([c]))
-        re, im = _weigh(
-            self.num_re, self.num_im, repeat(cre), repeat(cim) if cim else None
-        )
-        return _make(self.order, re, im, self.den * cden)
+    def _scaled(self, c: Rational) -> "PowerSeries":
+        """Every coefficient times the real scalar c (an int or Fraction): one integer product each."""
+        return _make(self.order, list(map(_mul, self.num, repeat(c.numerator))), self.den * c.denominator)
 
     def _times(self, other: "PowerSeries") -> "PowerSeries":
         """The product of two series, to the lower of their orders."""
         n = min(self.order, other.order)
         if n < 0:
-            return _make(-1, [], None, 1)
-        re, im = _product(self.num_re, self.num_im, other.num_re, other.num_im, n)
-        return _make(n, re, im, self.den * other.den)
+            return _make(-1, [], 1)
+        return _make(n, _convolve(self.num, other.num, n), self.den * other.den)
 
     def __mul__(self, other: object) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             return _reduced(self._times(other))
-        scalar = to_gauss(other)
+        scalar = _real(other)
         if scalar is NotImplemented:
             return NotImplemented
         return _reduced(self._scaled(scalar))
@@ -532,10 +421,10 @@ class PowerSeries(_Sealed):
     def __truediv__(self, other: object) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             return div(self, other)
-        scalar = to_gauss(other)
+        scalar = _real(other)
         if scalar is NotImplemented:
             return NotImplemented
-        return _reduced(self._scaled(GAUSS_ONE / scalar))
+        return _reduced(self._scaled(1 / Fraction(scalar)))
 
     # -- calculus and substitutions -----------------------------------------
 
@@ -550,52 +439,41 @@ class PowerSeries(_Sealed):
         return _reduced(self._mul_poly(poly))
 
     def _mul_poly(self, poly: Sequence[CoeffLike]) -> "PowerSeries":
-        nums, dens = _ratios(poly)
-        scaled, pden = _over_lcm(nums, dens)
-        val = next((k // 2 for k, x in enumerate(scaled) if x), None)
+        scaled, pden = _over_lcm(*_ratios(poly))
+        val = next((k for k, x in enumerate(scaled) if x), None)
         if val is None:
             # the zero polynomial: the product is identically zero
             n = max(self.order, 0)
-            return _make(n, [0] * (n + 1), None, 1)
+            return _make(n, [0] * (n + 1), 1)
         n = self.order + val
         if n < 0:
-            return _make(-1, [], None, 1)
-        pim = scaled[1::2]
-        re, im = _product(scaled[0::2], pim if any(pim) else None, self.num_re, self.num_im, n)
-        return _make(n, re, im, self.den * pden)
+            return _make(-1, [], 1)
+        return _make(n, _convolve(scaled, self.num, n), self.den * pden)
 
     def scale_arg(self, lam: CoeffLike) -> "PowerSeries":
         """Substitute x -> lam*x, i.e. c_n -> lam**n c_n, exactly.
 
-        With lam = (a + ib) / r over integers, term n is multiplied by
-        (a + ib)**n r**(N - n) and the denominator by r**N.
+        With lam = a / r over integers, term n is multiplied by
+        a**n r**(N - n) and the denominator by r**N.
         """
-        return _reduced(self._scale_arg(lam))
-
-    def _scale_arg(self, lam: CoeffLike) -> "PowerSeries":
-        lam = to_gauss(lam)
-        if lam is NotImplemented:
+        scalar = _real(lam)
+        if scalar is NotImplemented:
             raise TypeError("scale factor must be an exact scalar")
-        (a, b), r = _over_lcm(*_ratios([lam]))
-        top = self.order
-        rpow = [1] * (top + 1)
-        for n in range(top - 1, -1, -1):
-            rpow[n] = rpow[n + 1] * r
-        wre, wim = [], [] if b else None
-        x, y = 1, 0
-        for n in range(top + 1):
-            wre.append(x * rpow[n])
-            if b:
-                wim.append(y * rpow[n])
-                x, y = x * a - y * b, x * b + y * a
-            else:
-                x *= a
-        re, im = _weigh(self.num_re, self.num_im, wre, wim)
-        return _make(top, re, im, self.den * (rpow[0] if top >= 0 else 1))
+        return _reduced(self._scale_arg(scalar))
 
-    def i_rotate(self) -> "PowerSeries":
-        """Substitute x -> ix (c_n -> i**n c_n); four applications are the identity."""
-        return self.scale_arg(GAUSS_I)
+    def _scale_arg(self, lam: Rational) -> "PowerSeries":
+        """The body of ``scale_arg``, for an int or Fraction lam."""
+        a, r = lam.numerator, lam.denominator
+        top = self.order
+        weights, a_pow = [], 1
+        for _ in range(top + 1):
+            weights.append(a_pow)
+            a_pow *= a
+        r_pow = 1
+        for n in range(top - 1, -1, -1):
+            r_pow *= r
+            weights[n] *= r_pow
+        return _make(top, list(map(_mul, self.num, weights)), self.den * r_pow)
 
     def jackson_derivative(self, d: Deformation) -> "PowerSeries":
         """Symmetric q-derivative: c_n x**n -> [n]_q c_n x**(n-1).
@@ -616,14 +494,8 @@ class PowerSeries(_Sealed):
         for n in range(top - 2, -1, -1):
             ab_pow *= ab
             weights[n] *= ab_pow
-        im = self.num_im
-        re, im = _weigh(
-            islice(self.num_re, 1, None),
-            None if im is None else islice(im, 1, None),
-            weights,
-            None,
-        )
-        return _make(max(top - 1, -1), re, im, self.den * (ab_pow if top >= 1 else 1))
+        num = list(map(_mul, islice(self.num, 1, None), weights))
+        return _make(max(top - 1, -1), num, self.den * (ab_pow if top >= 1 else 1))
 
     def _require_value(self) -> None:
         if self.order < 0:
@@ -641,7 +513,7 @@ class PowerSeries(_Sealed):
         return acc
 
     def evaluate_float(self, x0: float) -> float:
-        """Float Horner evaluation; requires purely real coefficients.
+        """Float Horner evaluation.
 
         Each coefficient is the correctly rounded quotient num / den, the
         same float its reduced Fraction gives. The quotients are taken on the
@@ -649,8 +521,6 @@ class PowerSeries(_Sealed):
         ones run Horner on floats alone, in the same order, to the same bits.
         """
         self._require_value()
-        if self.num_im is not None:
-            raise ValueError("series has imaginary coefficients; no float value")
         acc = 0.0
         x0 = float(x0)
         for c in self._floats or self._float_table():
@@ -658,9 +528,9 @@ class PowerSeries(_Sealed):
         return acc
 
     def _float_table(self) -> list[float]:
-        """The real coefficients as floats, highest first; an OverflowError keeps none."""
+        """The coefficients as floats, highest first; an OverflowError keeps none."""
         den = self.den
-        table = [c / den for c in reversed(self.num_re)]
+        table = [c / den for c in reversed(self.num)]
         _set(self, "_floats", table)
         return table
 
@@ -683,10 +553,10 @@ def make_series(coeffs: Sequence[CoeffLike], order: int) -> PowerSeries:
     if order < 0:
         raise ValueError(f"series order must be >= 0, got {order}")
     nums, dens = _ratios(coeffs)
-    pad = 2 * (order + 1) - len(nums)
+    pad = order + 1 - len(nums)
     if pad < 0:
         raise ValueError(
-            f"{len(nums) // 2} coefficients do not fit in a series of order {order}"
+            f"{len(nums)} coefficients do not fit in a series of order {order}"
         )
     return _from_ratios(order, nums + [0] * pad, dens + [1] * pad)
 
@@ -703,10 +573,9 @@ def monomial(n: int, order: int, coeff: CoeffLike = 1) -> PowerSeries:
     """The series coeff * x**n retained through ``order``."""
     if n < 0 or n > order:
         raise ValueError(f"monomial degree {n} must lie in 0..{order}")
-    # the reduced parts over the lcm of their denominators are canonical (``_join``)
-    (re, im), den = _over_lcm(*_ratios([coeff]))
-    head, tail = [0] * n, [0] * (order - n)
-    return _make(order, [*head, re, *tail], [*head, im, *tail], den)
+    # a reduced ratio is canonical as it stands
+    (num,), (den,) = _ratios([coeff])
+    return _make(order, [0] * n + [num] + [0] * (order - n), den)
 
 
 # -- division -----------------------------------------------------------------
@@ -717,26 +586,16 @@ def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
     The divisor's constant term must be invertible; a zero constant term
     (a function vanishing at the origin) raises NonInvertibleSeriesError.
-    Both sides are made real first (see the module docstring), and each real
-    quotient comes from ``_quotient``.
+    The quotient comes from ``_quotient`` (see the module docstring).
     """
-    if b.order < 0 or not b._nonzero_at(0):
+    if b.order < 0 or not b.num[0]:
         raise NonInvertibleSeriesError(
             "non-invertible divisor: constant term is zero"
         )
-    if b.num_im is not None:
-        conj = _make(b.order, b.num_re, [-x for x in b.num_im], b.den)
-        a, b = a * conj, b * conj  # b conj(b) is real: its imaginary part cancels
     n = min(a.order, b.order)
     if n < 0:
-        return _make(-1, (), None, 1)
-    if a.num_im is None:
-        return _quotient(a, b, n)
-    re, im, den = _join(
-        _quotient(_make(a.order, a.num_re, None, a.den), b, n),
-        _quotient(_make(a.order, a.num_im, None, a.den), b, n),
-    )
-    return _make(n, re, im, den)
+        return _make(-1, (), 1)
+    return _quotient(a, b, n)
 
 
 # The order from which division goes by halves; the module docstring says why.
@@ -744,21 +603,21 @@ _DIV_HALVES_MIN_ORDER = 64
 
 
 def _quotient(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
-    """a / b to order n, canonical, for real a and b with b(0) != 0 and 0 <= n <= a.order, b.order."""
+    """a / b to order n, canonical, for b(0) != 0 and 0 <= n <= a.order, b.order."""
     if n < _DIV_HALVES_MIN_ORDER:
         return _div_loop(a, b, n)
     return _div_halves(a, b, n)
 
 
 def _join(s: PowerSeries, t: PowerSeries) -> tuple[list[int], list[int], int]:
-    """The numerators of two canonical real series over the lcm L of their
+    """The numerators of two canonical series over the lcm L of their
     denominators, and L: canonical together, with no gcd. A prime dividing L
     and every numerator would have its full power in L in one series'
     denominator D, not divide L / D, and so divide D and that series' numerators.
     """
     den = lcm(s.den, t.den)
     ms, mt = den // s.den, den // t.den
-    return [x * ms for x in s.num_re], [x * mt for x in t.num_re], den
+    return [x * ms for x in s.num], [x * mt for x in t.num], den
 
 
 def _div_halves(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
@@ -766,8 +625,8 @@ def _div_halves(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
     h = (n + 2) // 2
     lo = _quotient(a.truncated(h - 1), b.truncated(h - 1), h - 1)
     hi = _quotient(_reduced(_remainder(a, b, lo, n)), b.truncated(n - h), n - h)
-    re_lo, re_hi, den = _join(lo, hi)
-    return _make(n, re_lo + re_hi, None, den)
+    num_lo, num_hi, den = _join(lo, hi)
+    return _make(n, num_lo + num_hi, den)
 
 
 def _remainder(a: PowerSeries, b: PowerSeries, lo: PowerSeries, n: int) -> PowerSeries:
@@ -777,9 +636,9 @@ def _remainder(a: PowerSeries, b: PowerSeries, lo: PowerSeries, n: int) -> Power
     vanish, so only b lo's coefficients h..n are computed, by ``_middle``.
     """
     h = lo.order + 1
-    blo = _middle(list(islice(b.num_re, 1, n + 1)), list(lo.num_re), n + 1 - h)
-    top = _make(n - h, list(islice(a.num_re, h, n + 1)), None, a.den)
-    return top._combine(_make(n - h, blo, None, b.den * lo.den), _sub)
+    blo = _middle(list(islice(b.num, 1, n + 1)), list(lo.num), n + 1 - h)
+    top = _make(n - h, list(islice(a.num, h, n + 1)), a.den)
+    return top._combine(_make(n - h, blo, b.den * lo.den), _sub)
 
 
 def _middle(x: list[int], y: list[int], m: int) -> list[int]:
@@ -852,7 +711,7 @@ def _middle_product(x: list[int], y: list[int]) -> list[int]:
 
 
 def _div_loop(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
-    """a / b to order n by one exact loop, for real a and b with b(0) != 0.
+    """a / b to order n by one exact loop, for b(0) != 0.
 
     The quotient's numerators N_k are kept over a running denominator L,
     the lcm of the reduced denominators of c_0..c_(k-1). With a = A / Da and
@@ -863,21 +722,21 @@ def _div_loop(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
     earlier numerators are scaled up by it. L then ends as the canonical
     denominator, with no final pass.
     """
-    bre = list(islice(b.num_re, n + 1))
-    big_k = a.den * abs(bre[0])
+    bnum = list(islice(b.num, n + 1))
+    big_k = a.den * abs(bnum[0])
     # the sign of B_0 goes into the two factors of T
-    sa, sb = (a.den, b.den) if bre[0] > 0 else (-a.den, -b.den)
+    sa, sb = (a.den, b.den) if bnum[0] > 0 else (-a.den, -b.den)
     # B_n..B_1, read from the right for output k
-    rb = bre[:0:-1]
-    are = list(islice(a.num_re, n + 1))
-    re, big_l = [], 1
+    rb = bnum[:0:-1]
+    anum = list(islice(a.num, n + 1))
+    cnum, big_l = [], 1
     for k in range(n + 1):
-        t = are[k] * sb * big_l - sa * sum(map(_mul, rb[n - k :], re))
+        t = anum[k] * sb * big_l - sa * sum(map(_mul, rb[n - k :], cnum))
         g = gcd(t, big_k)
         m = big_k // g
         if m != 1:
             big_l *= m
-            for j, x in enumerate(re):
-                re[j] = x * m
-        re.append(t // g)
-    return _make(n, re, None, big_l)
+            for j, x in enumerate(cnum):
+                cnum[j] = x * m
+        cnum.append(t // g)
+    return _make(n, cnum, big_l)

@@ -207,9 +207,9 @@ def _random_polynomial(rng: random.Random, max_degree: int, order: int) -> Power
     nums, dens = [], []
     for _ in range(degree + 1):
         den = rng.randint(1, 6)
-        nums += (rng.randint(-5 * den, 5 * den), 0)
-        dens += (den, 1)
-    pad = 2 * (order - degree)
+        nums.append(rng.randint(-5 * den, 5 * den))
+        dens.append(den)
+    pad = order - degree
     return _from_ratios(order, nums + [0] * pad, dens + [1] * pad)
 
 

@@ -41,7 +41,7 @@ def test_module_entry_point():
         text=True,
     )
     assert proc.returncode == 0
-    assert series_from_json(proc.stdout).coeff(0) == F(-5, 4)
+    assert series_from_json(proc.stdout)[0].coeff(0) == F(-5, 4)
 
 
 def test_coefficients_past_the_digit_limit(tmp_path):
@@ -49,7 +49,7 @@ def test_coefficients_past_the_digit_limit(tmp_path):
     path = tmp_path / "beta.json"
     code = main(["beta", "--q", "65/64", "--beta", "-1/2", "--order", "128", "--output", str(path)])
     assert code == 0
-    series = series_from_json(path.read_text())
+    series = series_from_json(path.read_text())[0]
     assert series.order == 128
     assert series.den.bit_length() * 0.301 > 4300
     v = VacuumSpec(beta=F(-1, 2), d=Deformation(F(65, 64)), order=128)
@@ -279,7 +279,7 @@ class TestSeriesCommands:
     def test_hermite_json_matches_library(self, capsys):
         code, out, _ = run(capsys, "hermite", "--n", "2", "--q", "3/2", "--order", "10")
         assert code == 0
-        series = series_from_json(out)
+        series = series_from_json(out)[0]
         assert series.order == 8
         want = q_hermite(2, Deformation(F(3, 2)), 10)
         assert series.coeffs == want.coeffs
@@ -289,14 +289,14 @@ class TestSeriesCommands:
             capsys, "beta", "--q", "2", "--beta", "-1/2", "--order", "8", "--emit", "csv"
         )
         assert code == 0
-        series = series_from_csv(out)
+        series = series_from_csv(out)[0]
         v = VacuumSpec(beta=F(-1, 2), d=Deformation(F(2)), order=8)
         assert series.coeffs == beta_q(v).coeffs
 
     def test_beta_delta_flag(self, capsys):
         code, out, _ = run(capsys, "beta", "--q", "1", "--order", "8", "--delta")
         assert code == 0
-        assert series_from_json(out).is_zero
+        assert series_from_json(out)[0].is_zero
 
     def test_ufunc_output_file(self, capsys, tmp_path):
         path = tmp_path / "u.json"
@@ -304,17 +304,17 @@ class TestSeriesCommands:
             capsys, "ufunc", "--p", "2", "--q", "3/2", "--order", "8", "--output", str(path)
         )
         assert code == 0
-        series = series_from_json(path.read_text())
+        series = series_from_json(path.read_text())[0]
         assert series.coeff(0) == F(13, 6)
 
     def test_round_trip_through_apply(self, capsys, tmp_path):
         # the emitted JSON is bit-exact: re-reading and re-emitting is stable
         code, out, _ = run(capsys, "hermite", "--n", "1", "--q", "2", "--order", "8")
         assert code == 0
-        first = series_from_json(out)
+        first = series_from_json(out)[0]
         path = tmp_path / "h1.json"
         path.write_text(out)
-        assert series_from_json(path.read_text()).coeffs == first.coeffs
+        assert series_from_json(path.read_text())[0].coeffs == first.coeffs
 
 
 class TestApply:
@@ -327,7 +327,7 @@ class TestApply:
             "--input", str(src), "--output", str(out_path),
         )
         assert code == 0
-        result = series_from_json(out_path.read_text())
+        result = series_from_json(out_path.read_text())[0]
         assert result.order == 15
         assert result.is_zero
 
@@ -338,7 +338,30 @@ class TestApply:
         path.write_text(series_to_json(classical_hermite(3, 12)))
         code, out, _ = run(capsys, "apply", "--op", "OH", "--n", "3", "--input", str(path))
         assert code == 0
-        assert series_from_json(out).is_zero
+        assert series_from_json(out)[0].is_zero
+
+    @pytest.mark.parametrize("op", OPERATOR_NAMES)
+    @pytest.mark.parametrize("q, beta", [("3/2", "-1/2"), ("2/3", "1/2")])
+    def test_complex_input_is_its_real_part_plus_i_times_its_imaginary_part(self, capsys, tmp_path, op, q, beta):
+        # every operator is real, so op(re + i im) = op(re) + i op(im); each
+        # part of the byte contract's complex.json is run from a real file
+        from test_output_digests import COMPLEX
+
+        doc = json.loads(COMPLEX)
+        outputs = {}
+        for name, part in (("complex", lambda p: p), ("re", lambda p: [p[0], "0"]), ("im", lambda p: [p[1], "0"])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"order": doc["order"], "coeffs": [part(p) for p in doc["coeffs"]]}))
+            code, out, err = run(capsys, "apply", "--op", op, "--q", q, "--beta", beta, "--n", "2",
+                                 "--input", str(path))
+            assert (code, err) == (0, "")
+            outputs[name] = json.loads(out)
+        re, im = outputs["re"], outputs["im"]
+        assert re["order"] == im["order"] < doc["order"] + 2
+        assert all(x[1] == y[1] == "0" for x, y in zip(re["coeffs"], im["coeffs"]))
+        want = [[x[0], y[0]] for x, y in zip(re["coeffs"], im["coeffs"])]
+        assert outputs["complex"] == {"order": re["order"], "coeffs": want}
+        assert any(y[0] != "0" for y in im["coeffs"])
 
     def test_missing_input_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(
@@ -412,7 +435,7 @@ class TestApply:
         path.write_text(series_to_json(make_series([1, 2, 3][: need + 1], need)))
         code, out, _ = run(capsys, "apply", "--op", op, "--q", "3/2", "--input", str(path))
         assert code == 0
-        assert series_from_json(out).order == 0
+        assert series_from_json(out)[0].order == 0
 
 
 class TestVerify:

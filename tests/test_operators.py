@@ -418,12 +418,12 @@ def node_by_node(op, f):
 
 
 def stored(a):
-    return a.order, a.num_re, a.num_im, a.den
+    return a.order, a.num, a.den
 
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-gauss = st.builds(GaussRational, small, small)
-real_or_gauss = st.one_of(small.map(GaussRational), gauss)
+# a real GaussRational is accepted wherever a Fraction is
+real_or_gauss = st.one_of(small.map(GaussRational), small)
 
 
 @st.composite
@@ -443,7 +443,7 @@ trees = st.recursive(
     leaves,
     lambda inner: st.one_of(
         st.builds(lambda a, b: a + b, inner, inner),
-        st.builds(lambda a, c: a * c, inner, gauss),
+        st.builds(lambda a, c: a * c, inner, real_or_gauss),
         st.builds(lambda a, b: a @ b, inner, inner),
     ),
     max_leaves=6,
@@ -459,7 +459,7 @@ class TestOneReductionPerApplication:
         config = RunConfig("apply", q=q, beta=beta, n_or_p=3)
         op = _OPERATORS[name](config, 14)
         for f in (q_gauss(vac(F(-1, 2), F(5, 4), 14)), make_series([1, F(1, 3), 0, F(-2, 7), 5], 12),
-                  make_series([GaussRational(1, F(1, 2)), 0, GaussRational(F(-1, 3), 2)], 9)):
+                  make_series([GaussRational(1), 0, F(-1, 3), 2], 9)):
             assert stored(op.apply(f)) == stored(node_by_node(op, f))
 
     @settings(max_examples=150, deadline=None)

@@ -81,6 +81,15 @@ for _op in OPERATORS:
     _add("table", "--op", _op, "--q", "2/3", "--beta", "1/2", "--n", "1", "--input", "real.json",
          "--xs", "1/3,-3/4,2")
 
+# a complex input is two real series: apply runs on each part and writes one
+# document, and table refuses it at its first point (none for an empty --xs)
+_add("apply", "--op", "Ob", "--q", "3/2", "--input", "complex.json", "--emit", "csv")
+_add("table", "--op", "h0", "--q", "3/2", "--input", "complex.json", "--xs", "")
+_add("table", "--op", "Tplus", "--q", "3/2", "--input", "complex.json", "--xs", "0")
+# u_p is real: q_hermite's coefficients with a parity sign, at orders past the halves
+_add("ufunc", "--p", "4", "--q", "3/2", "--order", "64")
+_add("ufunc", "--p", "6", "--q", "5/4", "--order", "64", "--emit", "csv")
+
 for _func in ("beta", "dbeta", "gauss", "hermite", "ufunc"):
     _add("table", "--func", _func, "--q", "3/2", "--n", "2", "--p", "2", "--order", "16")
 

@@ -13,7 +13,6 @@ from qsusy.qcore import (
     Deformation,
     GaussRational,
     format_rational,
-    i_power,
     parse_rational,
     q_factorial,
     q_number,
@@ -110,13 +109,6 @@ class TestDeformation:
 class TestGaussRational:
     def test_i_squared(self):
         assert GAUSS_I * GAUSS_I == GaussRational(-1, 0)
-
-    def test_i_power_cycle(self):
-        assert i_power(0) == GAUSS_ONE
-        assert i_power(1) == GAUSS_I
-        assert i_power(2) == GaussRational(-1, 0)
-        assert i_power(-1) == GaussRational(0, -1)
-        assert i_power(7) == i_power(3)
 
     def test_real_interchangeability(self):
         two = GaussRational(2, 0)

@@ -93,7 +93,7 @@ def closed_form_beta_q(v):
 
 
 def stored(s):
-    return s.order, s.num_re, s.num_im, s.den
+    return s.order, s.num, s.den
 
 
 class TestBetaQ:
@@ -236,6 +236,20 @@ class TestUTransform:
                 u = u_transform(p, Deformation(q), 12)
                 assert all(c.is_real for c in u.coeffs)
                 assert u.coeff(0)
+
+    @pytest.mark.parametrize("p", [0, 2, 4, 6])
+    @pytest.mark.parametrize("q", [F(1), F(2), F(3, 2), F(5, 4)])
+    def test_is_the_rodrigues_product_at_imaginary_argument(self, q, p):
+        # u_p = i^-p H_p(ix) e_q(x^2/2) = e_q(-x^2) D_q^p e_q(x^2) e_q(x^2/2),
+        # built here from q_gauss and the q-derivative alone, with no sign rule
+        d, order = Deformation(q), 20
+        grow = q_gauss(VacuumSpec(F(1), d, order))
+        for _ in range(p):
+            grow = grow.jackson_derivative(d)
+        want = q_gauss(VacuumSpec(F(-1), d, order)) * grow * q_gauss(VacuumSpec(F(1, 2), d, order))
+        got = u_transform(p, d, order)
+        assert got.order == want.order == order - p
+        assert got == want
 
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):

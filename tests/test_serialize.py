@@ -24,8 +24,19 @@ small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=50)
 coefficients = st.builds(GaussRational, small_fractions, small_fractions)
 
 
-def exact_equal(a: PowerSeries, b: PowerSeries) -> bool:
-    return a.order == b.order and a.coeffs == b.coeffs
+def parts_of(coeffs, order=None):
+    """The real series (re, im) of Gaussian-rational coefficients; im is None when it is zero."""
+    order = len(coeffs) - 1 if order is None else order
+    gs = [c if isinstance(c, GaussRational) else GaussRational(c) for c in coeffs]
+    gs += [GaussRational(0)] * (order + 1 - len(gs))
+    re = PowerSeries([g.re for g in gs], order)
+    return re, PowerSeries([g.im for g in gs], order) if any(g.im for g in gs) else None
+
+
+def exact_equal(a, b) -> bool:
+    """Two (re, im) pairs hold the same coefficients and orders."""
+    shape = lambda s: None if s is None else (s.order, s.coeffs)
+    return list(map(shape, a)) == list(map(shape, b))
 
 
 class TestGaussPairs:
@@ -44,10 +55,10 @@ class TestJson:
     def test_coefficients_past_the_digit_limit(self):
         # a 5000-digit numerator: int/str conversion stops at 4300 digits
         huge = F(10**5000 // 7, 3**11)
-        s = make_series([huge, GaussRational(F(1, 2), -huge)], 1)
-        back = series_from_json(series_to_json(s))
+        s = parts_of([huge, GaussRational(F(1, 2), -huge)])
+        back = series_from_json(series_to_json(*s))
         assert exact_equal(back, s)
-        assert exact_equal(series_from_csv(series_to_csv(s)), s)
+        assert exact_equal(series_from_csv(series_to_csv(*s)), s)
 
     def test_document_shape(self):
         doc = series_to_dict(make_series([1, F(-1, 2)], 2))
@@ -71,8 +82,19 @@ class TestJson:
 
     @given(coeffs=st.lists(coefficients, min_size=1, max_size=9))
     def test_round_trip(self, coeffs):
-        series = PowerSeries(tuple(coeffs), len(coeffs) - 1)
-        assert exact_equal(series_from_json(series_to_json(series)), series)
+        series = parts_of(coeffs)
+        assert exact_equal(series_from_json(series_to_json(*series)), series)
+
+    def test_a_complex_document_is_two_real_series(self):
+        re, im = series_from_json('{"order": 1, "coeffs": [["1/2", "0"], ["0", "-3"]]}')
+        assert (re.order, re.coeffs) == (1, (F(1, 2), 0))
+        assert (im.order, im.coeffs) == (1, (0, -3))
+        re, im = series_from_json('{"order": 1, "coeffs": [["1/2", "0"], ["0", "0/5"]]}')
+        assert im is None and re.coeffs == (F(1, 2), 0)
+
+    def test_the_parts_written_together_have_one_order(self):
+        with pytest.raises(ValueError, match="the imaginary part has order 2, the real part 1"):
+            series_to_json(make_series([1], 1), make_series([0, 1], 2))
 
 
 class TestCsv:
@@ -86,8 +108,8 @@ class TestCsv:
 
     @given(coeffs=st.lists(coefficients, min_size=1, max_size=9))
     def test_round_trip(self, coeffs):
-        series = PowerSeries(tuple(coeffs), len(coeffs) - 1)
-        assert exact_equal(series_from_csv(series_to_csv(series)), series)
+        series = parts_of(coeffs)
+        assert exact_equal(series_from_csv(series_to_csv(*series)), series)
 
     @pytest.mark.parametrize("field, echo", [
         # past the csv module's field limit (128 KiB), which raises csv.Error
@@ -134,12 +156,13 @@ def test_short_document_part_keeps_its_message(read, text, message):
 HUGE = F(-(10**5000 // 7), 3**11)
 
 
-def layout(s: PowerSeries):
-    return s.order, s.num_re, s.num_im, s.den
+def layout(parts):
+    """The stored forms of a pair (re, im) of real series."""
+    return [None if s is None else (s.order, s.num, s.den) for s in parts]
 
 
 def outcome(fn, *args):
-    """The series' stored form, or the exception's type and message."""
+    """The pair's stored forms, or the exception's type and message."""
     try:
         return layout(fn(*args))
     except Exception as exc:  # the type and message are what is compared
@@ -152,7 +175,7 @@ def reference_from_dict(data):
     coeffs = tuple(gauss_from_pair(p) for p in pairs)
     if len(coeffs) != order + 1:
         raise ValueError(f"series of order {order} needs {order + 1} coefficients, got {len(coeffs)}")
-    return PowerSeries(coeffs, order)
+    return parts_of(coeffs)
 
 
 def reference_from_csv(text):
@@ -162,7 +185,7 @@ def reference_from_csv(text):
         if len(row) != 3 or int(row[0]) != i:
             raise ValueError(f"bad CSV coefficient row {row!r} at position {i}")
         coeffs.append(GaussRational(parse_rational(row[1]), parse_rational(row[2])))
-    return PowerSeries(tuple(coeffs), len(coeffs) - 1)
+    return parts_of(coeffs)
 
 
 def csv_text(pairs):
@@ -230,26 +253,28 @@ class TestNumeratorReader:
         want = layout(reference_from_dict(doc))
         assert layout(series_from_dict(doc)) == want
         assert layout(series_from_csv(csv_text(pairs))) == want
-        assert want == layout(PowerSeries(coeffs, len(coeffs) - 1))
+        assert want == layout(parts_of(coeffs))
 
 
 class TestNumeratorWriter:
-    def check(self, s):
-        pairs = [gauss_to_pair(c) for c in s.coeffs]
-        assert series_to_dict(s)["coeffs"] == pairs
-        assert series_to_csv(s) == csv_text(pairs)
-        assert layout(series_from_json(series_to_json(s))) == layout(s)
+    def check(self, coeffs, order):
+        s = parts_of(coeffs, order)
+        gs = [c if isinstance(c, GaussRational) else GaussRational(c) for c in coeffs]
+        pairs = [gauss_to_pair(c) for c in gs] + [["0", "0"]] * (order + 1 - len(coeffs))
+        assert series_to_dict(*s)["coeffs"] == pairs
+        assert series_to_csv(*s) == csv_text(pairs)
+        assert layout(series_from_json(series_to_json(*s))) == layout(s)
 
     def test_examples(self):
         # zero, integers over a common denominator of 6, negative, complex, 5000 digits
-        self.check(make_series([0, 3, F(-1, 2), F(1, 3), -7], 5))
-        self.check(make_series([GaussRational(F(-1, 2), 5), 0, GaussRational(0, F(-2, 3)), 4], 3))
-        self.check(make_series([HUGE, 2, GaussRational(F(1, 2), -HUGE), 0], 3))
-        self.check(make_series([], 2))
+        self.check([0, 3, F(-1, 2), F(1, 3), -7], 5)
+        self.check([GaussRational(F(-1, 2), 5), 0, GaussRational(0, F(-2, 3)), 4], 3)
+        self.check([HUGE, 2, GaussRational(F(1, 2), -HUGE), 0], 3)
+        self.check([], 2)
 
     @given(coeffs=st.lists(coefficients, min_size=1, max_size=9))
     def test_matches_per_coefficient_pairs(self, coeffs):
-        self.check(PowerSeries(tuple(coeffs), len(coeffs) - 1))
+        self.check(coeffs, len(coeffs) - 1)
 
 
 huge_parts = st.integers(min_value=4301, max_value=4400).flatmap(
@@ -266,22 +291,22 @@ class TestDirectJsonWriter:
         st.lists(st.builds(GaussRational, real_parts, real_parts), min_size=1, max_size=6),
     ))
     def test_random_real_and_complex(self, coeffs):
-        a = PowerSeries(tuple(coeffs), len(coeffs) - 1)
-        assert series_to_json(a) == json.dumps(series_to_dict(a), indent=2)
+        a = parts_of(coeffs)
+        assert series_to_json(*a) == json.dumps(series_to_dict(*a), indent=2)
 
     @given(st.lists(real_parts, min_size=1, max_size=6))
     def test_wire_text_is_format_rational(self, values):
         # one formatter writes both: the writer reads numerators, format_rational a Fraction
-        a = make_series([GaussRational(x, -x) for x in values], len(values) - 1)
-        pairs = json.loads(series_to_json(a))["coeffs"]
+        a = parts_of([GaussRational(x, -x) for x in values])
+        pairs = json.loads(series_to_json(*a))["coeffs"]
         assert pairs == [[format_rational(F(x)), format_rational(-F(x))] for x in values]
 
     @pytest.mark.parametrize("a", [
-        PowerSeries([], -1),
-        make_series([], 0),
-        make_series([F(-1, 2)], 0),
-        make_series([GaussRational(0, 1)], 0),
-        make_series([HUGE, GaussRational(F(1, 2), -HUGE)], 3),
+        (PowerSeries([], -1), None),
+        parts_of([], 0),
+        parts_of([F(-1, 2)]),
+        parts_of([GaussRational(0, 1)]),
+        parts_of([HUGE, GaussRational(F(1, 2), -HUGE)], 3),
     ])
     def test_examples(self, a):
-        assert series_to_json(a) == json.dumps(series_to_dict(a), indent=2)
+        assert series_to_json(*a) == json.dumps(series_to_dict(*a), indent=2)

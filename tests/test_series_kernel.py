@@ -3,8 +3,8 @@
 Every operation of ``PowerSeries`` is recomputed here coefficient by
 coefficient on GaussRationals, the way the arithmetic is written on paper,
 and the results must agree exactly, order included. Each result must also be
-in the canonical form: a positive common denominator, no factor shared by it
-and every numerator, and no imaginary vector when every imaginary part is 0.
+in the canonical form: a positive common denominator, and no factor shared
+by it and every numerator.
 """
 
 import random
@@ -18,18 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsusy import series as kernel, verify
-from qsusy.qcore import GAUSS_I, GAUSS_ZERO, Deformation, GaussRational, format_rational, q_number_numerators
+from qsusy.qcore import GAUSS_ZERO, Deformation, GaussRational, format_rational, q_number_numerators
 from qsusy.qspecial import VacuumSpec, _q_exp_by_powers, beta_q, q_exp, q_gauss
 from qsusy.series import NonInvertibleSeriesError, PowerSeries, div, make_series, monomial
 
 fractions = st.fractions(min_value=-7, max_value=7, max_denominator=12)
 real_coeffs = st.builds(GaussRational, fractions, st.just(F(0)))
-gauss_coeffs = st.builds(GaussRational, fractions, fractions)
 # zeros are frequent in the program's series (even/odd ones, monomial probes)
-coeffs = st.one_of(st.just(GAUSS_ZERO), real_coeffs, gauss_coeffs)
-scalars = st.one_of(fractions.map(GaussRational), gauss_coeffs)
+coeffs = st.one_of(st.just(GAUSS_ZERO), real_coeffs)
+# the kernel bodies take an int or a Fraction as their scalar
+scalars = fractions
 # every scalar type a constructor takes, bool included (an int to Python)
-mixed_scalars = st.one_of(st.integers(min_value=-20, max_value=20), st.booleans(), fractions, gauss_coeffs)
+mixed_scalars = st.one_of(st.integers(min_value=-20, max_value=20), st.booleans(), fractions, real_coeffs)
 nonzero_scalars = scalars.filter(bool)
 QS = [F(1), F(2), F(2, 3), F(5, 4)]
 
@@ -58,29 +58,25 @@ def expect(values, order):
 def assert_well_formed(s: PowerSeries) -> None:
     """The stored form as a kernel body leaves it: canonical but for the gcd."""
     assert isinstance(s.den, int) and s.den > 0
-    assert len(s.num_re) == s.order + 1
-    assert all(type(x) is int for x in s.num_re)
-    if s.num_im is not None:
-        assert len(s.num_im) == s.order + 1
-        assert any(s.num_im), "an all-zero imaginary part must be stored as None"
+    assert len(s.num) == s.order + 1
+    assert all(type(x) is int for x in s.num)
 
 
 def assert_canonical(s: PowerSeries) -> None:
     assert_well_formed(s)
-    assert gcd(s.den, *s.num_re, *(s.num_im or ())) == 1
+    assert gcd(s.den, *s.num) == 1
 
 
 def layout(s: PowerSeries):
-    return s.order, s.num_re, s.num_im, s.den
+    return s.order, s.num, s.den
 
 
 def reference_layout(values, order):
     """The stored form as the per-coefficient path built it: every value made
-    a GaussRational, the reduced parts put over the lcm of their denominators."""
-    gs = [v if isinstance(v, GaussRational) else GaussRational(F(v)) for v in values]
-    den = lcm(*(x.denominator for g in gs for x in (g.re, g.im)))
-    im = tuple(int(g.im * den) for g in gs)
-    return order, tuple(int(g.re * den) for g in gs), im if any(im) else None, den
+    a Fraction, the reduced values put over the lcm of their denominators."""
+    fs = [v.re if isinstance(v, GaussRational) else F(v) for v in values]
+    den = lcm(*(x.denominator for x in fs))
+    return order, tuple(int(x * den) for x in fs), den
 
 
 def q_number(n: int, q: F) -> F:
@@ -121,11 +117,11 @@ class TestConstruction:
 
     def test_canonical_examples(self):
         s = make_series([F(1, 2), F(1, 3), F(-1, 6)], 2)
-        assert (s.num_re, s.num_im, s.den) == ((3, 2, -1), None, 6)
+        assert (s.num, s.den) == ((3, 2, -1), 6)
         z = make_series([0, 0], 3)
-        assert (z.num_re, z.num_im, z.den) == ((0, 0, 0, 0), None, 1)
-        g = make_series([GaussRational(F(1, 2), F(3, 4))], 0)
-        assert (g.num_re, g.num_im, g.den) == ((2,), (3,), 4)
+        assert (z.num, z.den) == ((0, 0, 0, 0), 1)
+        g = make_series([GaussRational(F(3, 4))], 0)
+        assert (g.num, g.den) == ((3,), 4)
 
     def test_accepts_fractions_and_ints(self):
         assert exact(PowerSeries([1, F(1, 2)], 1)) == expect([1, F(1, 2)], 1)
@@ -137,7 +133,7 @@ class TestConstruction:
         padded = values + [0] * pad
         assert layout(make_series(values, n + pad)) == reference_layout(padded, n + pad)
         assert layout(monomial(n, n + pad, values[-1])) == reference_layout([0] * n + [values[-1]] + [0] * pad, n + pad)
-        a = make_series([1, F(-1, 2), GaussRational(0, 3)], 4)
+        a = make_series([1, F(-1, 2), GaussRational(3)], 4)
         gauss = [GaussRational(v) if not isinstance(v, GaussRational) else v for v in values]
         assert layout(a.mul_poly(values)) == layout(a.mul_poly(gauss))
 
@@ -166,7 +162,7 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             s.den = 2
         with pytest.raises(AttributeError):
-            del s.num_re
+            del s.num
 
 
 class TestRing:
@@ -222,10 +218,9 @@ class TestRing:
 
 
 class TestDivision:
-    @given(series(), series(), st.sampled_from([F(1), F(-2, 3), GaussRational(0, F(-3, 4))]))
+    @given(series(), series(), st.sampled_from([F(1), F(-2, 3), GaussRational(F(-3, 4))]))
     @settings(max_examples=80)
     def test_div(self, a, b, b0):
-        # b0 = -3i/4: a complex divisor whose constant term is purely imaginary
         b = b - make_series([b.coeff(0) - b0], b.order)  # an invertible divisor
         assert exact(div(a, b)) == ref_div(a, b)
         assert exact(a / b) == ref_div(a, b)
@@ -233,12 +228,12 @@ class TestDivision:
     @given(series(), series(), nonzero_scalars)
     @settings(max_examples=80)
     def test_div_any_constant_term(self, a, b, b0):
-        # real and complex constant terms other than 1, complex operands
+        # constant terms other than 1, of either sign
         b = b - make_series([b.coeff(0) - b0], b.order)
         assert exact(div(a, b)) == ref_div(a, b)
 
     @given(series(max_order=14), coeff_lists(max_order=7, elements=st.one_of(real_coeffs, coeffs)),
-           st.sampled_from([F(3), F(-5, 7), GaussRational(F(2, 3), F(-1, 2))]))
+           st.sampled_from([F(3), F(-5, 7), GaussRational(F(2, 3))]))
     @settings(max_examples=60)
     def test_div_even_divisor(self, a, half, b0):
         # even divisors, like e_q(beta x^2), have every odd coefficient zero
@@ -251,9 +246,8 @@ class TestDivision:
     def test_div_long_growing_denominator(self):
         # an order-24 quotient whose denominator grows at most steps
         b = make_series([F(-3, 2)] + [F((-1) ** k, 3 * k + 1) for k in range(1, 25)], 24)
-        # a real and a complex dividend over the real divisor
         for a in (make_series([F(1, k + 2) for k in range(25)], 24),
-                  make_series([GaussRational(F(1, k + 2), F(k - 3, 2 * k + 5)) for k in range(25)], 24)):
+                  make_series([F(k - 3, 2 * k + 5) for k in range(25)], 24)):
             assert exact(div(a, b)) == ref_div(a, b)
             c = div(a, b)
             assert c * b == a
@@ -264,10 +258,6 @@ class TestDivision:
         b = b - make_series([b.coeff(0)], b.order)
         with pytest.raises(NonInvertibleSeriesError):
             div(make_series([1], b.order), b)
-
-    def test_complex_constant_is_invertible(self):
-        b = make_series([GAUSS_I, 1], 3)
-        assert exact(div(b, b)) == expect([1, 0, 0, 0], 3)
 
 
 HALVES = kernel._DIV_HALVES_MIN_ORDER
@@ -288,52 +278,35 @@ def kernel_constant(name, value):
         setattr(kernel, name, saved)
 
 
-def seeded_series(rng, order, imaginary, b0=None):
+def seeded_series(rng, order, b0=None):
     """A series of small random rationals; ``b0`` fixes the constant term."""
-    part = lambda: F(rng.randint(-40, 40), rng.randint(1, 9))
-    cs = [GaussRational(part(), part() if imaginary else 0) for _ in range(order + 1)]
+    cs = [F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(order + 1)]
     if b0 is not None:
-        cs[0] = GaussRational(b0)
+        cs[0] = b0
     return make_series(cs, order)
 
 
 class TestDivisionByHalves:
     """``div`` from order _DIV_HALVES_MIN_ORDER on, against the loop it keeps
-    below that order as its reference for real dividends, and against the
-    per-coefficient reference for complex ones."""
+    below that order as its reference."""
 
     @given(st.randoms(use_true_random=False), st.integers(HALVES - 3, 2 * HALVES + 3),
-           st.integers(0, 4), st.booleans(), st.sampled_from([F(1), F(-3, 2), F(-7), F(5, 3)]))
+           st.integers(0, 4), st.sampled_from([F(1), F(-3, 2), F(-7), F(5, 3)]))
     @settings(max_examples=25, deadline=None)
-    def test_halves_match_the_loop(self, rng, n, extra, imaginary, b0):
+    def test_halves_match_the_loop(self, rng, n, extra, b0):
         # unequal orders: the dividend runs past the divisor, or the other way
-        a = seeded_series(rng, n + extra, imaginary)
-        b = seeded_series(rng, n + (extra if rng.random() < 0.5 else 0), False, b0)
+        a = seeded_series(rng, n + extra)
+        b = seeded_series(rng, n + (extra if rng.random() < 0.5 else 0), b0)
         m = min(a.order, b.order)
         got = div(a, b)
-        if imaginary:
-            assert exact(got) == ref_div(a, b)
-        else:
-            assert layout(got) == layout(kernel._div_loop(a, b, m))
-            assert_canonical(got)
+        assert layout(got) == layout(kernel._div_loop(a, b, m))
+        assert_canonical(got)
 
     @given(series(max_order=12), series(max_order=12), nonzero_scalars, st.integers(1, 3))
     @settings(max_examples=80)
     def test_every_level_of_halves(self, a, b, b0, threshold):
-        # a threshold of 1 halves down to single coefficients; complex divisors
-        # go through their conjugate first
+        # a threshold of 1 halves down to single coefficients
         b = b - make_series([b.coeff(0) - b0], b.order)
-        with kernel_constant("_DIV_HALVES_MIN_ORDER", threshold):
-            got = div(a, b)
-        assert exact(got) == ref_div(a, b)
-
-    @given(st.lists(gauss_coeffs.filter(lambda c: c.im), min_size=2, max_size=13),
-           coeff_lists(1, 12), nonzero_scalars, st.integers(1, 3))
-    @settings(max_examples=80)
-    def test_halves_join_complex_quotients_canonically(self, a, b, b0, threshold):
-        # the parts of a complex dividend, and each part's halves, join with
-        # no gcd; their canonical forms make the join canonical
-        a, b = PowerSeries(a, len(a) - 1), make_series([b0, *b[1:]], len(b) - 1)
         with kernel_constant("_DIV_HALVES_MIN_ORDER", threshold):
             got = div(a, b)
         assert exact(got) == ref_div(a, b)
@@ -344,8 +317,8 @@ class TestDivisionByHalves:
     def test_remainder_vanishes_below_the_high_half(self, rng, n, gate):
         # a gate of 0 runs the Karatsuba middle product on these small
         # numerators; the low half goes by halves too, from order 8 on
-        a = seeded_series(rng, n, False)
-        b = seeded_series(rng, n, False, F(-2, 3))
+        a = seeded_series(rng, n)
+        b = seeded_series(rng, n, F(-2, 3))
         h = (n + 2) // 2
         with kernel_constant("_MIDDLE_MIN_WORK", gate), kernel_constant("_DIV_HALVES_MIN_ORDER", 8):
             lo = kernel._quotient(a, b, h - 1)
@@ -353,43 +326,28 @@ class TestDivisionByHalves:
         # the reference: a - b lo in full, through the kernel's product
         full = a - b * make_series(lo.coeffs, n)
         assert full.order == n and not any(full.coeffs[:h])
-        assert r.order == n - h and r.den > 0 and r.num_im is None
+        assert r.order == n - h and r.den > 0
         assert r.coeffs == full.coeffs[h:]
         r = kernel._reduced(r)
         # the high half is a / b's coefficients h..n, times b
         assert div(r, b).coeffs == ref_div(a, b)[1][h:]
 
     def test_empty_dividend_and_a_long_divisor(self):
-        b = seeded_series(random.Random(1), 2 * HALVES, False, F(3))
-        assert layout(div(PowerSeries([], -1), b)) == (-1, (), None, 1)
+        b = seeded_series(random.Random(1), 2 * HALVES, F(3))
+        assert layout(div(PowerSeries([], -1), b)) == (-1, (), 1)
 
     def test_one_traced_call_per_division(self, monkeypatch):
-        # the recursion and a complex dividend's two parts call the private
-        # helper, so a wrapper around div sees only the outer call
+        # the recursion calls the private helper, so a wrapper around div
+        # sees only the outer call
         calls = []
         original = kernel.div
         monkeypatch.setattr(kernel, "div", lambda a, b: calls.append(1) or original(a, b))
         rng = random.Random(2)
-        a, b = seeded_series(rng, 3 * HALVES, True), seeded_series(rng, 3 * HALVES, True, F(2))
+        a, b = seeded_series(rng, 3 * HALVES), seeded_series(rng, 3 * HALVES, F(2))
         got = kernel.div(a, b)
         assert calls == [1]
         assert_canonical(got)
         assert got.order == 3 * HALVES and b * got == a
-
-    @pytest.mark.parametrize("n", [HALVES // 2, 2 * HALVES + 1])
-    @pytest.mark.parametrize("divisor_im", [False, True])
-    def test_quotient_reads_real_series_only(self, monkeypatch, n, divisor_im):
-        # below and past the halves threshold, a complex dividend by a real or
-        # complex divisor: every quotient the kernel takes is of real series
-        seen = []
-        original = kernel._quotient
-        monkeypatch.setattr(kernel, "_quotient", lambda a, b, m: seen.append((a, b)) or original(a, b, m))
-        rng = random.Random(n)
-        a, b = seeded_series(rng, n, True), seeded_series(rng, n, divisor_im, F(-3, 2))
-        got = div(a, b)
-        assert len(seen) >= (2 if n < HALVES else 6)
-        assert all(x.num_im is None for pair in seen for x in pair)
-        assert exact(got) == ref_div(a, b)
 
     def test_each_loop_reads_operands_truncated_to_its_order(self, monkeypatch):
         # beta_q(3/2, -1/2, 128) divides at order 129, by two levels of halves
@@ -407,7 +365,7 @@ class TestDivisionByHalves:
             assert_canonical(a)
             assert_canonical(b)
         vacuum_bits = q_gauss(VacuumSpec(v.beta, v.d, v.order + 2)).den.bit_length()
-        top = max(x.bit_length() for _, b, _ in seen for x in b.num_re)
+        top = max(x.bit_length() for _, b, _ in seen for x in b.num)
         assert 8 * top < vacuum_bits
 
     def test_halves_drop_a_tail_denominator(self, monkeypatch):
@@ -415,8 +373,8 @@ class TestDivisionByHalves:
         # inner quotient reads b truncated below it, so no divisor there has p
         n, p = 2 * HALVES + 1, 2**127 - 1
         rng = random.Random(22)
-        a = seeded_series(rng, n, False)
-        b = seeded_series(rng, n, False, F(3)) + monomial(n, n, F(1, p))
+        a = seeded_series(rng, n)
+        b = seeded_series(rng, n, F(3)) + monomial(n, n, F(1, p))
         assert b.den % p == 0
         divisors = []
         original = kernel._quotient
@@ -444,18 +402,11 @@ class TestSubstitutions:
                     want[k + j] = want[k + j] + c * x
         assert exact(got) == expect(want, n)
 
-    @given(series(), st.one_of(fractions, gauss_coeffs))
+    @given(series(), st.one_of(fractions, real_coeffs))
     @settings(max_examples=80)
     def test_scale_arg(self, a, lam):
-        lam_g = GaussRational(lam) if isinstance(lam, F) else lam
-        want = [c * lam_g**n for n, c in enumerate(a.coeffs)]
+        want = [c * lam**n for n, c in enumerate(a.coeffs)]
         assert exact(a.scale_arg(lam)) == expect(want, a.order)
-
-    @given(series())
-    @settings(max_examples=40)
-    def test_i_rotate(self, a):
-        want = [c * GAUSS_I**n for n, c in enumerate(a.coeffs)]
-        assert exact(a.i_rotate()) == expect(want, a.order)
 
     @given(series(), st.sampled_from(QS))
     @settings(max_examples=80)
@@ -482,15 +433,15 @@ class TestEquality:
         assert (a == b) == (a.coeffs[:m] == b.coeffs[:m])
 
     def test_one_changed_coefficient(self):
-        a = make_series([F(1, 3), F(1, 2), GaussRational(0, F(1, 5))], 2)
-        b = make_series([F(1, 3), F(1, 2), GaussRational(0, F(1, 5)), F(1, 7)], 4)
+        a = make_series([F(1, 3), F(1, 2), F(1, 5)], 2)
+        b = make_series([F(1, 3), F(1, 2), F(1, 5), F(1, 7)], 4)
         assert a == b and a.den != b.den
-        assert a != make_series([F(1, 3), F(1, 2), GaussRational(0, F(1, 7))], 2)
+        assert a != make_series([F(1, 3), F(1, 2), F(1, 7)], 2)
         assert a != make_series([F(1, 3), F(1, 2)], 2)
 
     def test_truncation_renormalises(self):
         s = make_series([2, F(1, 6)], 1).truncated(0)
-        assert (s.num_re, s.den) == ((2,), 1)
+        assert (s.num, s.den) == ((2,), 1)
 
 
 EMPTY = PowerSeries((), -1)
@@ -517,7 +468,7 @@ class TestEmptySeries:
     @settings(max_examples=20)
     def test_operations(self, a):
         for got in (a + EMPTY, EMPTY - a, a * EMPTY, EMPTY * a, EMPTY * F(3, 2),
-                    EMPTY.scale_arg(F(1, 2)), EMPTY.i_rotate(), div(EMPTY, make_series([1], a.order))):
+                    EMPTY.scale_arg(F(1, 2)), div(EMPTY, make_series([1], a.order))):
             assert exact(got) == (-1, ())
         assert EMPTY == a and a == EMPTY
 
@@ -591,7 +542,7 @@ class TestQExp:
     @given(coeff_lists(min_order=1, max_order=7), st.sampled_from(QS))
     @settings(max_examples=30)
     def test_other_arguments_take_the_power_sum(self, cs, q):
-        # any u with u(0) = 0, complex or with several terms
+        # any u with u(0) = 0 and several terms
         u = PowerSeries([GAUSS_ZERO] + cs[1:], len(cs) - 1)
         d = Deformation(q)
         want = [GAUSS_ZERO] * (u.order + 1)
@@ -705,32 +656,6 @@ class TestKaratsuba:
             # b is shorter than n + 1 at n = 70: its missing entries are zeros
             assert kernel._convolve(a, b, n) == dot_path(a, b + [0] * 40, n) == reference(a, b + [0] * 40, n)
             assert takes_karatsuba(a, b, n)
-
-    @pytest.mark.parametrize("parities", [(0, 0), (0, 1), (None, 1)])
-    def test_complex_operands_through_the_product(self, parities):
-        rng = random.Random(str(parities))
-        pa, pb = parities
-        bits = (2200, 5000, 12000)
-
-        def big_series(parity):
-            n = 40
-            re = big_vector(rng, n + 1, rng.choice(bits), parity)
-            im = big_vector(rng, n + 1, rng.choice(bits), parity)
-            den = rng.getrandbits(64) | 1
-            return PowerSeries([GaussRational(F(x, den), F(y, den)) for x, y in zip(re, im)], n)
-
-        a, b = big_series(pa), big_series(pb)
-        real = make_series([F(x, 3) for x in big_vector(rng, 41, 6000, pa)], 40)
-        products = []
-
-        def run():
-            for x, y in ((a, b), (a, real), (real, b)):
-                products.append((x, y, x * y))
-
-        taken = outer_short_products(run)
-        for x, y, got in products:
-            assert exact(got) == expect(ref_product(x.coeffs, y.coeffs, 40), 40)
-        assert len(taken) == 4 + 2 + 2
 
     def test_dense_path_below_the_gate(self, monkeypatch):
         # the products of the small default cells never reach the new path
@@ -877,7 +802,7 @@ class TestKaratsubaFaults:
         q, beta, order = F(3, 2), F(-1, 2), 96
         v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
         w, g = beta_q(v).mul_poly([0, 1]), q_gauss(v)
-        assert takes_karatsuba(list(w.num_re), list(g.num_re), order)
+        assert takes_karatsuba(list(w.num), list(g.num), order)
         [check] = verify.kernel_suite(q, beta, order)
         assert check.passed
         good = w * g
@@ -923,8 +848,7 @@ class TestKaratsubaFaults:
 def scaled_up(s: PowerSeries, k: int) -> PowerSeries:
     """s with k times each numerator over k times its denominator: the same
     series, unreduced."""
-    im = s.num_im
-    return kernel._make(s.order, [x * k for x in s.num_re], None if im is None else [x * k for x in im], s.den * k)
+    return kernel._make(s.order, [x * k for x in s.num], s.den * k)
 
 
 class TestOneResultType:
@@ -957,54 +881,6 @@ class TestOneResultType:
         assert kernel._reduced(a) is a
         got = kernel._reduced(scaled_up(a, k))
         assert layout(got) == layout(a)
-
-
-class TestImaginaryPartsThatCancel:
-    """An all-zero imaginary part is stored as None, whichever path made it.
-
-    ``_make`` is the one place that applies the rule; the kernel bodies,
-    ``_reduced``, ``div`` and negation all build their series through it.
-    """
-
-    @pytest.mark.parametrize("im", [[0, 0, 0], (0, 0, 0)])
-    def test_make_and_canonical(self, im):
-        assert kernel._make(2, [2, 4, 6], im, 4).num_im is None
-        s = kernel._reduced(kernel._make(2, [2, 4, 6], im, 4))
-        assert (s.num_re, s.num_im, s.den) == ((1, 2, 3), None, 2)
-
-    def test_sum_of_conjugates(self):
-        a = make_series([GaussRational(1, 1), GaussRational(F(1, 2), -3)], 3)
-        b = make_series([GaussRational(1, -1), GaussRational(F(1, 2), 3)], 3)
-        s = a + b
-        assert s.num_im is None
-        assert s == make_series([2, 1], 3)
-
-    def test_operator_apply(self):
-        from qsusy.operators import identity_op, multiplication_op
-
-        i_times = multiplication_op(make_series([GAUSS_I], 6))
-        f = make_series([1, F(1, 2), 0, F(-2, 3)], 6)
-        zero = make_series([], 6)
-        for op, want in (
-            (i_times @ i_times, -f),
-            (identity_op() * GAUSS_I + identity_op() * -GAUSS_I, zero),
-            (i_times + identity_op() * -GAUSS_I, zero),
-        ):
-            out = op.apply(f)
-            assert out.num_im is None
-            assert out == want and out.order == 6
-
-    def test_div_by_a_complex_divisor(self):
-        b = make_series([GaussRational(1, 1), 1, GaussRational(0, F(1, 3))], 8)
-        quotient = make_series([2, F(-1, 5), 0, 7], 8)
-        got = div(b * quotient, b)
-        assert got.num_im is None
-        assert got == quotient and got.order == 8
-
-    def test_negation(self):
-        real = make_series([1, F(-1, 2)], 4)
-        assert (-real).num_im is None
-        assert (-(real * GAUSS_I)).num_im is not None
 
 
 class TestAddRow:
