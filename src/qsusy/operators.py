@@ -34,8 +34,8 @@ from operator import add as _add, sub as _sub
 from typing import Callable, Optional, Sequence
 
 from .qcore import Deformation, Rational, _Frozen, _Sealed, q_number
-from .series import PowerSeries, _add_row, _make, _real, _reduced, constant_series, make_series
-from .qspecial import VacuumSpec, _log_derivative, beta_q, delta_beta_q
+from .series import PowerSeries, _add_row, _make, _real, _reduced, make_series
+from .qspecial import VacuumSpec, _increment, _log_derivative, beta_q
 
 __all__ = [
     "QOperator", "Sum", "Scale", "Compose", "Mult", "MultPoly", "Jackson", "Shift", "NormalForm",
@@ -342,9 +342,11 @@ def _vacuum_intertwiners(v: VacuumSpec) -> tuple[QOperator, QOperator]:
     """(D_q - w, -D_q - w) with w = beta_q(x^2) x, built once for both.
 
     x times a canonical series is its numerators one place up over the same
-    denominator, which is canonical too, so mul_poly's body needs no gcd here.
+    denominator, which is canonical too, so w is that index shift: no product
+    and no gcd.
     """
-    w = beta_q(v)._mul_poly([0, 1])
+    b = beta_q(v)
+    w = _make(b.order + 1, (0, *b.num), b.den)
     return _intertwiner(v.d, 1, w), _intertwiner(v.d, -1, w)
 
 
@@ -360,47 +362,51 @@ def second_order_composed(v: VacuumSpec, which: str) -> QOperator:
     return minus @ plus if _partner_sign(which) == 1 else plus @ minus
 
 
-def five_term_table(v: VacuumSpec, which: str) -> list[tuple[PowerSeries, int, int]]:
-    """Rows (a, m, k) of the expanded partner operator, sum of a(x) (D_q^m f)(q^k x).
+def five_term_table(d: Deformation, b: PowerSeries, which: str) -> list[tuple[PowerSeries, int, int]]:
+    """Rows (a, m, k) of the partners of D_q - w and -D_q - w, where w = x B(x) and B = b.
 
-    With B = beta_q(x^2) and dB = B(x^2) - (1/q) B(x^2/q^2), acting on f:
+    A partner acts on f as the sum of a(x) (D_q^m f)(q^k x) over its rows; each
+    a is returned unreduced, as ``NormalForm.rows`` is. With
+    dB = B(x) - (1/q) B(x/q):
 
-        which="b":  -D_q^2 f - dB x (D_q f) + B^2 x^2 f
-                    + q (D_q B) x f(qx) + B(x^2/q^2) f(qx)
-        which="f":  each row of "b" times (-1)^(m+k): Tplus is Tminus with D_q -> -D_q,
+        which="b":  -D_q^2 f - dB x (D_q f) + B^2 x^2 f          (-D_q - w after D_q - w)
+                    + q (D_q B) x f(qx) + B(x/q) f(qx)
+        which="f":  each row of "b" times (-1)^(m+k): D_q - w is -D_q - w with D_q -> -D_q,
                     and each D_q raises m or, by the q-Leibniz rule, k.
+
+    The vacuum's pair has B = beta_q(x^2); the pair of an even transformation
+    function u (``t_generalized``) has B = (D_q u) / (x u).
     """
-    sign, q, b = _partner_sign(which), v.d.q, beta_q(v)
+    sign, q, n = _partner_sign(which), d.q, b.order
     rows = [
-        (constant_series(-1, v.order), 2, 0),
-        (delta_beta_q(v)._mul_poly([0, -1]), 1, 0),
+        (_make(n, [-1] + [0] * n, 1), 2, 0),
+        (_increment(b, d)._mul_poly([0, -1]), 1, 0),
         (b._times(b)._mul_poly([0, 0, 1]), 0, 0),
-        (b._jackson(v.d)._mul_poly([0, q]), 0, 1),
+        (b._jackson(d)._mul_poly([0, q]), 0, 1),
         (b._scale_arg(1 / q), 0, 1),
     ]
-    rows = [(_reduced(a), m, k) for a, m, k in rows]
     return rows if sign == 1 else _mirrored(rows)
 
 
 def _mirrored(rows: list[tuple[PowerSeries, int, int]]) -> list[tuple[PowerSeries, int, int]]:
-    """Of's rows from Ob's (see five_term_table); negation keeps a canonical series canonical."""
+    """Of's rows from Ob's (see five_term_table): row (a, m, k) times (-1)^(m+k), with no gcd."""
     return [(a._scaled(-1) if (m + k) % 2 else a, m, k) for a, m, k in rows]
 
 
-def _expanded(v: VacuumSpec, rows: list[tuple[PowerSeries, int, int]]) -> QOperator:
+def _expanded(d: Deformation, rows: list[tuple[PowerSeries, int, int]]) -> QOperator:
     """The sum of a(x) (D_q^m f)(q^k x) over the rows (a, m, k)."""
     terms = []
     for a, m, k in rows:
         op = multiplication_op(a)
         for _ in range(m):
-            op = op @ jackson_op(v.d)
-        terms.append(op @ Shift(v.d, k) if k else op)
+            op = op @ jackson_op(d)
+        terms.append(op @ Shift(d, k) if k else op)
     return reduce(_add, terms)
 
 
 def second_order_direct(v: VacuumSpec, which: str) -> QOperator:
     """The partner operator as the sum of its five-term table; see second_order_composed."""
-    return _expanded(v, five_term_table(v, which))
+    return _expanded(v.d, five_term_table(v.d, beta_q(v), which))
 
 
 def classical_hermite_op(n: int) -> QOperator:

@@ -230,10 +230,6 @@ class GaussRational(_Frozen):
         object.__setattr__(out, "im", im)
         return out
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def as_rational(self) -> Rational:
         """Demote to a plain rational; rejects values with a nonzero im part."""
         if self.im != 0:

@@ -147,11 +147,15 @@ def delta_beta_q(v: VacuumSpec) -> PowerSeries:
     beta [2]_q (1 - 1/q) is first order in (q - 1), so it is not invariant
     under q -> 1/q even though beta_q itself is.
     """
-    b = beta_q(v)
-    inv = 1 / v.d.q
     # one gcd, on the difference: the unreduced steps before it leave a
     # denominator at most 3 bits longer (orders 64-256, q = 2, 3/2, 5/4)
-    return _reduced(b._combine(b._scale_arg(inv)._scaled(inv), _sub))
+    return _reduced(_increment(beta_q(v), v.d))
+
+
+def _increment(b: PowerSeries, d: Deformation) -> PowerSeries:
+    """B(x) - (1/q) B(x/q), unreduced: with w = x B, x times it is w(x) - w(x/q)."""
+    inv = 1 / d.q
+    return b._combine(b._scale_arg(inv)._scaled(inv), _sub)
 
 
 def drift_deviations(v: VacuumSpec) -> tuple[Rational, Rational]:

@@ -26,12 +26,10 @@ import io
 import json
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .qcore import GaussRational, _ratio_text, _shown, format_rational, parse_rational
+from .qcore import _ratio_text, _shown, parse_rational
 from .series import PowerSeries, _from_ratios
 
 __all__ = [
-    "gauss_to_pair",
-    "gauss_from_pair",
     "series_to_dict",
     "series_from_dict",
     "series_to_json",
@@ -39,15 +37,6 @@ __all__ = [
     "series_to_csv",
     "series_from_csv",
 ]
-
-
-def gauss_to_pair(g: GaussRational) -> list[str]:
-    return [format_rational(g.re), format_rational(g.im)]
-
-
-def gauss_from_pair(pair: Any) -> GaussRational:
-    re, im = _checked_pair(pair)
-    return GaussRational(parse_rational(re), parse_rational(im))
 
 
 def _checked_pair(pair: Any) -> Any:

@@ -177,23 +177,24 @@ def kernel_suite(q: Rational, beta: Rational, order: int = 40) -> list[CheckResu
 def factorization_suite(q: Rational, beta: Rational, order: int = 32) -> list[CheckResult]:
     """Expanded five-term partner operators equal the composed products.
 
-    The cell builds the five-term table once, for Ob = Tminus Tplus; Of's
-    table is its mirror, row (a, m, k) times (-1)^(m+k), since Tplus is
-    Tminus with D_q -> -D_q. Each side is checked against its own composed
-    product, so "f" still tests Tplus Tminus. Checked on the complete monomial
-    basis x^0..x^order, which settles the operator identity on the whole
-    truncated space by linearity. Both sides are read through the term normal
-    form of their difference.
+    The cell builds the five-term table once, from the vacuum's drift series
+    beta_q, for Ob = Tminus Tplus; Of's table is its mirror, row (a, m, k)
+    times (-1)^(m+k), since Tplus is Tminus with D_q -> -D_q. The rows stay
+    unreduced, so a passing cell takes no gcd. Each side is checked against
+    its own composed product, so "f" still tests Tplus Tminus. Checked on the
+    complete monomial basis x^0..x^order, which settles the operator identity
+    on the whole truncated space by linearity. Both sides are read through the
+    term normal form of their difference.
     """
     v = VacuumSpec(beta=beta, d=Deformation(q), order=order)
     # the table is looked up on the module at call time, so that a wrong
     # table or sign rule put there reaches this check
-    rows = operators.five_term_table(v, "b")
+    rows = operators.five_term_table(v.d, beta_q(v), "b")
     return [
         _probe_result(
             f"factorization[{which}]",
             _cell_params(v),
-            normal_form(operators._expanded(v, table) - second_order_composed(v, which), order),
+            normal_form(operators._expanded(v.d, table) - second_order_composed(v, which), order),
             range(order + 1),
             order - 2,
         )

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qsusy import operators, series, verify
+from qsusy import operators, qspecial, series, verify
 from qsusy.cli import OPERATOR_NAMES, _build_operator, parse_args
 from qsusy.operators import (
     QOperator,
@@ -21,11 +21,12 @@ from qsusy.operators import (
     second_order_composed,
     second_order_direct,
     susy_pair_limit,
+    t_generalized,
     t_plus_q,
 )
 from qsusy.qcore import GaussRational, Deformation, format_rational
-from qsusy.qspecial import VacuumSpec, beta_q, delta_beta_q, q_gauss
-from qsusy.series import _reduced, constant_series, make_series, monomial, zero_series
+from qsusy.qspecial import VacuumSpec, _log_derivative, beta_q, delta_beta_q, q_gauss, u_transform
+from qsusy.series import _make, _reduced, constant_series, make_series, monomial, zero_series
 
 D1 = Deformation(1)
 FORMS = OPERATOR_NAMES + ("direct[b]", "direct[f]")
@@ -142,10 +143,38 @@ def test_five_term_table_is_the_public_methods_table(q, beta, which):
         (b.jackson_derivative(v.d).mul_poly([0, 1]) * (sign * q), 0, 1),
         (b.scale_arg(1 / q) * sign, 0, 1),
     ]
-    got = operators.five_term_table(v, which)
+    got = operators.five_term_table(v.d, b, which)
     assert [(m, k) for _, m, k in got] == [(m, k) for _, m, k in want]
     for (got_a, _, _), (want_a, _, _) in zip(got, want):
-        assert_same_series(got_a, want_a)
+        assert_same_series(_reduced(got_a), want_a)
+
+
+def drift(u, d):
+    """B = w / x for the even transformation function u, with w = (D_q u) / u odd."""
+    w = _log_derivative(u, d)
+    assert w.num[0] == 0
+    return _make(w.order - 1, w.num[1:], w.den)
+
+
+def failing_probes(op, n):
+    """The monomials x^j, j <= n, that op does not send to zero."""
+    nf = normal_form(op, n)
+    return [j for j in range(n + 1) if not nf.rows(j).is_zero]
+
+
+@pytest.mark.parametrize("which", ["b", "f"])
+@pytest.mark.parametrize("p", [0, 2, 4])
+@pytest.mark.parametrize("q", [F(1), F(3, 2), F(5, 4), F(2)], ids=str)
+def test_five_term_table_expands_the_pairs_of_u_p(q, p, which):
+    # the table of B = (D_q u) / (x u) is the partner of +-D_q - (D_q u) / u
+    d = Deformation(q)
+    u, wrong = u_transform(p, d, 16), u_transform(p + 2, d, 16)
+    plus, minus = t_generalized(u, d, 1), t_generalized(u, d, -1)
+    composed = minus @ plus if which == "b" else plus @ minus
+    n = u.order - 1
+    table = lambda b: operators._expanded(d, operators.five_term_table(d, b, which))
+    assert failing_probes(table(drift(u, d)) - composed, n) == []
+    assert failing_probes(table(drift(wrong, d)) - composed, n) != []
 
 
 @pytest.mark.parametrize("beta", [F(-1, 2), F(1, 2)], ids=str)
@@ -248,7 +277,7 @@ def perturb_b2x2(rows):
 @pytest.mark.parametrize("fault", [flip_shifted_terms, perturb_b2x2])
 def test_wrong_five_term_table_fails_factorization(monkeypatch, fault):
     table = operators.five_term_table
-    monkeypatch.setattr(operators, "five_term_table", lambda v, which: fault(table(v, which)))
+    monkeypatch.setattr(operators, "five_term_table", lambda d, b, which: fault(table(d, b, which)))
     q, beta, order = CELL["q"], CELL["beta"], CELL["order"]
     checks = verify.factorization_suite(q, beta, order)
     assert [c.name for c in checks] == ["factorization[b]", "factorization[f]"]
@@ -281,9 +310,9 @@ def test_wrong_sign_rule_fails_only_the_f_check(monkeypatch, q, beta):
 def test_a_cell_builds_the_five_term_table_once(monkeypatch):
     table, calls = operators.five_term_table, []
 
-    def counted(v, which):
+    def counted(d, b, which):
         calls.append(which)
-        return table(v, which)
+        return table(d, b, which)
 
     monkeypatch.setattr(operators, "five_term_table", counted)
     checks = verify.factorization_suite(CELL["q"], CELL["beta"], CELL["order"])
@@ -328,10 +357,29 @@ def test_a_passing_check_reduces_nothing_in_the_normal_form(monkeypatch):
     assert calls == []
 
 
+def test_a_passing_cell_reduces_nothing(monkeypatch):
+    # with the vacuum's beta_q cached, neither the table nor the normal form takes a gcd
+    q, beta, order = F(5, 4), F(-1, 2), 32
+    beta_q(VacuumSpec(beta=beta, d=Deformation(q), order=order))
+    calls, real = [], series._reduced
+
+    def counted(s):
+        calls.append(s.order)
+        return real(s)
+
+    for module in (series, qspecial, operators):
+        monkeypatch.setattr(module, "_reduced", counted)
+    checks = verify.factorization_suite(q, beta, order)
+    assert [c.status for c in checks] == ["pass", "pass"]
+    assert calls == []
+
+
 def test_a_failing_check_reduces_only_the_terms_it_keeps(monkeypatch):
     # the counter sees reductions: a wrong table leaves one term, reduced once
     table = operators.five_term_table
-    monkeypatch.setattr(operators, "five_term_table", lambda v, which: perturb_b2x2(table(v, which)))
+    monkeypatch.setattr(
+        operators, "five_term_table", lambda d, b, which: perturb_b2x2(table(d, b, which))
+    )
     calls = count_reductions_in_normal_form(monkeypatch)
     checks = verify.factorization_suite(CELL["q"], CELL["beta"], CELL["order"])
     assert not any(c.passed for c in checks)

@@ -53,6 +53,6 @@ def test_each_exported_name_is_listed_once_in_one_module():
 def test_every_module_name_is_exported():
     listed = [name for m in MODULES for name in importlib.import_module(f"qsusy.{m}").__all__]
     assert qsusy.__all__ == ["__version__", *listed]
-    assert len(qsusy.__all__) == 69
+    assert len(qsusy.__all__) == 67
     assert {"verify", "cli", "run_suite", "RunConfig"}.isdisjoint(qsusy.__all__)
 

@@ -234,7 +234,7 @@ class TestUTransform:
         for p in (0, 2, 4):
             for q in (F(1), F(3, 2)):
                 u = u_transform(p, Deformation(q), 12)
-                assert all(c.is_real for c in u.coeffs)
+                assert all(c.im == 0 for c in u.coeffs)
                 assert u.coeff(0)
 
     @pytest.mark.parametrize("p", [0, 2, 4, 6])

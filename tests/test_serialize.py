@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsusy.qcore import GaussRational, format_rational, parse_rational
+from qsusy.qcore import GaussRational, _shown, format_rational, parse_rational
 from qsusy.series import PowerSeries, make_series
 from qsusy.serialize import (
-    gauss_from_pair,
-    gauss_to_pair,
     series_from_csv,
     series_from_dict,
     series_from_json,
@@ -39,16 +37,29 @@ def exact_equal(a, b) -> bool:
     return list(map(shape, a)) == list(map(shape, b))
 
 
+def text_pair(g):
+    """The [re, im] texts the writers put down for one coefficient."""
+    return [format_rational(g.re), format_rational(g.im)]
+
+
+def value_of_pair(pair):
+    """One [re, im] pair read as a GaussRational, or the readers' ValueError."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"expected a [re, im] pair, got {_shown(pair)}")
+    return GaussRational(parse_rational(pair[0]), parse_rational(pair[1]))
+
+
 class TestGaussPairs:
     def test_forms(self):
-        assert gauss_to_pair(GaussRational(F(3, 2), F(-1, 4))) == ["3/2", "-1/4"]
-        assert gauss_to_pair(GaussRational(2, 0)) == ["2", "0"]
+        written = lambda g: series_to_dict(*parts_of([g]))["coeffs"]
+        assert written(GaussRational(F(3, 2), F(-1, 4))) == [["3/2", "-1/4"]]
+        assert written(GaussRational(2, 0)) == [["2", "0"]]
 
     def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            gauss_from_pair(["1/2"])
-        with pytest.raises(ValueError):
-            gauss_from_pair("1/2")
+        with pytest.raises(ValueError, match="expected a"):
+            series_from_dict({"order": 0, "coeffs": [["1/2"]]})
+        with pytest.raises(ValueError, match="expected a"):
+            series_from_dict({"order": 0, "coeffs": ["1/2"]})
 
 
 class TestJson:
@@ -172,7 +183,7 @@ def outcome(fn, *args):
 def reference_from_dict(data):
     """The reader as it was: one validated GaussRational per coefficient."""
     order, pairs = data["order"], data["coeffs"]
-    coeffs = tuple(gauss_from_pair(p) for p in pairs)
+    coeffs = tuple(map(value_of_pair, pairs))
     if len(coeffs) != order + 1:
         raise ValueError(f"series of order {order} needs {order + 1} coefficients, got {len(coeffs)}")
     return parts_of(coeffs)
@@ -260,7 +271,7 @@ class TestNumeratorWriter:
     def check(self, coeffs, order):
         s = parts_of(coeffs, order)
         gs = [c if isinstance(c, GaussRational) else GaussRational(c) for c in coeffs]
-        pairs = [gauss_to_pair(c) for c in gs] + [["0", "0"]] * (order + 1 - len(coeffs))
+        pairs = [text_pair(c) for c in gs] + [["0", "0"]] * (order + 1 - len(coeffs))
         assert series_to_dict(*s)["coeffs"] == pairs
         assert series_to_csv(*s) == csv_text(pairs)
         assert layout(series_from_json(series_to_json(*s))) == layout(s)
