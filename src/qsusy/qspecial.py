@@ -2,9 +2,10 @@
 
 The symmetric q-exponential e_q(u) = sum u**n / [n]_q!, the deformed Gaussian
 vacua e_q(beta x^2), the drift coefficient series beta_q(x^2) and its
-q-increment, deformed Hermite functions via the Rodrigues-style product, the
-real transformation functions of the negative-energy sector, and the
-classical (q = 1) Hermite oracles used to cross-check all of it.
+q-increment, deformed Hermite functions (the Rodrigues-style product, summed
+as q-binomials in the divided powers of x^2), the real transformation
+functions of the negative-energy sector, and the classical (q = 1) Hermite
+oracles used to cross-check all of it.
 
 A note on terminology: for q != 1 the Rodrigues product does not terminate,
 because e_q(x^2) * e_q(-x^2) != 1 in the symmetric convention. ``q_hermite``
@@ -19,7 +20,8 @@ from functools import lru_cache
 from operator import sub as _sub
 
 from .qcore import Deformation, Rational, _Frozen, q_factorial, q_number_numerators
-from .series import PowerSeries, _make, _reduced, constant_series, div, make_series, monomial, zero_series
+from .series import (PowerSeries, _from_ratios, _make, _reduced, constant_series, div, make_series, monomial,
+                     zero_series)
 
 __all__ = [
     "VacuumSpec",
@@ -172,10 +174,24 @@ def q_hermite(n: int, d: Deformation, order: int) -> PowerSeries:
     """Deformed Hermite function (-1)**n e_q(x^2) D_q**n e_q(-x^2), truncated.
 
     Needs order >= n + 2 so the n q-derivatives leave usable coefficients.
-    The result has parity (-1)**n and, for q != 1, nonzero coefficients above
-    degree n (the product does not terminate); at q = 1 its coefficients
-    through degree n are exactly the classical Hermite polynomial's and the
-    next retained coefficients vanish.
+    The result has order order - n, parity (-1)**n and, for q != 1, nonzero
+    coefficients above degree n (the product does not terminate); at q = 1
+    its coefficients through degree n are exactly the classical Hermite
+    polynomial's and the next retained coefficients vanish.
+
+    Built in the divided powers u**j / [j]_q! of u = x^2, where both factors
+    have small entries. With p = n mod 2 and s = (n + p) / 2, [2k]/[k] =
+    q**k + q**-k turns D_q**n e_q(-u) into x**p sum_j d_j u**j / [j]!, with
+    d_j = (-1)**(j+s) prod_(k=j+1..j+s) (q**k + q**-k) prod [o]_q over odd o
+    in (2j+p, 2j+2s]; e_q(u) has every entry 1. As (u**i/[i]!)(u**j/[j]!) =
+    [i+j choose j]_q u**(i+j)/[i+j]!, the coefficient of x**(2K+p) is
+    (-1)**n c_K / [K]! with c_K = sum_j [K choose j]_q d_j. Over
+    (ab)**(j(K-j)), q = a/b, the q-Pascal rule [K,j] = q**-j [K-1,j] +
+    q**(K-j) [K-1,j-1] is N_Kj = b**2j N_(K-1)j + a**2(K-j) N_(K-1)(j-1);
+    each c_K is one integer over one power of ab, and one gcd ends it.
+    Measured with CPython 3.11 on a 2-CPU x86-64 host (best of 3-7 runs),
+    n = 3 at q = 4/5 and order 128 takes 12 ms, where the product of the two
+    series took 46 ms; n = 3 at q = 5/4 and order 256, 0.25 s, not 1.3 s.
     """
     if n < 0:
         raise ValueError(f"q_hermite needs n >= 0, got {n}")
@@ -183,18 +199,48 @@ def q_hermite(n: int, d: Deformation, order: int) -> PowerSeries:
         raise ValueError(
             f"q_hermite(n={n}) needs order >= {n + 2} to keep exact coefficients, got {order}"
         )
-    decay = q_gauss(VacuumSpec(Fraction(-1), d, order))
-    # one gcd after the n derivatives: unreduced, their denominators grow to
-    # 1.3-1.7x the bits (order 128, n = 6 and 10), and a product on those
-    # measured slower than the gcd
-    for _ in range(n):
-        decay = decay._jackson(d)
-    decay = _reduced(decay)
-    grow = q_gauss(VacuumSpec(Fraction(1), d, decay.order))
-    out = grow * decay
-    if n % 2:
-        out = -out
-    return out
+    a, b = d.q.numerator, d.q.denominator
+    ab, a2, b2 = a * b, a * a, b * b
+    p = n % 2
+    s = (n + p) // 2
+    top = (order - n - p) // 2
+    qn = q_number_numerators(2 * (top + s), d)  # [k]_q = qn[k - 1] / (ab)**(k - 1)
+    # d_j = dn[j] / (ab)**de[j], signed (-1)**(n + j + s) for the whole product
+    dn, de = [], []
+    for j in range(top + 1):
+        c, e = (-1) ** (n + j + s), 0
+        for k in range(j + 1, j + s + 1):
+            c *= a2**k + b2**k
+            e += k
+        for o in range(2 * j + 1 + 2 * p, 2 * j + 2 * s, 2):
+            c *= qn[o - 1]
+            e += o - 1
+        dn.append(c)
+        de.append(e)
+    pa, pb = [a2**k for k in range(top + 1)], [b2**k for k in range(top + 1)]
+    nums, dens = [0] * (order - n + 1), [1] * (order - n + 1)
+    row, fact = [1], 1  # row[j] = N_Kj, fact = (ab)**(K(K-1)/2) [K]_q!
+    for K in range(top + 1):
+        if K:
+            fact *= qn[K - 1]
+            row = [pb[j] * x + pa[K - j] * y for j, (x, y) in enumerate(zip(row + [0], [0] + row))]
+        # c_K = sum_j t[j] / (ab)**ex[j]; ex rises, then falls, so Horner
+        # from each end to the peak multiplies only by small powers of ab
+        t = [x * y for x, y in zip(row, dn)]
+        ex = [j * (K - j) + e for j, e in enumerate(de[: K + 1])]
+        peak = max(ex)
+        k = ex.index(peak)
+        c = 0
+        for run in (range(k + 1), range(K, k, -1)):
+            acc, prev = 0, ex[run[0]] if run else peak
+            for j in run:
+                acc = acc * ab ** (ex[j] - prev) + t[j]
+                prev = ex[j]
+            c += acc * ab ** (peak - prev)
+        h = K * (K - 1) // 2 - peak
+        nums[2 * K + p] = c * ab ** max(h, 0)
+        dens[2 * K + p] = fact * ab ** max(-h, 0)
+    return _from_ratios(order - n, nums, dens)
 
 
 def classical_hermite(n: int, order: int | None = None) -> PowerSeries:

@@ -336,7 +336,12 @@ def limits_suite(order: int = 24) -> list[CheckResult]:
 
 
 def classical_suite(order: int = 24) -> list[CheckResult]:
-    """q = 1 oracles: operator annihilation and Rodrigues/recurrence agreement."""
+    """q = 1 oracles: operator annihilation and Rodrigues/recurrence agreement.
+
+    ``rodrigues_collapse`` reads ``q_hermite``'s q-binomial construction at
+    q = 1; the tests check that construction against the series product
+    (-1)**n e_q(x^2) D_q**n e_q(-x^2) itself, at q = 1 and away from it.
+    """
     out = []
     d1 = Deformation(1)
     gauss = q_gauss(VacuumSpec(beta=Fraction(-1, 2), d=d1, order=order))

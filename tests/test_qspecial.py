@@ -23,6 +23,19 @@ D32 = Deformation(F(3, 2))
 X = lambda order: monomial(1, order)
 
 
+def rodrigues(n, d, order):
+    """(-1)**n e_q(x^2) D_q**n e_q(-x^2), as the product of the two series."""
+    decay = q_gauss(VacuumSpec(F(-1), d, order))
+    for _ in range(n):
+        decay = decay.jackson_derivative(d)
+    out = q_gauss(VacuumSpec(F(1), d, decay.order)) * decay
+    return -out if n % 2 else out
+
+
+def assert_stored_as(got, want):
+    assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+
+
 def vac(beta, q, order=16):
     return VacuumSpec(beta=F(beta), d=Deformation(F(q)), order=order)
 
@@ -187,6 +200,28 @@ class TestQHermite:
             q_hermite(3, D2, 4)
         with pytest.raises(ValueError):
             q_hermite(-1, D2, 10)
+
+    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("q", [F(1), F(2), F(1, 2), F(3, 2), F(5, 4), F(4, 5), F(7, 3)])
+    def test_is_the_rodrigues_product(self, q, n):
+        # q_hermite sums q-binomials in the divided powers of x^2; the
+        # reference is the product itself, from q_gauss, D_q and *
+        for order in (n + 2, n + 3, 33):
+            assert_stored_as(q_hermite(n, Deformation(q), order), rodrigues(n, Deformation(q), order))
+
+    def test_is_the_rodrigues_product_at_the_benchmark_order(self):
+        d = Deformation(F(4, 5))
+        assert_stored_as(q_hermite(3, d, 128), rodrigues(3, d, 128))
+
+    @pytest.mark.parametrize("q", [F(2), F(3, 2), F(5, 4)])
+    def test_reciprocal_invariance(self, q):
+        # every [k]_q is invariant under q -> 1/q, so the a/b roles in the
+        # q-Pascal rule may not show in the result
+        d, inv = Deformation(q), Deformation(1 / q)
+        for n in range(6):
+            assert_stored_as(q_hermite(n, d, 40), q_hermite(n, inv, 40))
+        for p in (0, 2, 4):
+            assert_stored_as(u_transform(p, d, 40), u_transform(p, inv, 40))
 
 
 class TestClassicalHermite:
