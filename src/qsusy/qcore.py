@@ -3,7 +3,7 @@
 Every computation in this package bottoms out here. The base field is the
 rationals (arbitrary precision, always in lowest terms, positive denominator),
 and every series and operator is real: the substitution x -> ix of the
-negative-energy sector is a parity sign on even series (``qspecial.u_transform``).
+negative-energy sector is built into a real form (``qspecial.u_transform``).
 Gaussian rationals ``re + im*i`` stay as the scalar type at the boundary:
 ``PowerSeries.coeffs`` hands coefficients out as GaussRationals, the wire
 formats carry [re, im] pairs, and ``evaluate`` takes an exact complex point.

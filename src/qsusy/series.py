@@ -55,7 +55,8 @@ loop runs, with one gcd per output.
 From order 64 on, the quotient c to order n is taken by halves: with h =
 ceil((n + 1) / 2), c_lo = a / b to order h - 1, then a - b c_lo = x^h r
 exactly, and c_hi = r / b to order n - h, so that c = c_lo + x^h c_hi. Each
-half reads a and b truncated to its own order (``truncated``, one gcd), over
+half reads a and b truncated to its own order (``truncated``, one gcd; at
+odd n both halves have one order, and share b's truncation), over
 a far smaller denominator (beta_q at q = 3/2, n = 129: 394 bits, not 6,649),
 and recurses down to the loop. b c_lo's low h coefficients cancel, so r
 takes only its h..n: a middle product (``_middle``; Hanrot, Quercia &
@@ -623,8 +624,10 @@ def _join(s: PowerSeries, t: PowerSeries) -> tuple[list[int], list[int], int]:
 def _div_halves(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
     """a / b to order n >= 1 as c_lo + x^h c_hi (see the module docstring)."""
     h = (n + 2) // 2
-    lo = _quotient(a.truncated(h - 1), b.truncated(h - 1), h - 1)
-    hi = _quotient(_reduced(_remainder(a, b, lo, n)), b.truncated(n - h), n - h)
+    b_lo = b.truncated(h - 1)
+    lo = _quotient(a.truncated(h - 1), b_lo, h - 1)
+    # at odd n both halves have order h - 1, so they share one reduced truncation
+    hi = _quotient(_reduced(_remainder(a, b, lo, n)), b_lo if n - h == h - 1 else b.truncated(n - h), n - h)
     num_lo, num_hi, den = _join(lo, hi)
     return _make(n, num_lo + num_hi, den)
 

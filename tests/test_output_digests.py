@@ -86,7 +86,7 @@ for _op in OPERATORS:
 _add("apply", "--op", "Ob", "--q", "3/2", "--input", "complex.json", "--emit", "csv")
 _add("table", "--op", "h0", "--q", "3/2", "--input", "complex.json", "--xs", "")
 _add("table", "--op", "Tplus", "--q", "3/2", "--input", "complex.json", "--xs", "0")
-# u_p is real: q_hermite's coefficients with a parity sign, at orders past the halves
+# u_p is real: two q-binomial passes in the divided powers of x^2, at orders past the halves
 _add("ufunc", "--p", "4", "--q", "3/2", "--order", "64")
 _add("ufunc", "--p", "6", "--q", "5/4", "--order", "64", "--emit", "csv")
 

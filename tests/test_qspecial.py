@@ -32,6 +32,14 @@ def rodrigues(n, d, order):
     return -out if n % 2 else out
 
 
+def rodrigues_at_imaginary_argument(p, d, order):
+    """e_q(-x^2) D_q**p e_q(x^2) e_q(x^2/2), as the product of the three series."""
+    grow = q_gauss(VacuumSpec(F(1), d, order))
+    for _ in range(p):
+        grow = grow.jackson_derivative(d)
+    return q_gauss(VacuumSpec(F(-1), d, order)) * grow * q_gauss(VacuumSpec(F(1, 2), d, order))
+
+
 def assert_stored_as(got, want):
     assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
 
@@ -285,6 +293,11 @@ class TestUTransform:
         got = u_transform(p, d, order)
         assert got.order == want.order == order - p
         assert got == want
+
+    def test_is_the_rodrigues_product_at_the_benchmark_order(self):
+        # u_transform sums two q-binomial passes in the divided powers of x^2;
+        # the reference multiplies the three series out
+        assert_stored_as(u_transform(4, D2, 128), rodrigues_at_imaginary_argument(4, D2, 128))
 
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):
