@@ -11,8 +11,9 @@ Commands:
 * ``limit``: deviation table of the deformed data from the q = 1 limit along
   a q sweep.
 * ``table``: float samples (x, value) of a named series, or of an operator
-  applied pointwise to an input series (a point that is 0.0 as a float and
-  undeformed operators fall back to the series path).
+  applied pointwise to an input series. Where the series path answers (a
+  named series, a point that is 0.0 as a float, an undeformed operator), the
+  value is the truncated series' exact value at the rational x, rounded once.
 
 All rational flags are parsed exactly: "--q 1.5" means 3/2, never a float.
 The environment variable QSUSY_ORDER overrides the default truncation order.
@@ -26,7 +27,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import __version__
 from .qcore import (_QUOTE_LIMIT, Deformation, Rational, _Record, _clipped, _quoted, _shown,
@@ -504,11 +505,12 @@ def _run_table(config: RunConfig) -> int:
         op = _operator_for(config, series)
         # the q-quotient degenerates where x is 0.0 as a float (x = 0, or a
         # nonzero that underflows), and undeformed operators have no pointwise
-        # form at all; only those points read the exact result, taken once
+        # form at all; only those points read the exact result, taken once,
+        # at the exact x
         pointwise = op.has_point_form
         result = None
 
-        def value_at(xf: float) -> float:
+        def value_at(x: Rational, xf: float) -> Union[float, Rational]:
             nonlocal result
             if im is not None:
                 raise ValueError("series has imaginary coefficients; no float value")
@@ -516,11 +518,11 @@ def _run_table(config: RunConfig) -> int:
                 return op.apply_at(series.evaluate_float, xf)
             if result is None:
                 result = op.apply(series)
-            return result.evaluate_float(xf)
+            return result.evaluate(x).re
 
     else:
         series = _NAMED_SERIES[config.func](config)
-        value_at = series.evaluate_float
+        value_at = lambda x, xf: series.evaluate(x).re
 
     def row(x: Rational) -> list[str]:
         text = format_rational(x)
@@ -530,9 +532,14 @@ def _run_table(config: RunConfig) -> int:
         except OverflowError as exc:
             raise ValueError(f"{where} is outside the float range") from exc
         try:
-            value = value_at(xf)
+            value = value_at(x, xf)
         except OverflowError as exc:
             raise ValueError(f"{where}: a series coefficient is past the float range") from exc
+        # an exact value is rounded once, here
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise ValueError(f"{where} has a value past the float range") from exc
         if not math.isfinite(value):
             raise ValueError(f"{where} has no finite value ({value!r})")
         return [text, repr(value)]

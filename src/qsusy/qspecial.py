@@ -219,8 +219,13 @@ def beta_q(v: VacuumSpec) -> PowerSeries:
 
 
 def _log_derivative(u: PowerSeries, d: Deformation) -> PowerSeries:
-    """(D_q u) / u, for u(0) != 0; one order shorter than u."""
-    return div(u.jackson_derivative(d), u)
+    """(D_q u) / u, for u(0) != 0; one order shorter than u.
+
+    D_q u is divided unreduced: the quotient's loop clears each coefficient
+    by the least factor whatever the dividend's denominator, and division by
+    halves reduces its own truncations.
+    """
+    return div(u._jackson(d), u)
 
 
 def delta_beta_q(v: VacuumSpec) -> PowerSeries:

@@ -34,21 +34,24 @@ three paths runs, chosen from the operands alone:
 * Sparse rows: when at most a quarter of its entries are nonzero (a monomial
   probe, a short polynomial), one row of the schoolbook product is added
   per nonzero entry.
-* Karatsuba short product: when the vectors have at least 16 entries and
-  the smaller operand's largest numerator has at least 2,100 bits. The
-  short product computes coefficients 0..n only: it splits into one full
-  product and two short products of half the length, and a full product
-  splits into three (Karatsuba & Ofman, 1963), down to single entries.
+* Karatsuba short product, past the work gate below. The short product
+  computes coefficients 0..n only: it splits into one full product and two
+  short products of half the length, and a full product splits into three
+  (Karatsuba & Ofman, 1963), down to single entries.
 * Dense dot products otherwise: one per output coefficient.
 
-Karatsuba trades one product of two numerators for a few additions. CPython
-multiplies integers of fewer than 70 digits of 30 bits (2,100 bits) by
-schoolbook and longer ones by its own Karatsuba, so below that size a
-product costs little more than the additions it would replace. Measured
-with CPython 3.11 on a 2-CPU x86-64 host, on 16 entries of random integers
-the Karatsuba path takes 1.4x the time of the dot products at 1,000 bits
-and 0.9x at 2,100 bits; on 65 entries, 0.9x and 0.55x. All three paths give
-the same integers.
+One work gate picks Karatsuba for this product and for division's middle
+product below (``_karatsuba_pays``): the longest dot product would multiply
+at least 2^25 bit pairs, its length times the bit lengths of the two
+operands' largest entries. Karatsuba trades products of numerators for
+additions, which pays once the products are long. Measured with CPython 3.11
+on a 2-CPU x86-64 host (medians of 31 runs): on the folded products of
+``verify all --order 64`` (32-33 entries of 1,103-2,349 bits), the short
+product took 0.68-0.95x the dense time on the eight at 1.7-3.7 x 2^25 bit
+pairs and 1.02-1.09x on the four at 1.2 x 2^25, and every product of
+``verify all --order 32`` stays below the gate. The middle product took
+0.9-1.2x the dot products' time at 2^24 and 0.7-1.0x at 2^25, at every
+length from 2 to 48. All paths give the same integers.
 
 Division (``div``): below order 64 (``_DIV_HALVES_MIN_ORDER``) one exact
 loop runs, with one gcd per output.
@@ -60,11 +63,9 @@ odd n both halves have one order, and share b's truncation), over
 a far smaller denominator (beta_q at q = 3/2, n = 129: 394 bits, not 6,649),
 and recurses down to the loop. b c_lo's low h coefficients cancel, so r
 takes only its h..n: a middle product (``_middle``; Hanrot, Quercia &
-Zimmermann, AAECC 14, 2004), folded like ``_convolve``. Its Karatsuba form,
-three half-size middle products in place of four, runs when each output's
-dot product would multiply at least 2^25 bit pairs (the length of y times
-the bit lengths of the largest entries of x and y); at every length from 2
-to 48 it took 0.9-1.2x the dot products' time at 2^24 and 0.7-1.0x at 2^25.
+Zimmermann, AAECC 14, 2004), folded like ``_convolve``; its Karatsuba form,
+three half-size middle products in place of four, runs past the same work
+gate.
 ``_join`` puts the two canonical halves over one denominator with no gcd.
 
 Measured with CPython 3.11 on a 2-CPU x86-64 host, on the beta_q quotients
@@ -72,8 +73,11 @@ at q = 2, 3/2 and 5/4: the remainder takes 0.16-0.52x the time it took by
 the short product at n = 129 and 257 (q = 3/2, 5/4); the whole recursion
 takes 7, 14 and 27 ms at n = 129 where the loop takes 29, 69 and 134 ms, and
 0.14, 0.42 and 0.71 s at n = 257 where it takes 0.80, 1.68 and 3.05 s.
-Halves from order 32 ran up to 1.65x slower at n = 33, from 48 within noise,
-and from 96 up to 1.6x slower at n = 65, so the threshold stays at 64.
+Halves from order 32 ran up to 1.65x slower at n = 33, and from 96 up to
+1.6x slower at n = 65. At n = 48 they took 0.5-1.2x the loop's time on the
+beta_q quotients (q = 3/2, 4/3, 5/4 and 2; beta = -1/2 and 1/3), but
+1.7-1.8x on random series of 200- and 2,000-bit numerators, as at n = 64
+and 96, so the threshold stays at 64.
 
 There is no epsilon anywhere in this module; the float entry point is the
 single evaluator ``evaluate_float`` used at the grid/plotting boundary. It
@@ -183,8 +187,8 @@ def _convolve(a: IntVector, b: IntVector, n: int) -> list[int]:
 
     Even or odd operands are folded first; then the sparser operand goes on
     the left, and one of three paths runs (see the module docstring): the
-    sparse rows, the Karatsuba short product when both operands are long and
-    hold big integers, or the dense dot products.
+    sparse rows, the Karatsuba short product past the work gate, or the
+    dense dot products.
     """
     a, b = list(islice(a, n + 1)), list(islice(b, n + 1))
     # at n = 0 every vector is even and the fold keeps n = 0, so it would never end
@@ -202,10 +206,9 @@ def _convolve(a: IntVector, b: IntVector, n: int) -> list[int]:
             if x:
                 _add_row(out, i, x, b)
         return out
-    if n + 1 >= _KARATSUBA_MIN_LEN and min(max(map(int.bit_length, v)) for v in (a, b)) >= _KARATSUBA_MIN_BITS:
-        a += [0] * (n + 1 - len(a))  # an operand may end before index n
-        b += [0] * (n + 1 - len(b))
-        return _short_product(a, b)
+    if _karatsuba_pays(n + 1, a, b):
+        # an operand may end before index n
+        return _short_product(a + [0] * (n + 1 - len(a)), b + [0] * (n + 1 - len(b)))
     return _dense(a, b, n)
 
 
@@ -226,9 +229,14 @@ def _dense(a: list[int], b: list[int], n: int) -> list[int]:
     return [sum(map(_mul, a, rb[n - k :])) for k in range(n + 1)]
 
 
-# The gate of the Karatsuba path; the module docstring says why it sits here.
-_KARATSUBA_MIN_BITS = 70 * 30
-_KARATSUBA_MIN_LEN = 16
+# The work gate of both Karatsuba products; the module docstring says why it sits here.
+_KARATSUBA_MIN_WORK = 1 << 25
+
+
+def _karatsuba_pays(length: int, x: list[int], y: list[int]) -> bool:
+    """Whether a dot product of ``length`` terms from x and y would multiply
+    at least _KARATSUBA_MIN_WORK bit pairs, read off their largest entries."""
+    return length * max(map(int.bit_length, x)) * max(map(int.bit_length, y)) >= _KARATSUBA_MIN_WORK
 
 
 def _parity(v: list[int]) -> Optional[int]:
@@ -649,8 +657,7 @@ def _middle(x: list[int], y: list[int], m: int) -> list[int]:
     len(x) = k - 1 + m: coefficients k - 1..k - 2 + m of x * y.
 
     Even or odd operands are folded first, as in ``_convolve``; then the
-    Karatsuba middle product runs when each output's dot product would
-    multiply at least _MIDDLE_MIN_WORK bit pairs, and the dot products
+    Karatsuba middle product runs past the work gate, and the dot products
     otherwise (see the module docstring).
     """
     k = len(y)
@@ -668,13 +675,9 @@ def _middle(x: list[int], y: list[int], m: int) -> list[int]:
             start = (s + k - 1 - px - py) // 2 - (len(y) - 1)
             out[s::2] = _middle(x[px::2][start : start + len(y) - 1 + fm], y, fm)
         return out
-    if k * max(map(int.bit_length, x)) * max(map(int.bit_length, y)) >= _MIDDLE_MIN_WORK:
+    if _karatsuba_pays(k, x, y):
         return _middle_product(x, y)
     return _middle_dots(x, y, m)
-
-
-# The gate of the Karatsuba middle product; the module docstring says why it sits here.
-_MIDDLE_MIN_WORK = 1 << 25
 
 
 def _middle_dots(x: list[int], y: list[int], m: int) -> list[int]:

@@ -686,7 +686,15 @@ class TestTable:
         assert code == 0
         d = Deformation(F(3, 2))
         series = build(VacuumSpec(beta=F(1, 3), d=d, order=12), d)
-        assert out == f"x,value\n-1/2,{series.evaluate_float(-0.5)!r}\n1/3,{series.evaluate_float(1 / 3)!r}\n"
+        # the exact value at the rational point, rounded once
+        values = [float(series.evaluate(x).re) for x in (F(-1, 2), F(1, 3))]
+        assert out == f"x,value\n-1/2,{values[0]!r}\n1/3,{values[1]!r}\n"
+
+    def test_value_is_the_exact_value_rounded_once(self, capsys):
+        # the truncated series' terms cancel at x = 6: float Horner printed
+        # 1.656926751358867e-08, 6.2% above the exact value
+        argv = ("table", "--func", "gauss", "--q", "1", "--beta", "-1/2", "--order", "128", "--xs", "6")
+        assert run(capsys, *argv) == (0, "x,value\n6,1.5602668486581432e-08\n", "")
 
     def test_classical_column_is_constant(self, capsys):
         code, out, _ = run(
@@ -744,20 +752,29 @@ class TestTable:
         assert out == ""
         assert "outside the float range" in err and "Traceback" not in err
 
-    def test_coefficient_past_float_range_names_the_series(self, capsys):
-        # x = 1/2 has a float value; beta_q's coefficients at q = 1e300 have none
-        code, out, err = run(capsys, "table", "--func", "beta", "--q", "1e300", "--order", "8", "--xs", "1/2")
+    def test_coefficient_past_float_range_names_the_series(self, capsys, tmp_path):
+        # x = 1/2 has a float value; the pointwise form reads beta_q's
+        # coefficients at q = 1e300 as floats, and they have none
+        src = write_gauss(tmp_path, q=F(3, 2))
+        argv = ("table", "--op", "Tplus", "--q", "1e300", "--order", "8", "--input", str(src), "--xs", "1/2")
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "qsusy: error: table point x = 1/2: a series coefficient is past the float range\n"
 
+    def test_value_past_float_range_names_the_value(self, capsys):
+        # the exact value of beta_q at q = 1e300 is past the float range at x = 1/2
+        code, out, err = run(capsys, "table", "--func", "beta", "--q", "1e300", "--order", "8", "--xs", "1/2")
+        assert (code, out) == (2, "")
+        assert err == "qsusy: error: table point x = 1/2 has a value past the float range\n"
+
     @pytest.mark.parametrize("q, err", [
         ("3/2", ""),
-        ("1e400", "qsusy: error: table point x = -1: a series coefficient is past the float range\n"),
-        ("1e-400", "qsusy: error: table point x = -1: a series coefficient is past the float range\n"),
+        ("1e400", "qsusy: error: table point x = -1 has a value past the float range\n"),
+        ("1e-400", "qsusy: error: table point x = -1 has a value past the float range\n"),
     ])
     def test_operator_q_without_a_float_value(self, capsys, tmp_path, q, err):
         # such a q leaves no point form, so the exact series path answers; its
-        # coefficients, not the point, are past the float range
+        # value, not the point, is past the float range
         path = tmp_path / "h2.json"
         path.write_text(series_to_json(q_hermite(2, Deformation(F(3, 2)), 8)))
         argv = ("table", "--op", "Tplus", "--q", q, "--order", "8", "--input", str(path))
@@ -780,11 +797,11 @@ class TestTable:
         assert rows[1][1] == rows[2][1] == "-0.5"
 
     def test_non_finite_function_value_is_usage_error(self, capsys):
-        # beta_q(x^2) overflows to inf at x = 1e100 without raising
+        # beta_q(x^2)'s exact value at x = 1e100 is past the float range
         code, out, err = run(capsys, "table", "--func", "beta", "--q", "3/2", "--xs", "1/2,1e100")
         assert code == 2
         assert out == ""
-        assert "has no finite value (inf)" in err and "Traceback" not in err
+        assert "has a value past the float range" in err and "Traceback" not in err
 
     def test_non_finite_operator_value_is_usage_error(self, capsys, tmp_path):
         # the pointwise q-quotient meets inf - inf at x = 1e200
@@ -830,7 +847,8 @@ class TestTableExactApply:
 
     @pytest.mark.parametrize("op", ["Ob", "Of", "Tplus", "Tminus"])
     def test_each_series_is_divided_once(self, capsys, tmp_path, monkeypatch, op):
-        # the input, the operator's coefficient series and, for x = 0, the exact result
+        # the input and the operator's coefficient series; the exact result
+        # for x = 0 is evaluated exactly
         path = tmp_path / "probe.json"
         path.write_text(series_to_json(make_series([1, F(-1, 2), 0, F(1, 3), 0, 2], 12)))
         divided = []
@@ -840,4 +858,4 @@ class TestTableExactApply:
         code, out, _ = run(capsys, "table", "--op", op, "--q", "3/2", "--beta", "-1/2",
                            "--input", str(path), "--xs", xs)
         assert code == 0 and len(out.splitlines()) == 6
-        assert len(divided) == len(set(divided)) == 3
+        assert len(divided) == len(set(divided)) == 2

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from qsusy.qcore import Deformation, q_factorial, q_number
-from qsusy.series import make_series, monomial, zero_series
+from qsusy import series
+from qsusy.series import div, make_series, monomial, zero_series
 from qsusy.qspecial import (
     VacuumSpec,
     beta_q,
@@ -126,6 +127,21 @@ class TestBetaQ:
         # stored integers, at q = 1 (the constant 2 beta) and order 0 included
         v = vac(beta, q, order)
         assert stored(beta_q.__wrapped__(v)) == stored(closed_form_beta_q(v))
+
+    def test_divides_the_unreduced_q_derivative(self, monkeypatch):
+        # division gives the same stored quotient whatever the dividend's
+        # denominator, so D_q e is divided as its body leaves it: one _reduced
+        # call fewer than dividing its reduced form
+        v = vac(F(-1, 2), F(3, 2), 128)
+        e = q_gauss(VacuumSpec(v.beta, v.d, v.order + 2))
+        calls, original = [], series._reduced
+        monkeypatch.setattr(series, "_reduced", lambda s: calls.append(1) or original(s))
+        w = div(e.jackson_derivative(v.d), e)
+        reduced_first = len(calls)
+        calls.clear()
+        got = beta_q.__wrapped__(v)
+        assert len(calls) == reduced_first - 1
+        assert stored(got) == (v.order, w.num[1:], w.den)
 
     def test_constant_term(self):
         # beta * [2]_q at the origin

@@ -312,7 +312,7 @@ class TestDivisionByHalves:
         assert exact(got) == ref_div(a, b)
 
     @given(st.randoms(use_true_random=False), st.integers(1, 2 * HALVES),
-           st.sampled_from([kernel._MIDDLE_MIN_WORK, 0]))
+           st.sampled_from([kernel._KARATSUBA_MIN_WORK, 0]))
     @settings(max_examples=25, deadline=None)
     def test_remainder_vanishes_below_the_high_half(self, rng, n, gate):
         # a gate of 0 runs the Karatsuba middle product on these small
@@ -320,7 +320,7 @@ class TestDivisionByHalves:
         a = seeded_series(rng, n)
         b = seeded_series(rng, n, F(-2, 3))
         h = (n + 2) // 2
-        with kernel_constant("_MIDDLE_MIN_WORK", gate), kernel_constant("_DIV_HALVES_MIN_ORDER", 8):
+        with kernel_constant("_KARATSUBA_MIN_WORK", gate), kernel_constant("_DIV_HALVES_MIN_ORDER", 8):
             lo = kernel._quotient(a, b, h - 1)
             r = kernel._remainder(a, b, lo, n)
         # the reference: a - b lo in full, through the kernel's product
@@ -605,7 +605,11 @@ def takes_karatsuba(a, b, n):
     return bool(outer_short_products(lambda: kernel._convolve(a, b, n)))
 
 
-MIN_BITS = kernel._KARATSUBA_MIN_BITS
+def verify_vectors(order):
+    """The numerators of beta_q and q_gauss at q = 5/4, beta = -1/2: the
+    operands of verify's products at that order."""
+    v = VacuumSpec(beta=F(-1, 2), d=Deformation(F(5, 4)), order=order)
+    return list(beta_q(v).num), list(q_gauss(v).num)
 
 
 class TestKaratsuba:
@@ -624,17 +628,38 @@ class TestKaratsuba:
 
     @pytest.mark.parametrize("pa, pb, n", [(0, 0, 30), (0, 1, 31), (1, 1, 32), (None, 0, 15), (None, None, 15)])
     def test_folded_length_gate(self, pa, pb, n):
-        # n is the smallest order whose folded product has 16 entries
+        # n is the smallest order whose folded product has 16 entries, and at
+        # 1,449 bits a side 16 entries pass the 2^25 bit-pair gate, 15 do not
         rng = random.Random(n)
-        a, b = big_vector(rng, n + 1, 3000, pa), big_vector(rng, n + 1, 3000, pb)
+        a, b = big_vector(rng, n + 1, 1449, pa), big_vector(rng, n + 1, 1449, pb)
         assert takes_karatsuba(a, b, n) and not takes_karatsuba(a, b, n - 1)
         for m in (n - 1, n):
             assert kernel._convolve(a, b, m) == dot_path(a, b, m) == reference(a, b, m)
 
-    def test_bit_gate_reads_the_smaller_operand(self):
+    @pytest.mark.parametrize("order, taken", [(32, False), (64, True)])
+    def test_verify_products_at_orders_32_and_64(self, order, taken):
+        # folded to 17 and 33 entries: below the gate at order 32, past it at 64
+        b, g = verify_vectors(order)
+        assert takes_karatsuba(b, b, order) is taken
+        assert takes_karatsuba(b, g, order) is taken
+        assert kernel._convolve(b, g, order) == dot_path(b, g, order)
+
+    @pytest.mark.parametrize("gate, taken", [(0, True), (1 << 64, False)], ids=["zero", "above-every-product"])
+    def test_one_constant_moves_both_products(self, gate, taken):
+        # the product and division's middle product read the one work gate
+        for order in (32, 64):
+            b, g = verify_vectors(order)
+            k = order // 2 + 1
+            with kernel_constant("_KARATSUBA_MIN_WORK", gate):
+                assert takes_karatsuba(b, g, order) is taken
+                assert takes_middle_karatsuba_in(lambda: kernel._middle(b, g[:k], k)) is taken
+                assert kernel._middle(b, g[:k], k) == middle_reference(b, g[:k], k)
+
+    def test_work_gate_reads_both_operands(self):
+        # folded to 16 entries: the gate sits at 16 * 2^13 * 2^8 = 2^25 bit pairs
         rng = random.Random(7)
-        big = big_vector(rng, 33, 9000, 0)
-        for bits, taken in ((MIN_BITS - 1, False), (MIN_BITS, True)):
+        big = big_vector(rng, 33, 1 << 13, 0)
+        for bits, taken in ((255, False), (256, True)):
             small = big_vector(rng, 33, bits, 1)
             small[5] = 1  # the gate reads the largest entry, not every entry
             assert takes_karatsuba(small, big, 32) is taken
@@ -691,14 +716,14 @@ class TestMiddleProduct:
     @given(st.randoms(use_true_random=False), st.integers(1, 70), st.integers(1, 70),
            st.sampled_from([None, 0, 1]), st.sampled_from([None, 0, 1]),
            st.sampled_from([(1, 1), (9, 60), (16000, 100), (100, 16000), (6000, 1000), (1000, 6000)]),
-           st.sampled_from([kernel._MIDDLE_MIN_WORK, 0]), st.sampled_from(["", "", "", "x", "y"]))
+           st.sampled_from([kernel._KARATSUBA_MIN_WORK, 0]), st.sampled_from(["", "", "", "x", "y"]))
     @settings(max_examples=200, deadline=None)
     def test_matches_the_product(self, rng, k, m, px, py, bits, gate, zero):
         x = big_vector(rng, k - 1 + m, bits[0], px)
         y = big_vector(rng, k, bits[1], py)
         if zero:
             x, y = ([0] * len(x), y) if zero == "x" else (x, [0] * k)
-        with kernel_constant("_MIDDLE_MIN_WORK", gate):
+        with kernel_constant("_KARATSUBA_MIN_WORK", gate):
             got = kernel._middle(x, y, m)
         assert got == middle_reference(x, y, m)
 
@@ -817,7 +842,7 @@ class TestKaratsubaFaults:
 
     def test_leibniz(self, monkeypatch):
         # the suite's polynomials are small, so the gate is opened for them
-        monkeypatch.setattr(kernel, "_KARATSUBA_MIN_BITS", 0)
+        monkeypatch.setattr(kernel, "_KARATSUBA_MIN_WORK", 0)
         q = F(3, 2)
         d = Deformation(q)
         assert verify.leibniz_suite(q)[0].passed
